@@ -78,24 +78,17 @@ def maybe_profile(request):
 
 
 def peak_rss_bytes() -> int | None:
-    """Peak resident set size, in bytes (None if unavailable).
+    """Process peak resident set size, in bytes (None if unavailable).
 
-    ``ru_maxrss`` is the lifetime high-water mark — coarse (it never
-    decreases across tests) but exactly the number a memory cap cares
-    about.  The parallel-host benches fan work out to ``REPRO_WORKERS``
-    child processes, so the max over RUSAGE_SELF and RUSAGE_CHILDREN is
-    reported: the biggest single process, which is what an admission
-    controller sizing one box would provision for.  Linux reports KiB,
-    macOS bytes.
+    ``ru_maxrss`` is the process-lifetime high-water mark — coarse (it
+    never decreases across tests) but exactly the number a memory cap
+    cares about.  Linux reports KiB, macOS bytes.
     """
     try:
         import resource
     except ImportError:        # non-POSIX: no RSS source baked in
         return None
-    usage = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
+    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if usage <= 0:
         return None
     return int(usage) if sys.platform == "darwin" else int(usage) * 1024

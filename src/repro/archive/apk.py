@@ -18,9 +18,7 @@ paper describes under Figure 3.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.archive.gz import (
     gzip_compress_cached,
@@ -166,44 +164,6 @@ class ApkPackage:
         segments, cost = self._build_segments_with_cost(signing_key, key_name)
         return b"".join(segments), cost
 
-    def build_prewarm(self, signing_key: RsaPrivateKey,
-                      key_name: str = "builder") -> tuple[bytes, dict]:
-        """Worker-side build: serialize and sign like :meth:`build`, but
-        also return the content-keyed memo entries (compressed segments,
-        control-segment signature, self-check verdict) a later rebuild
-        needs, so the main process can splice this package together
-        without redoing the deflates or the CRT sign."""
-        from repro.crypto.rsa import _VERIFY_MEMO
-        entries: dict[str, list] = {"gz": [], "sign": [], "verify": []}
-        data_tar = self._data_tar()
-        data_gz, data_cost = gzip_compress_cached_with_cost(data_tar)
-        entries["gz"].append(((hashlib.sha256(data_tar).digest(),
-                               len(data_tar), 6), data_gz, data_cost))
-        control_tar = self._control_tar(data_gz)
-        control_gz, control_cost = gzip_compress_cached_with_cost(control_tar)
-        entries["gz"].append(((hashlib.sha256(control_tar).digest(),
-                               len(control_tar), 6), control_gz,
-                              control_cost))
-        signature, sign_cost = signing_key.sign_with_cost(control_gz)
-        digest = sha256_bytes(control_gz)
-        verify_hit = _VERIFY_MEMO.get(
-            (signing_key.n, signing_key.e, digest, signature))
-        if verify_hit is None:
-            verify_hit = signing_key.public_key.verify_with_cost(
-                control_gz, signature)
-        entries["sign"].append((signing_key.n, digest, signature, sign_cost))
-        entries["verify"].append((signing_key.n, signing_key.e, digest,
-                                  signature, True, verify_hit[1]))
-        signature_tar = write_tar(
-            [TarEntry(name=f".SIGN.RSA.{key_name}.rsa.pub", data=signature)]
-        )
-        signature_gz, signature_cost = gzip_compress_cached_with_cost(
-            signature_tar)
-        entries["gz"].append(((hashlib.sha256(signature_tar).digest(),
-                               len(signature_tar), 6), signature_gz,
-                              signature_cost))
-        return signature_gz + control_gz + data_gz, entries
-
     # -- parsing / verification --------------------------------------------
 
     @classmethod
@@ -309,115 +269,6 @@ class ParsedApk:
                 f"(control says {self.datahash[:12]}…, data is {actual[:12]}…)"
             )
         return signer, cost
-
-
-# -- host-pool parse memo and batch entry points ------------------------------
-#
-# Parsing is a pure function of the blob, so worker processes can parse
-# ahead of the timeline.  The memo is installed *exclusively* from pool
-# results: in a serial (REPRO_WORKERS=0) process it stays permanently
-# empty, every lookup misses, and `parse_apk_cached_with_cost` is exactly
-# ``ApkPackage.parse`` plus a wall-clock measurement — the literal
-# pre-pool behavior.
-
-_PARSE_MEMO: dict[tuple[str, int], tuple["ParsedApk", float]] = {}
-_PARSE_MEMO_LIMIT = 512
-
-
-def clear_parse_memo() -> None:
-    _PARSE_MEMO.clear()
-
-
-def seed_parse_entry(key: tuple[str, int], parsed: "ParsedApk",
-                     cost: float) -> None:
-    if key not in _PARSE_MEMO:
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_LIMIT:
-            _PARSE_MEMO.clear()
-        _PARSE_MEMO[key] = (parsed, cost)
-
-
-def parse_apk_cached_with_cost(blob: bytes,
-                               digest: str | None = None
-                               ) -> tuple["ParsedApk", float]:
-    """Pool-warmed parse: returns ``(parsed, host_seconds)`` where the
-    cost is what the parse measured wherever it actually ran.  Callers
-    that already hold the blob's hex digest pass it to skip rehashing."""
-    if _PARSE_MEMO:
-        if digest is None:
-            digest = sha256_hex(blob)
-        hit = _PARSE_MEMO.get((digest, len(blob)))
-        if hit is not None:
-            return hit
-    started = perf_counter()
-    parsed = ApkPackage.parse(blob)
-    return parsed, perf_counter() - started
-
-
-def parse_kernel(blob: bytes, trusted_keys: tuple[RsaPublicKey, ...]
-                 ) -> tuple:
-    """Worker-side parse + signature verdicts for every trusted key up to
-    the first that verifies (mirroring ``ParsedApk.verify_with_cost``)."""
-    started = perf_counter()
-    parsed = ApkPackage.parse(blob)
-    parse_cost = perf_counter() - started
-    verify_entries = []
-    for key in trusted_keys:
-        if len(parsed.signature) != key.size_bytes:
-            continue
-        ok, cost = key.verify_with_cost(parsed.control_gz, parsed.signature)
-        verify_entries.append((key.n, key.e, sha256_bytes(parsed.control_gz),
-                               parsed.signature, ok, cost))
-        if ok:
-            break
-    return (sha256_hex(blob), len(blob)), parsed, parse_cost, verify_entries
-
-
-def parse_verify_batch(items: list[tuple[bytes, tuple[RsaPublicKey, ...]]],
-                       pool=None) -> None:
-    """Warm the parse memo (and the rsa verify memo) for ``(blob,
-    trusted_keys)`` pairs an upcoming scan or pull wave will consume."""
-    if pool is None or not items:
-        return
-    from repro.crypto.rsa import seed_verify_entry
-    misses = []
-    pending = set()
-    for blob, keys in items:
-        memo_key = (sha256_hex(blob), len(blob))
-        if memo_key in _PARSE_MEMO or memo_key in pending:
-            continue
-        pending.add(memo_key)
-        misses.append((blob, tuple(keys)))
-    for memo_key, parsed, cost, entries in pool.run_batch(
-            "parse_verify", misses):
-        seed_parse_entry(memo_key, parsed, cost)
-        for entry in entries:
-            seed_verify_entry(*entry)
-
-
-def seed_build_entries(entries: dict) -> None:
-    """Install one :meth:`ApkPackage.build_prewarm` harvest into the
-    segment-compress and sign/verify memos (main process only)."""
-    from repro.archive.gz import seed_compress_entry
-    from repro.crypto.rsa import seed_sign_entry, seed_verify_entry
-    for key, compressed, cost in entries["gz"]:
-        seed_compress_entry(key, compressed, cost)
-    for n, digest, signature, cost in entries["sign"]:
-        seed_sign_entry(n, digest, signature, cost)
-    for entry in entries["verify"]:
-        seed_verify_entry(*entry)
-
-
-def publish_build_batch(packages: list[ApkPackage],
-                        signing_key: RsaPrivateKey,
-                        key_name: str = "builder", pool=None) -> None:
-    """Pre-build packages about to be published: workers deflate and sign,
-    the main process installs the memo entries, and the serial
-    ``build()`` then splices the identical bytes from warm caches."""
-    if pool is None or not packages:
-        return
-    payloads = [(package, signing_key, key_name) for package in packages]
-    for entries in pool.run_batch("publish_build", payloads):
-        seed_build_entries(entries)
 
 
 def _parse_pkginfo(text: str) -> dict:

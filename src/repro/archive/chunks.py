@@ -71,31 +71,6 @@ def clear_chunk_memo() -> None:
     _OFFSETS_MEMO.clear()
 
 
-def seed_offsets_entry(key: tuple, offsets: list[tuple[int, int]]) -> None:
-    """Install worker-computed chunk offsets (host pool); first wins."""
-    if key not in _OFFSETS_MEMO:
-        if len(_OFFSETS_MEMO) >= _OFFSETS_LIMIT:
-            _OFFSETS_MEMO.clear()
-        _OFFSETS_MEMO[key] = list(offsets)
-
-
-def chunk_offsets_batch(datas: list[bytes], pool=None) -> None:
-    """Warm the offsets memo for every blob in ``datas`` (delta bases for
-    an upcoming pull wave), running cache misses on the worker pool."""
-    misses = []
-    pending = set()
-    for data in datas:
-        key = (sha256_bytes(data), len(data), MIN_CHUNK, MAX_CHUNK, _MASK)
-        if key in _OFFSETS_MEMO or key in pending:
-            continue
-        pending.add(key)
-        misses.append((data, MIN_CHUNK, MAX_CHUNK, _MASK))
-    if not misses or pool is None:
-        return
-    for key, offsets in pool.run_batch("chunks", misses):
-        seed_offsets_entry(key, offsets)
-
-
 def chunk_offsets(data: bytes, min_size: int = MIN_CHUNK,
                   max_size: int = MAX_CHUNK,
                   mask: int = _MASK) -> list[tuple[int, int]]:

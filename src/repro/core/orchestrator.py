@@ -50,9 +50,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.archive.index import RepositoryIndex, parse_index_cached
+from repro.archive.index import RepositoryIndex
 from repro.core.pipeline import MirrorDownloadScheduler
-from repro.core.quorum import entry_agreement
+from repro.core.quorum import entry_agreement, validate_signed_index
 from repro.core.sanitizer import SanitizationRejected, SanitizationResult
 from repro.core.service import RefreshReport, matches_expected
 from repro.simnet.latency import (
@@ -320,7 +320,6 @@ class RefreshOrchestrator:
         try:
             self._quorum_phase(scheduler)
             self._download_phase(scheduler)
-            self._prewarm_phase()
             self._scan_phase()
             enclave_free = self._sanitize_phase()
         finally:
@@ -433,13 +432,9 @@ class RefreshOrchestrator:
         pigeonhole argument sound and stops a forged response from
         triggering downloads of fabricated entries.
         """
-        if not isinstance(payload, (bytes, bytearray)):
-            return
-        try:
-            index = parse_index_cached(bytes(payload))
-        except Exception:
-            return
-        if any(index.verify(key) for key in plan.config.policy.signers_keys):
+        index = validate_signed_index(payload,
+                                      plan.config.policy.signers_keys)
+        if index is not None:
             plan.valid_indexes.append(index)
 
     def _quorum_phase(self, scheduler):
@@ -687,28 +682,6 @@ class RefreshOrchestrator:
                 plan.jobs[name] = _SanJob(name=name, blob=blob, ready=ready)
 
     # -- scan + sanitize phases ---------------------------------------------
-
-    def _prewarm_phase(self):
-        """Fan the round's known sanitize work out to the host pool.
-
-        Every changed blob is downloaded by now, so the round's sanitize
-        work-list is fully known before the serial scan/sanitize timeline
-        starts.  With a worker pool configured (``REPRO_WORKERS``), the
-        content- and repository-determined memos are warmed here in
-        parallel; the serial phases then consume memo hits carrying the
-        worker-measured costs.  Simulated time, outcomes, and output
-        bytes are identical either way — with the pool off this is a
-        no-op and the phase doesn't exist.
-        """
-        from repro.util.hostpool import get_pool
-        if get_pool() is None:
-            return
-        enclave = self._service._enclave
-        for plan in self._plans:
-            blobs = [plan.jobs[name].blob
-                     for name in plan.quorum["changed"]]
-            if blobs:
-                enclave.ecall("prewarm_sanitize", plan.repo_id, blobs)
 
     def _scan_phase(self):
         """Account-scan every tenant's blobs (memoized across tenants)."""

@@ -268,7 +268,7 @@ class TsrProgram:
 
     def _scan_record(self, blob: bytes) -> tuple[dict, bool]:
         """(scan record, memo hit?) for one blob; memoized when shared."""
-        from repro.archive.apk import parse_apk_cached_with_cost
+        from repro.archive.apk import ApkPackage
         from repro.scripts.classify import OperationType, classify_package_scripts
         from repro.util.errors import ScriptError
 
@@ -288,9 +288,7 @@ class TsrProgram:
                 shared.scan_misses += 1
                 shared.scan_replays += 1
                 return record, False
-        # The scan phase charges no simulated time, so the pool-fed parse
-        # memo only removes host work here; outcomes are unchanged.
-        package = parse_apk_cached_with_cost(bytes(blob), digest)[0].package
+        package = ApkPackage.parse(bytes(blob)).package
         delta = extract_scan_delta(package)
         try:
             profile = classify_package_scripts(package.scripts)
@@ -357,35 +355,6 @@ class TsrProgram:
         shared.analysis_memo[key] = (shared.generation, analysis, info)
         shared.analysis_misses += 1
         return {"deduped": False, **info}
-
-    def prewarm_sanitize(self, repo_id: str, blobs: list[bytes]) -> dict:
-        """Fan this round's known sanitize work out to the host pool.
-
-        Precomputes the content- and repository-determined halves of
-        sanitization for ``blobs`` on worker processes and installs the
-        results into the cost-honest memos the serial sanitize phase
-        consumes.  Pure host-side acceleration: results carry the
-        worker-measured costs, installation order is deterministic, and
-        with the pool disabled this is a no-op — the serial path is
-        bit-for-bit the pre-pool one.  Untrusted blobs are safe to submit:
-        a blob that fails verification memoizes its analysis (including
-        the failure) under its own content hash, and the serial pass
-        raises at exactly the point it always did.
-        """
-        from repro.core.sanitizer import sanitize_prewarm_batch
-        from repro.util.hostpool import get_pool
-
-        pool = get_pool()
-        if pool is None:
-            return {"prewarmed": 0}
-        state = self._repo(repo_id)
-        installed = sanitize_prewarm_batch(
-            [bytes(blob) for blob in blobs],
-            state.policy.signers_keys,
-            state.signing_key,
-            pool=pool,
-        )
-        return {"prewarmed": installed}
 
     # -- catalog & sanitization -------------------------------------------------------
 

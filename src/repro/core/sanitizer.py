@@ -45,9 +45,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.archive.apk import ApkPackage, ParsedApk, parse_apk_cached_with_cost
+from repro.archive.apk import ApkPackage, ParsedApk
 from repro.core.catalog import RepositoryCatalog
-from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.ima.subsystem import ima_signature_for, ima_signature_with_cost
 from repro.scripts.classify import OperationType, ScriptProfile, classify_script
@@ -161,11 +160,6 @@ class PackageAnalysis:
     timings: PhaseTimings
     #: (package name, reason) when classification rejected the package.
     rejection: tuple[str, str] | None = None
-    #: (blob digest, trusted-signer fingerprints) when this analysis came
-    #: through the host-pool memo path; None on the plain serial path.
-    #: Lets :meth:`Sanitizer.finish_from_analysis` look up a pool-computed
-    #: finish for the same content without rehashing the blob.
-    content_key: tuple | None = None
 
     def charged(self) -> "PackageAnalysis":
         """A view of this analysis whose shared cost is already paid."""
@@ -176,7 +170,6 @@ class PackageAnalysis:
             hooks=self.hooks,
             timings=PhaseTimings(),
             rejection=self.rejection,
-            content_key=self.content_key,
         )
 
 
@@ -218,7 +211,62 @@ class Sanitizer:
         Never raises for rejected packages — the rejection is recorded so
         a memoized analysis replays it identically per repository.
         """
-        return analyze_package_blob(blob, self._trusted_signers)
+        timings = PhaseTimings()
+
+        start = time.perf_counter()
+        parsed = ApkPackage.parse(blob)
+        timings.archive += time.perf_counter() - start
+
+        start = time.perf_counter()
+        _, verify_cost = parsed.verify_with_cost(self._trusted_signers)
+        # A memoized verdict returns in microseconds but represents the
+        # same enclave work as the first computation: charge whichever is
+        # larger, so memo hits and fresh verifies account identically.
+        timings.verify += max(time.perf_counter() - start, verify_cost)
+
+        package = parsed.package
+
+        start = time.perf_counter()
+        profile = ScriptProfile()
+        hooks: dict[str, HookAnalysis] = {}
+        rejection: tuple[str, str] | None = None
+        for hook, source in package.scripts.items():
+            try:
+                script = parse_script(source)
+                hook_profile = classify_script(script)
+            except ScriptError as exc:
+                rejection = (package.name,
+                             f"unparseable script {hook}: {exc}")
+                break
+            profile = profile.merge(hook_profile)
+            if not hook_profile.sanitizable:
+                bad = ", ".join(sorted(
+                    op.label for op in hook_profile.unsafe_operations
+                    if not op.sanitizable
+                ))
+                rejection = (package.name, f"script {hook} performs: {bad}")
+                break
+            if hook_profile.safe:
+                hooks[hook] = HookAnalysis(profile=hook_profile,
+                                           source=source)
+                continue
+            kept = _filter_statements(script.statements)
+            hooks[hook] = HookAnalysis(
+                profile=hook_profile,
+                kept=kept,
+                shebang=script.shebang,
+                touched=_touched_paths(kept),
+            )
+        timings.scripts += time.perf_counter() - start
+
+        return PackageAnalysis(
+            package=package,
+            original_size=len(blob),
+            profile=profile,
+            hooks=hooks,
+            timings=timings,
+            rejection=rejection,
+        )
 
     def finish_from_analysis(self,
                              analysis: PackageAnalysis) -> SanitizationResult:
@@ -231,16 +279,6 @@ class Sanitizer:
         """
         if analysis.rejection is not None:
             raise SanitizationRejected(*analysis.rejection)
-        if _FINISH_MEMO and analysis.content_key is not None:
-            # Pool-computed finish for this (content, signer set, signing
-            # key): splice the worker's package/blob and recorded phase
-            # costs.  The memo is installed exclusively from pool results
-            # (catalog-independent packages only), so on the serial path
-            # it is empty and this probe never fires.
-            hit = _FINISH_MEMO.get(
-                analysis.content_key + (self._signing_key.n,))
-            if hit is not None:
-                return self._finish_from_memo(analysis, hit)
         package = analysis.package
         timings = PhaseTimings(
             verify=analysis.timings.verify,
@@ -309,36 +347,6 @@ class Sanitizer:
             uncompressed_size=uncompressed,
             timings=timings,
             profile=profile,
-            insecure_findings=findings,
-        )
-
-    def _finish_from_memo(self, analysis: PackageAnalysis,
-                          hit: tuple) -> SanitizationResult:
-        """Reassemble a :class:`SanitizationResult` from a pool-computed
-        finish: identical package/blob bytes, timings charged from the
-        worker-measured render/sign/repack costs (cost-honesty — a warm
-        finish accounts exactly like the computation that produced it)."""
-        package, blob, render_cost, sign_cost, repack_cost = hit
-        timings = PhaseTimings(
-            verify=analysis.timings.verify,
-            archive=analysis.timings.archive + repack_cost,
-            scripts=analysis.timings.scripts + render_cost,
-            sign=sign_cost,
-        )
-        uncompressed = sum(len(f.content) for f in analysis.package.files)
-        findings = [
-            (pkg, user) for pkg, user in self._catalog.insecure_findings
-            if pkg == analysis.package.name
-        ]
-        return SanitizationResult(
-            package=package,
-            blob=blob,
-            original_size=analysis.original_size,
-            sanitized_size=len(blob),
-            file_count=len(analysis.package.files),
-            uncompressed_size=uncompressed,
-            timings=timings,
-            profile=analysis.profile,
             insecure_findings=findings,
         )
 
@@ -423,288 +431,3 @@ def _touched_paths(statements: list[Statement]) -> list[str]:
         if command.name == "touch":
             touched.extend(arg for arg in command.args if not arg.startswith("-"))
     return touched
-
-
-# -- host-pool memos and kernels ----------------------------------------------
-#
-# Both memos are installed exclusively from worker-pool results in the
-# main process: in a serial (REPRO_WORKERS=0) process they stay
-# permanently empty, every probe is skipped by the truthiness guard, and
-# the code path is the literal pre-pool one.  Installed analyses carry
-# the worker-measured parse/verify/classify timings; installed finishes
-# carry worker-measured render/sign/repack costs — memo hits account
-# exactly like the computation that produced them.
-
-#: (blob digest hex, trusted-signer fingerprints) -> PackageAnalysis.
-_ANALYSIS_MEMO: dict[tuple, PackageAnalysis] = {}
-#: (blob digest hex, signer fps, signing-key modulus) ->
-#: (sanitized package, blob, render cost, sign cost, repack cost).
-#: Catalog-independent packages only (no account creation, no rejection).
-_FINISH_MEMO: dict[tuple, tuple] = {}
-_SANITIZE_MEMO_LIMIT = 512
-
-
-def clear_sanitize_memos() -> None:
-    """Drop the pool-fed analysis/finish memos (differential suites start
-    each sweep cold)."""
-    _ANALYSIS_MEMO.clear()
-    _FINISH_MEMO.clear()
-
-
-def analyze_package_blob(blob: bytes, trusted_signers: list[RsaPublicKey],
-                         _collect: dict | None = None) -> PackageAnalysis:
-    """Content-determined analysis of one blob: parse, verify, classify,
-    filter.  A pure function of (blob, trusted signer set) — the host
-    pool precomputes it in workers and installs the result here.
-
-    ``_collect`` is the worker-side hook: when given, memo probes are
-    skipped (the worker must measure fresh) and the parsed apk plus its
-    parse cost are stashed for harvesting.
-    """
-    digest = None
-    fps = None
-    if _ANALYSIS_MEMO and _collect is None:
-        digest = sha256_hex(blob)
-        fps = tuple(k.fingerprint() for k in trusted_signers)
-        hit = _ANALYSIS_MEMO.get((digest, fps))
-        if hit is not None:
-            return hit
-
-    timings = PhaseTimings()
-
-    start = time.perf_counter()
-    parsed, parse_cost = parse_apk_cached_with_cost(blob, digest)
-    # A memoized parse returns in microseconds but represents the same
-    # enclave work as the first computation: charge whichever is larger,
-    # so memo hits and fresh parses account identically.
-    timings.archive += max(time.perf_counter() - start, parse_cost)
-    if _collect is not None:
-        _collect["parsed"] = parsed
-        _collect["parse_cost"] = parse_cost
-
-    start = time.perf_counter()
-    _, verify_cost = parsed.verify_with_cost(trusted_signers)
-    # A memoized verdict returns in microseconds but represents the
-    # same enclave work as the first computation: charge whichever is
-    # larger, so memo hits and fresh verifies account identically.
-    timings.verify += max(time.perf_counter() - start, verify_cost)
-
-    package = parsed.package
-
-    start = time.perf_counter()
-    profile = ScriptProfile()
-    hooks: dict[str, HookAnalysis] = {}
-    rejection: tuple[str, str] | None = None
-    for hook, source in package.scripts.items():
-        try:
-            script = parse_script(source)
-            hook_profile = classify_script(script)
-        except ScriptError as exc:
-            rejection = (package.name,
-                         f"unparseable script {hook}: {exc}")
-            break
-        profile = profile.merge(hook_profile)
-        if not hook_profile.sanitizable:
-            bad = ", ".join(sorted(
-                op.label for op in hook_profile.unsafe_operations
-                if not op.sanitizable
-            ))
-            rejection = (package.name, f"script {hook} performs: {bad}")
-            break
-        if hook_profile.safe:
-            hooks[hook] = HookAnalysis(profile=hook_profile,
-                                       source=source)
-            continue
-        kept = _filter_statements(script.statements)
-        hooks[hook] = HookAnalysis(
-            profile=hook_profile,
-            kept=kept,
-            shebang=script.shebang,
-            touched=_touched_paths(kept),
-        )
-    timings.scripts += time.perf_counter() - start
-
-    return PackageAnalysis(
-        package=package,
-        original_size=len(blob),
-        profile=profile,
-        hooks=hooks,
-        timings=timings,
-        rejection=rejection,
-        content_key=((digest, fps) if digest is not None else None),
-    )
-
-
-def prewarm_kernel(blob: bytes, trusted_signers: tuple,
-                   signing_key: RsaPrivateKey | None) -> dict:
-    """Worker-side sanitize prewarm: compute the content-determined
-    analysis fresh (measuring real costs) and, when a signing key is
-    supplied and the package is catalog-independent, the full
-    repository-determined finish.  Returns every memo entry the main
-    process should install; never raises (a bad blob returns an error
-    marker and the serial path re-raises in context)."""
-    from repro.crypto.hashes import sha256_bytes
-    from repro.crypto.rsa import _SIGN_MEMO, _VERIFY_MEMO
-    trusted = list(trusted_signers)
-    collect: dict = {}
-    try:
-        analysis = analyze_package_blob(blob, trusted, _collect=collect)
-    except Exception as exc:
-        return {"error": repr(exc)}
-    digest = sha256_hex(blob)
-    fps = tuple(k.fingerprint() for k in trusted)
-    analysis.content_key = (digest, fps)
-    parsed: ParsedApk = collect["parsed"]
-    verify_entries = []
-    control_digest = sha256_bytes(parsed.control_gz)
-    for key in trusted:
-        if len(parsed.signature) != key.size_bytes:
-            continue
-        vkey = (key.n, key.e, control_digest, parsed.signature)
-        hit = _VERIFY_MEMO.get(vkey)
-        if hit is None:
-            continue
-        verify_entries.append((*vkey, *hit))
-        if hit[0]:
-            break
-    result = {
-        "parse": ((digest, len(blob)), parsed, collect["parse_cost"]),
-        "verify": verify_entries,
-        "analysis": ((digest, fps), analysis),
-        "sign": [],
-        "build": None,
-        "finish": None,
-    }
-    if (signing_key is None or analysis.rejection is not None
-            or OperationType.USER_GROUP_CREATION in analysis.profile.operations):
-        return result
-    try:
-        sanitizer = Sanitizer(signing_key, trusted, RepositoryCatalog(), {})
-        finished = sanitizer.finish_from_analysis(analysis.charged())
-        _, build_entries = finished.package.build_prewarm(signing_key,
-                                                          key_name="tsr")
-    except Exception:
-        return result  # the analysis half is still worth installing
-    sign_entries = []
-    for pkg_file in finished.package.files:
-        message = sha256_bytes(pkg_file.content)
-        file_digest = sha256_bytes(message)
-        sign_hit = _SIGN_MEMO.get((signing_key.n, file_digest))
-        if sign_hit is None:
-            continue
-        signature, cost = sign_hit
-        verify_hit = _VERIFY_MEMO.get(
-            (signing_key.n, signing_key.e, file_digest, signature))
-        sign_entries.append((signing_key.n, signing_key.e, file_digest,
-                             signature, cost,
-                             verify_hit[1] if verify_hit else 0.0))
-    result["sign"] = sign_entries
-    result["build"] = build_entries
-    result["finish"] = (
-        (digest, fps, signing_key.n),
-        (finished.package, finished.blob, finished.timings.scripts,
-         finished.timings.sign, finished.timings.archive),
-    )
-    return result
-
-
-def seed_prewarm_result(result: dict) -> int:
-    """Install one :func:`prewarm_kernel` harvest (main process only).
-    Every install is first-wins, so memo contents are reproducible."""
-    if "error" in result:
-        return 0
-    from repro.archive.apk import seed_build_entries, seed_parse_entry
-    from repro.crypto.rsa import seed_sign_entry, seed_verify_entry
-    parse_key, parsed, parse_cost = result["parse"]
-    seed_parse_entry(parse_key, parsed, parse_cost)
-    for entry in result["verify"]:
-        seed_verify_entry(*entry)
-    for n, e, digest, signature, cost, vcost in result["sign"]:
-        seed_sign_entry(n, digest, signature, cost)
-        seed_verify_entry(n, e, digest, signature, True, vcost)
-    if result["build"] is not None:
-        seed_build_entries(result["build"])
-    analysis_key, analysis = result["analysis"]
-    if analysis_key not in _ANALYSIS_MEMO:
-        if len(_ANALYSIS_MEMO) >= _SANITIZE_MEMO_LIMIT:
-            _ANALYSIS_MEMO.clear()
-        _ANALYSIS_MEMO[analysis_key] = analysis
-    if result["finish"] is not None:
-        finish_key, value = result["finish"]
-        if finish_key not in _FINISH_MEMO:
-            if len(_FINISH_MEMO) >= _SANITIZE_MEMO_LIMIT:
-                _FINISH_MEMO.clear()
-            _FINISH_MEMO[finish_key] = value
-    return 1
-
-
-def _prewarm_key(digest: str, fps: tuple,
-                 signing_key: RsaPrivateKey | None) -> tuple:
-    return (digest, fps, None if signing_key is None else signing_key.n)
-
-
-def _fully_warm(digest: str, fps: tuple,
-                signing_key: RsaPrivateKey | None) -> bool:
-    analysis = _ANALYSIS_MEMO.get((digest, fps))
-    if analysis is None:
-        return False
-    if signing_key is None or analysis.rejection is not None:
-        return True
-    if OperationType.USER_GROUP_CREATION in analysis.profile.operations:
-        return True  # catalog-dependent: the finish never memoizes
-    return (digest, fps, signing_key.n) in _FINISH_MEMO
-
-
-def sanitize_prefetch(blob: bytes, trusted_signers: list[RsaPublicKey],
-                      signing_key: RsaPrivateKey | None, pool,
-                      digest: str | None = None) -> None:
-    """Lookahead: fire one async prewarm unless its results are already
-    warm or in flight.  A later :func:`sanitize_prewarm_batch` harvests
-    it (or the pool discards it at shutdown)."""
-    if pool is None or pool.broken:
-        return
-    if digest is None:
-        digest = sha256_hex(blob)
-    fps = tuple(k.fingerprint() for k in trusted_signers)
-    if _fully_warm(digest, fps, signing_key):
-        return
-    pool.prefetch("sanitize_prewarm", _prewarm_key(digest, fps, signing_key),
-                  (blob, tuple(trusted_signers), signing_key))
-
-
-def sanitize_prewarm_batch(blobs: list[bytes],
-                           trusted_signers: list[RsaPublicKey],
-                           signing_key: RsaPrivateKey | None,
-                           pool=None) -> int:
-    """Blocking prewarm for a round's known sanitize work: submit every
-    cold blob, then collect and install all results before returning, so
-    the serial timeline that follows only ever sees warm memos (never a
-    race between an in-flight worker and an inline computation)."""
-    if pool is None or not blobs:
-        return 0
-    fps = tuple(k.fingerprint() for k in trusted_signers)
-    keys: list[tuple] = []
-    seen: set[tuple] = set()
-    for blob in blobs:
-        blob = bytes(blob)
-        digest = sha256_hex(blob)
-        # Harvest any analysis-only lookahead already in flight for this
-        # blob (fired host-side, where the signing key is unavailable).
-        none_key = _prewarm_key(digest, fps, None)
-        if pool.pending("sanitize_prewarm", none_key):
-            result = pool.collect("sanitize_prewarm", none_key)
-            if result is not None:
-                seed_prewarm_result(result)
-        key = _prewarm_key(digest, fps, signing_key)
-        if key in seen or _fully_warm(digest, fps, signing_key):
-            continue
-        seen.add(key)
-        pool.prefetch("sanitize_prewarm", key,
-                      (blob, tuple(trusted_signers), signing_key))
-        keys.append(key)
-    installed = 0
-    for key in keys:
-        result = pool.collect("sanitize_prewarm", key)
-        if result is not None:
-            installed += seed_prewarm_result(result)
-    return installed

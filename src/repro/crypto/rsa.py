@@ -258,95 +258,6 @@ def _generate_keypair(bits: int, rng: random.Random) -> RsaPrivateKey:
         return RsaPrivateKey(n=n, e=PUBLIC_EXPONENT, d=d, p=p, q=q)
 
 
-# -- host-pool batch entry points ---------------------------------------------
-#
-# The worker pool (repro.util.hostpool) precomputes signatures, verify
-# verdicts, and keypairs off the critical path and installs them here, in
-# the main process, in deterministic order.  Installers never overwrite
-# an existing entry: whichever computation landed first (inline or
-# worker) keeps its recorded cost, so the memo contents are reproducible.
-
-
-def seed_sign_entry(n: int, digest: bytes, signature: bytes,
-                    cost: float) -> None:
-    key = (n, digest)
-    if key not in _SIGN_MEMO:
-        _memo_put(_SIGN_MEMO, key, (signature, cost))
-
-
-def seed_verify_entry(n: int, e: int, digest: bytes, signature: bytes,
-                      ok: bool, cost: float) -> None:
-    key = (n, e, digest, signature)
-    if key not in _VERIFY_MEMO:
-        _memo_put(_VERIFY_MEMO, key, (ok, cost))
-
-
-def seed_keypair(bits: int, seed: int, key: "RsaPrivateKey") -> None:
-    if (bits, seed) not in _KEYPAIR_MEMO:
-        if len(_KEYPAIR_MEMO) >= 1024:
-            _KEYPAIR_MEMO.clear()
-        _KEYPAIR_MEMO[(bits, seed)] = key
-
-
-def clear_crypto_memos() -> None:
-    """Drop the sign/verify/keypair memos (differential suites start each
-    sweep cold)."""
-    _VERIFY_MEMO.clear()
-    _SIGN_MEMO.clear()
-    _KEYPAIR_MEMO.clear()
-
-
-def keypair_batch(specs: list[tuple[int, int]], pool=None) -> None:
-    """Warm the seeded-keypair memo for every ``(bits, seed)`` in
-    ``specs``, generating cache misses on the worker pool."""
-    misses = [spec for spec in dict.fromkeys(specs)
-              if spec not in _KEYPAIR_MEMO]
-    if not misses or pool is None:
-        return
-    for spec, key in pool.run_batch("keypair", misses):
-        seed_keypair(spec[0], spec[1], key)
-
-
-def sign_batch(items: list[tuple["RsaPrivateKey", bytes]], pool=None) -> None:
-    """Warm the sign (and self-check verify) memos for ``(key, message)``
-    pairs.  Each installed entry carries the worker-measured host cost of
-    the actual CRT exponentiation, preserving cost-honesty."""
-    misses = []
-    pending = set()
-    for key, message in items:
-        memo_key = (key.n, sha256_bytes(message))
-        if memo_key in _SIGN_MEMO or memo_key in pending:
-            continue
-        pending.add(memo_key)
-        misses.append((key, message))
-    if not misses or pool is None:
-        return
-    for n, e, digest, signature, cost, vcost in pool.run_batch("sign", misses):
-        seed_sign_entry(n, digest, signature, cost)
-        seed_verify_entry(n, e, digest, signature, True, vcost)
-
-
-def verify_batch(items: list[tuple["RsaPublicKey", bytes, bytes]],
-                 pool=None) -> None:
-    """Warm the verify memo for ``(public_key, message, signature)``
-    triples (mirror blobs ahead of a quorum round, client-side package
-    checks ahead of a pull wave)."""
-    misses = []
-    pending = set()
-    for pub, message, signature in items:
-        if len(signature) != pub.size_bytes:
-            continue
-        memo_key = (pub.n, pub.e, sha256_bytes(message), signature)
-        if memo_key in _VERIFY_MEMO or memo_key in pending:
-            continue
-        pending.add(memo_key)
-        misses.append((pub, message, signature))
-    if not misses or pool is None:
-        return
-    for n, e, digest, signature, ok, cost in pool.run_batch("verify", misses):
-        seed_verify_entry(n, e, digest, signature, ok, cost)
-
-
 def _encode_integers(values: list[int]) -> bytes:
     """Length-prefixed big-endian integer list (a DER-lite container)."""
     chunks = []

@@ -68,21 +68,6 @@ class OriginalRepository:
         self._history.append(self.snapshot())
         return entry
 
-    def prewarm_publish(self, packages: list[ApkPackage], pool=None) -> None:
-        """Warm the build memos for an upcoming default-key publish wave.
-
-        Worker processes deflate/sign each package's segments and the
-        main process installs the results (with their worker-measured
-        costs) into the gzip/sign memos that :meth:`publish` and
-        :meth:`publish_many` consume — output bytes are unchanged.  A
-        no-op without a pool; packages carrying their own builder key
-        publish cold as before.
-        """
-        if pool is None or not packages:
-            return
-        from repro.archive.apk import publish_build_batch
-        publish_build_batch(list(packages), self._key, pool=pool)
-
     def publish_many(self, packages: list[tuple[ApkPackage, RsaPrivateKey | None]]):
         """Publish a batch under one serial bump (one upstream release)."""
         for package, key in packages:

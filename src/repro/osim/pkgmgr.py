@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.archive.apk import ApkPackage, ParsedApk, parse_apk_cached_with_cost
+from repro.archive.apk import ApkPackage, ParsedApk
 from repro.archive.index import (
     IndexEntry,
     RepositoryIndex,
@@ -382,10 +382,7 @@ class PackageManager:
             raise IntegrityError(
                 f"{entry.describe()}: content hash does not match signed index"
             )
-        # The hash check above just pinned blob == entry.sha256, so the
-        # pool-warmed parse memo can be consulted under the index digest
-        # (serial runs keep the memo empty and parse inline, as before).
-        parsed = parse_apk_cached_with_cost(blob, entry.sha256)[0]
+        parsed = ApkPackage.parse(blob)
         parsed.verify(self.trusted_keys)
         if parsed.package.name != entry.name:
             raise IntegrityError(
@@ -566,50 +563,3 @@ class PackageManager:
         if installed is None:
             raise PackageManagerError(f"package not installed: {name}")
         self._node.exercise_paths(list(installed.files))
-
-
-# -- host-pool pull-wave prewarm ----------------------------------------------
-
-
-def prewarm_pull_wave(tsr, repo_ids: list[str],
-                      trusted_keys_by_repo: dict[str, list[RsaPublicKey]],
-                      pool=None, delta: bool = False) -> None:
-    """Warm the memos a fleet pull wave is about to hit, on worker
-    processes.
-
-    Every client in a pull wave parses and signature-verifies the same
-    sanitized blobs (the wave serves the repository's current
-    publication), so the content-determined work is done once per blob on
-    the pool and each client then splices memo hits: identical ParsedApk
-    objects, identical verify verdicts, identical install sets and wire
-    bytes.  With ``delta`` pulls, chunk offsets of the current and
-    previous publications' blobs (the reconstruction bases) are warmed
-    too.  Publications are peeked via
-    :meth:`TrustedSoftwareRepository.publications` — a pure read that
-    bypasses the serving cache, so cache hit/miss and eviction state are
-    untouched.  A no-op without a pool.
-    """
-    if pool is None:
-        return
-    from repro.archive.apk import parse_verify_batch
-    from repro.archive.chunks import chunk_offsets_batch
-    items: list[tuple[bytes, tuple]] = []
-    bases: list[bytes] = []
-    for repo_id in repo_ids:
-        publications = tsr.publications(repo_id)
-        if not publications:
-            continue
-        keys = tuple(trusted_keys_by_repo.get(repo_id, ()))
-        current = publications[-1]
-        for name in sorted(current.blobs):
-            items.append((current.blobs[name], keys))
-        if delta:
-            bases.extend(current.blobs[name]
-                         for name in sorted(current.blobs))
-            if len(publications) > 1:
-                previous = publications[-2]
-                bases.extend(previous.blobs[name]
-                             for name in sorted(previous.blobs))
-    parse_verify_batch(items, pool=pool)
-    if bases:
-        chunk_offsets_batch(bases, pool=pool)

@@ -105,19 +105,6 @@ class Tpm:
         self._attestation_key = generate_keypair(
             key_bits, seed=attestation_seed)
 
-    @staticmethod
-    def attestation_key_spec(serial: str, key_bits: int = 1024,
-                             attestation_seed: int | None = None
-                             ) -> tuple[int, int]:
-        """The ``(bits, seed)`` keypair-memo spec a node with this serial
-        will request at boot — same derivation as ``__init__``, exposed so
-        a fleet prewarm can run the prime searches on worker processes
-        before the boots happen serially."""
-        if attestation_seed is None:
-            attestation_seed = int.from_bytes(
-                sha256_bytes(serial.encode())[:8], "big")
-        return (key_bits, attestation_seed)
-
     # -- measurement -----------------------------------------------------------
 
     @property

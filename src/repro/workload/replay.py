@@ -415,96 +415,6 @@ def publish_event(scenario: Scenario, event: TraceEvent,
     return [package.name for package in batch]
 
 
-class _HostLookahead:
-    """Pool-side lookahead over the trace's event stream.
-
-    Every event's content-determined work is known from the trace before
-    the serial timeline executes it: a publish batch is a pure function
-    of (population, trace seed, event seed), a pull wave serves the
-    current publications, a refresh sanitizes blobs that were published
-    earlier.  With a worker pool configured this helper precomputes that
-    work and warms the content memos the serial path then splices —
-    host time drops, while outcomes, wire bytes, and simulated
-    timestamps are pinned byte-identical by construction (memos install
-    value + originally measured cost, first install wins).  Without a
-    pool every hook is a no-op and the replay byte-matches the pre-pool
-    code path.
-    """
-
-    def __init__(self, scenario: Scenario, tenants: list[str],
-                 trace: Trace, delta_updates: bool):
-        from repro.util.hostpool import get_pool
-        self._pool = get_pool()
-        self._scenario = scenario
-        self._tenants = list(tenants)
-        self._trace = trace
-        self._delta = delta_updates
-        #: repo_id -> host-visible trusted signer keys (policy is public).
-        self._signers: dict[str, list] = {}
-
-    @property
-    def active(self) -> bool:
-        return self._pool is not None and not self._pool.broken
-
-    def _signer_keys(self, repo_id: str) -> list:
-        keys = self._signers.get(repo_id)
-        if keys is None:
-            try:
-                keys = list(self._scenario.tsr.repo_config(repo_id)
-                            .policy.signers_keys)
-            except Exception:
-                keys = []
-            self._signers[repo_id] = keys
-        return keys
-
-    def before_publish(self, event: TraceEvent) -> None:
-        """Pre-build the exact batch the publish event is about to build
-        (twin RNG; :func:`evolve_packages` is pure), warming the deflate
-        and sign memos the serial ``publish_many`` splices from."""
-        if not self.active:
-            return
-        rng = random.Random(
-            f"trace-publish:{self._trace.seed}:{event.seed}")
-        batch = evolve_packages(self._scenario.population, event.fraction,
-                                rng)
-        self._scenario.origin.prewarm_publish(batch, pool=self._pool)
-
-    def after_publish(self, names: list[str]) -> None:
-        """Fire async analysis lookahead for the just-published blobs —
-        the next refresh round's sanitize work.  Results are collected by
-        the enclave's prewarm phase (or discarded at pool shutdown); the
-        signing-key half cannot run here because private tenant keys are
-        enclave-internal."""
-        if not self.active:
-            return
-        from repro.core.sanitizer import sanitize_prefetch
-        origin = self._scenario.origin
-        for repo_id in self._tenants:
-            signers = self._signer_keys(repo_id)
-            if not signers:
-                continue
-            for name in names:
-                sanitize_prefetch(origin.package_blob(name), signers,
-                                  None, self._pool)
-
-    def before_pull(self, fleet: ClientFleet, indices=None) -> None:
-        """Warm everything a pull wave hits: the wave's pending boots'
-        attestation prime searches, and parse/verify (plus delta
-        chunking) of the publications about to be served."""
-        if not self.active:
-            return
-        from repro.osim.pkgmgr import prewarm_pull_wave
-        fleet.prewarm_boots(indices)
-        scenario = self._scenario
-        trusted = {
-            repo_id: [scenario.tenant_keys.get(repo_id,
-                                               scenario.tsr_public_key)]
-            for repo_id in self._tenants
-        }
-        prewarm_pull_wave(scenario.tsr, self._tenants, trusted,
-                          pool=self._pool, delta=self._delta)
-
-
 class TraceReplay:
     """Replays one :class:`Trace` against one deployment.
 
@@ -656,18 +566,14 @@ class TraceReplay:
         failed_pulls = 0
         failed_installs = 0
         frontier = 0.0      # serial-mode barrier; last finish in both modes
-        lookahead = _HostLookahead(scenario, self._tenants, trace,
-                                   self._delta_updates)
 
         try:
             for event in trace.ordered():
                 start = (event.at if self._interleaved
                          else max(event.at, frontier))
                 if event.kind == "publish":
-                    lookahead.before_publish(event)
-                    published = publish_event(scenario, event, trace.seed)
+                    publish_event(scenario, event, trace.seed)
                     publishes.append((event.at, scenario.origin.serial))
-                    lookahead.after_publish(published)
                 elif event.kind == "mirror_sync":
                     targets = (event.mirrors if event.mirrors is not None
                                else list(scenario.mirrors))
@@ -691,7 +597,6 @@ class TraceReplay:
                                         schedule=schedule)
                     frontier = max(frontier, report.finished_at)
                 elif event.kind == "fleet_pull":
-                    lookahead.before_pull(fleet, event.clients)
                     clients = (fleet.clients if event.clients is None
                                else fleet.subset(event.clients))
                     if self._interleaved:
@@ -992,19 +897,15 @@ class TraceReplay:
         failed_installs = 0
         wave_ordinal = 0
 
-        lookahead = _HostLookahead(scenario, self._tenants, trace,
-                                   self._delta_updates)
         try:
             for event in trace.iter_events():
                 stream.advance_to(event.at)
                 absorb(stream.drain())
                 start = event.at
                 if event.kind == "publish":
-                    lookahead.before_publish(event)
-                    published = publish_event(scenario, event, trace.seed)
+                    publish_event(scenario, event, trace.seed)
                     publishes.append((event.at, scenario.origin.serial))
                     pub_serials.append(scenario.origin.serial)
-                    lookahead.after_publish(published)
                 elif event.kind == "mirror_sync":
                     targets = (event.mirrors if event.mirrors is not None
                                else list(scenario.mirrors))
@@ -1032,7 +933,6 @@ class TraceReplay:
                 elif event.kind == "fleet_pull":
                     indices = (range(fleet.size) if event.clients is None
                                else event.clients)
-                    lookahead.before_pull(fleet, indices)
                     clients = fleet.subset(indices)
                     fleet.set_as_of(start)
                     if self._replicas:

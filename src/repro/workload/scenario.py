@@ -425,7 +425,6 @@ class ClientFleet:
         self._booted_total = 0
         self._retired_delta_stats = None
         if not lazy:
-            self.prewarm_boots()
             for i in range(clients):
                 self._boot(i)
 
@@ -453,37 +452,6 @@ class ClientFleet:
         self._by_index[i] = client
         self._booted_total += 1
         return client
-
-    def prewarm_boots(self, indices=None) -> None:
-        """Run pending boots' attestation prime searches on the host pool
-        (no-op when the pool is off or everything is already booted).
-        ``indices`` restricts the warm-up to the clients an upcoming wave
-        will actually boot — a lazy 10^5-client fleet must not prime the
-        whole roster for one wave's subset."""
-        from repro.util.hostpool import get_pool
-        pool = get_pool()
-        if pool is None:
-            return
-        from repro.crypto.rsa import keypair_batch
-        keypair_batch(self.pending_boot_keypair_specs(indices), pool=pool)
-
-    def pending_boot_keypair_specs(self, indices=None) -> list[tuple[int, int]]:
-        """``(bits, seed)`` attestation-keypair specs for every client not
-        yet booted (optionally restricted to ``indices``) — the prime
-        searches an upcoming wave will trigger.  A host pool runs them on
-        workers (``keypair_batch``) so the boots then splice memoized
-        keys; the derivation mirrors :meth:`Tpm.attestation_key_spec`, so
-        results are identical."""
-        if self._shared_tpm_seed is not None:
-            if self._booted_total:
-                return []  # the shared key was memoized at first boot
-            return [Tpm.attestation_key_spec(
-                "", attestation_seed=self._shared_tpm_seed)]
-        pending = (range(self.size) if indices is None else indices)
-        return [
-            Tpm.attestation_key_spec(f"tpm-{self._prefix}-{i:03d}")
-            for i in pending if i not in self._by_index
-        ]
 
     def _replica_for(self, name: str):
         """The replica a client is pinned to (stable name hash)."""

@@ -9,6 +9,14 @@ from repro.crypto.rsa import generate_keypair
 TEST_KEY_BITS = 1024
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: runs a shipped example end to end in a subprocess "
+        "(deselect with -m 'not slow')",
+    )
+
+
 @pytest.fixture(scope="session")
 def rsa_key():
     """A deterministic session-wide RSA key for signature tests."""

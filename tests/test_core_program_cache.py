@@ -30,6 +30,10 @@ def enclave(cpu):
     return Enclave(cpu, TsrProgram, key_bits=1024)
 
 
+class _OtherBuild:
+    """Another enclave build: its MRENCLAVE, so its sealing key, differ."""
+
+
 def _policy_yaml(rsa_key) -> str:
     pem = "\n".join("    " + line
                     for line in rsa_key.public_key.to_pem().splitlines())
@@ -72,6 +76,20 @@ class TestProgramSurface:
             enclave.ecall("_sealing_key")
         with pytest.raises(EnclaveError):
             enclave.ecall("_repos")
+
+    def test_host_cannot_rebind_enclave_facilities(self, cpu, enclave,
+                                                   rsa_key):
+        """``_bind_enclave`` hands the program its sealing-key source; a
+        host able to call it could swap in its own and learn every key
+        derived afterwards."""
+        rogue = Enclave(cpu, _OtherBuild)
+        with pytest.raises(EnclaveError):
+            enclave.ecall("_bind_enclave", rogue)
+        with pytest.raises(EnclaveError):
+            enclave.ecall("_repo", "repo-0001")
+        first = enclave.ecall("deploy_policy", _policy_yaml(rsa_key))
+        twin = Enclave(cpu, TsrProgram, key_bits=1024)
+        assert twin.ecall("deploy_policy", _policy_yaml(rsa_key)) == first
 
     def test_quorum_requires_majority(self, enclave, rsa_key, origin):
         deployed = enclave.ecall("deploy_policy", _policy_yaml(rsa_key))

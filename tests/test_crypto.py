@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.crypto.certs import CertificateAuthority, Certificate, verify_chain
 from repro.crypto.hashes import hmac_sha256, sha256_bytes, sha256_hex
 from repro.crypto.pem import pem_decode, pem_encode
-from repro.crypto.primes import generate_prime, is_probable_prime
+from repro.crypto.primes import _SMALL_PRIMES, generate_prime, is_probable_prime
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from repro.util.errors import SignatureError
 
@@ -63,6 +63,45 @@ class TestPrimes:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_prime(4, random.Random(0))
+
+    def test_small_factor_check_keeps_verdicts_and_rng_stream(self):
+        """Seeded keys must not depend on the small-factor shortcut: the
+        verdict and every witness drawn equal the plain witness loop."""
+        def plain(candidate, rng):
+            d, r = candidate - 1, 0
+            while d % 2 == 0:
+                d, r = d // 2, r + 1
+            for _ in range(40):
+                x = pow(rng.randrange(2, candidate - 1), d, candidate)
+                if x in (1, candidate - 1):
+                    continue
+                for _ in range(r - 1):
+                    x = pow(x, 2, candidate)
+                    if x == candidate - 1:
+                        break
+                else:
+                    return False
+            return True
+
+        pick = random.Random(11)
+        # 367 * 733: a quarter of all witnesses are strong liars, so
+        # rejections often take several rounds.
+        candidates = [367 * 733] * 50
+        candidates += [generate_prime(128, pick) for _ in range(5)]
+        for i in range(1000):
+            candidate = pick.getrandbits(pick.choice((24, 64, 256))) | 1
+            if i % 2:
+                candidate *= pick.choice((353, 7919, 65521))
+            candidates.append(candidate)
+        # Trial division settles the rest before any witness is drawn.
+        candidates = [c for c in candidates
+                      if all(c % p for p in _SMALL_PRIMES)]
+        assert len(candidates) > 150
+        for seed, candidate in enumerate(candidates):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert is_probable_prime(candidate, mine) == \
+                plain(candidate, theirs)
+            assert mine.getrandbits(64) == theirs.getrandbits(64)
 
 
 class TestRsa:

@@ -5,7 +5,7 @@ import pytest
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.index import RepositoryIndex
 from repro.core.policy import MirrorPolicyEntry
-from repro.core.quorum import QuorumReader
+from repro.core.quorum import QuorumReader, validate_signed_index
 from repro.crypto.hashes import sha256_hex
 from repro.mirrors.builder import MirrorSpec, build_mirror_network, sync_all
 from repro.mirrors.mirror import MirrorBehavior
@@ -247,3 +247,46 @@ class TestQuorum:
         QuorumReader(net_as, "tsr.eu", _entries(asia_specs),
                      [rsa_key.public_key]).read_index()
         assert net_as.clock.now() > eu_elapsed
+
+
+def _signed_by(origin, key):
+    index = origin.index()
+    index.sign(key)
+    return index.to_bytes()
+
+
+# case -> payload built from (origin, a key outside the policy)
+_GATE_CASES = {
+    "not bytes": lambda origin, other: origin.index_bytes().decode(),
+    "garbage": lambda origin, other: b"\x00\xffnot an index",
+    "non-policy key": lambda origin, other: _signed_by(origin, other),
+    "tampered body": lambda origin, other: origin.index_bytes().replace(
+        b"1.1.1g-r0", b"1.1.1h-r0"),
+    "valid": lambda origin, other: origin.index_bytes(),
+}
+
+
+class TestValidateSignedIndex:
+    @pytest.mark.parametrize("case", list(_GATE_CASES))
+    def test_only_a_policy_signed_index_passes(self, origin, rsa_key,
+                                               rsa_key_alt, case):
+        payload = _GATE_CASES[case](origin, rsa_key_alt)
+        if case in ("non-policy key", "tampered body"):
+            # Well-formed, so the gate must refuse it on the signature.
+            assert payload != origin.index_bytes()
+            RepositoryIndex.from_bytes(payload)
+        index = validate_signed_index(payload, [rsa_key.public_key])
+        if case == "valid":
+            assert index is not None
+            assert index.body_bytes() == origin.index().body_bytes()
+        else:
+            assert index is None
+
+    def test_any_policy_key_suffices(self, origin, rsa_key, rsa_key_alt):
+        payload = _signed_by(origin, rsa_key_alt)
+        both = [rsa_key.public_key, rsa_key_alt.public_key]
+        assert validate_signed_index(payload, both) is not None
+        assert validate_signed_index(payload, both[:1]) is None
+
+    def test_no_policy_keys_accepts_nothing(self, origin):
+        assert validate_signed_index(origin.index_bytes(), []) is None

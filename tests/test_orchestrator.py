@@ -5,11 +5,13 @@ interleaving, cache eviction accounting, and per-repo config hoisting."""
 import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
-from repro.archive.index import RepositoryIndex
+from repro.archive.index import IndexEntry, RepositoryIndex
 from repro.core.cache import PackageCache
 from repro.core.orchestrator import RefreshOrchestrator
 from repro.core.quorum import entry_agreement
+from repro.mirrors.builder import MirrorSpec
 from repro.mirrors.mirror import MirrorBehavior
+from repro.simnet.latency import Continent
 from repro.util.errors import QuorumError
 from repro.workload.scenario import (
     build_multi_tenant_scenario,
@@ -32,6 +34,10 @@ def _mini_packages(count=8, reps=2000):
                                (b"\x7fELF" + bytes([i])) * reps)],
         ))
     return packages
+
+
+_BACKDOOR = IndexEntry(name="backdoor", version="1-r0", size=10,
+                       sha256="ff" * 32)
 
 
 def _twin_scenarios(tenants=3, overlap=0.5, **kwargs):
@@ -274,6 +280,74 @@ class TestQuorumInterleaving:
             scenario.network.set_down(name)
         with pytest.raises(QuorumError):
             multi_tenant_refresh(scenario, repo_ids=[scenario.repo_id])
+
+    def test_forged_first_wave_starts_no_download(self, rsa_key_alt):
+        """f+1 colluding mirrors answer first with the same index signed
+        by a non-policy key and carrying an extra ``backdoor`` entry.  The
+        forgeries must cast no optimistic votes: nothing of theirs is
+        fetched while the quorum widens to the honest mirrors."""
+        def forge(origin):
+            forged = origin.index()
+            forged.add(_BACKDOOR)
+            forged.sign(rsa_key_alt)
+            return forged.to_bytes()
+
+        self._assert_forgery_starts_no_download(forge)
+
+    def test_tampered_first_wave_starts_no_download(self):
+        """As above, but the colluders splice ``backdoor`` into the body
+        of the genuine, policy-signed index and keep its signature."""
+        def forge(origin):
+            forged = origin.index()
+            signature = forged.signature
+            forged.add(_BACKDOOR)
+            forged.signature = signature
+            return forged.to_bytes()
+
+        self._assert_forgery_starts_no_download(forge)
+
+    def _assert_forgery_starts_no_download(self, forge):
+        specs = (
+            MirrorSpec("mirror-eu-1.example", Continent.EUROPE),
+            MirrorSpec("mirror-eu-2.example", Continent.EUROPE),
+            MirrorSpec("mirror-na-1.example", Continent.NORTH_AMERICA),
+            MirrorSpec("mirror-na-2.example", Continent.NORTH_AMERICA),
+        )
+        build = lambda: build_scenario(  # noqa: E731
+            packages=_mini_packages(count=6), mirror_specs=specs,
+            refresh=False, with_monitor=False)
+        honest, attacked = build(), build()
+        forged_bytes = forge(attacked.origin)
+        assert b"backdoor" in forged_bytes
+        colluding = {"mirror-eu-1.example", "mirror-eu-2.example"}
+        requests = []
+
+        def serve(name, mirror):
+            def handler(operation, payload):
+                requests.append((name, operation, payload))
+                if name in colluding and operation == "get_index":
+                    return forged_bytes, len(forged_bytes)
+                return mirror.handle(operation, payload)
+            return handler
+
+        for name, mirror in attacked.mirrors.items():
+            attacked.network.host(name).handler = serve(name, mirror)
+
+        expected = multi_tenant_refresh(honest, repo_ids=[honest.repo_id])
+        got = multi_tenant_refresh(attacked, repo_ids=[attacked.repo_id])
+
+        index_readers = {name for name, operation, _ in requests
+                         if operation == "get_index"}
+        assert index_readers == set(attacked.mirrors)  # widened to all
+        assert not [r for r in requests if r[2] == "backdoor"]
+        assert (attacked.tsr.get_index_bytes(attacked.repo_id)
+                == honest.tsr.get_index_bytes(honest.repo_id))
+        a = expected.reports[honest.repo_id]
+        b = got.reports[attacked.repo_id]
+        assert a.serial == b.serial
+        assert a.changed_packages == b.changed_packages
+        assert dict(a.rejected) == dict(b.rejected)
+        assert a.sanitized == b.sanitized
 
 
 # -- orchestrator input validation --------------------------------------------

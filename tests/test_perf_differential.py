@@ -11,7 +11,12 @@ pin:
 * **Memoized verify** — a signature that verified once must keep
   verifying via the memo, and a signature tampered *after* that first
   success must still fail: the memo key covers the signature bytes, so
-  tampering can never alias a cached success.
+  tampering can never alias a cached success.  Sign and verify memos are
+  scoped to their key, and sign hits replay the recorded cost.
+* **Content memos** — compress hits equal a fresh deflate and replay
+  its measured cost; a seeded keypair regenerates identically once its
+  memo entry is gone; an index parse hit is a private copy, and a
+  failed parse is not cached.
 * **Solver engines** — the numpy vectorized core vs the pure-Python
   incremental solver vs the dense reference, across fleet shapes.
 * **Chunker engines** — the vectorized steady-state gear scan vs the
@@ -24,15 +29,25 @@ import random
 import pytest
 
 from repro.archive import chunks
+from repro.archive import index as index_module
 from repro.archive.apk import ApkPackage, PackageFile
-from repro.archive.gz import clear_compress_memo
-from repro.archive.index import IndexEntry, RepositoryIndex
+from repro.archive.gz import (
+    clear_compress_memo,
+    gzip_compress,
+    gzip_compress_cached,
+    gzip_compress_cached_with_cost,
+    gzip_decompress,
+)
+from repro.archive.index import IndexEntry, RepositoryIndex, parse_index_cached
+from repro.crypto import rsa
 from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import generate_keypair
 from repro.simnet.schedule import ParallelTransferSchedule
 from repro.simnet.schedule import _np as solver_np
+from repro.util.errors import PackagingError
 
 KEY = generate_keypair(bits=1024, seed=71)
+OTHER_KEY = generate_keypair(bits=1024, seed=72)
 MUTATIONS = 50
 
 
@@ -167,6 +182,103 @@ class TestMemoizedVerifyEquivalence:
         second, _ = KEY.sign_with_cost(b"deterministic pkcs1 v1.5")
         assert first == second
         assert KEY.public_key.verify(b"deterministic pkcs1 v1.5", first)
+
+    def test_sign_memo_hit_replays_cost(self):
+        signature, cost = KEY.sign_with_cost(b"charged once, replayed after")
+        hit, hit_cost = KEY.sign_with_cost(b"charged once, replayed after")
+        assert hit == signature
+        assert cost > 0.0
+        assert hit_cost == cost
+
+    def test_verify_memo_scoped_to_public_key(self):
+        """A verdict cached under one key never answers for another key
+        of the same size."""
+        message = b"index body, two tenants"
+        signature = KEY.sign(message)
+        assert KEY.public_key.verify(message, signature)
+        assert OTHER_KEY.public_key.size_bytes == KEY.public_key.size_bytes
+        assert not OTHER_KEY.public_key.verify(message, signature)
+
+    def test_sign_memo_scoped_to_private_key(self):
+        message = b"same digest, different tenant key"
+        mine, theirs = KEY.sign(message), OTHER_KEY.sign(message)
+        assert mine != theirs
+        assert KEY.public_key.verify(message, mine)
+        assert not KEY.public_key.verify(message, theirs)
+        assert OTHER_KEY.public_key.verify(message, theirs)
+
+
+class TestCompressMemoEquivalence:
+    DATA = bytes(range(256)) * 400
+
+    def test_hit_matches_fresh_deflate_and_replays_cost(self):
+        clear_compress_memo()
+        compressed, cost = gzip_compress_cached_with_cost(self.DATA, 6)
+        assert compressed == gzip_compress(self.DATA, 6)
+        # Cost honesty: the recorded cost is the measured deflate time,
+        # and a hit charges exactly that time again.
+        assert cost > 0.0
+        assert gzip_compress_cached_with_cost(self.DATA, 6) == \
+            (compressed, cost)
+
+    def test_levels_are_separate_entries(self):
+        clear_compress_memo()
+        fast = gzip_compress_cached(self.DATA, 1)
+        best = gzip_compress_cached(self.DATA, 9)
+        assert fast == gzip_compress(self.DATA, 1)
+        assert best == gzip_compress(self.DATA, 9)
+        assert fast != best
+
+    def test_cleared_memo_recompresses_identically(self):
+        warm = gzip_compress_cached(self.DATA, 6)
+        clear_compress_memo()
+        cold, cost = gzip_compress_cached_with_cost(self.DATA, 6)
+        assert cold == warm
+        assert cost > 0.0
+        assert gzip_decompress(cold) == self.DATA
+
+
+class TestKeypairMemo:
+    def test_seeded_keypair_regenerates_identically(self):
+        first = generate_keypair(bits=512, seed=4242)
+        rsa._KEYPAIR_MEMO.pop((512, 4242))
+        again = generate_keypair(bits=512, seed=4242)
+        assert again is not first
+        assert (again.n, again.e, again.d, again.p, again.q) == \
+            (first.n, first.e, first.d, first.p, first.q)
+        assert generate_keypair(bits=512, seed=4242) is again
+
+    def test_unseeded_keypairs_are_fresh(self):
+        before = len(rsa._KEYPAIR_MEMO)
+        a, b = generate_keypair(bits=512), generate_keypair(bits=512)
+        assert a.n != b.n
+        assert len(rsa._KEYPAIR_MEMO) == before
+
+
+class TestIndexParseMemo:
+    def _index_bytes(self) -> bytes:
+        index = RepositoryIndex(serial=5)
+        index.add(IndexEntry(name="musl", version="1.2-r0", size=10,
+                             sha256="ab" * 32))
+        index.sign(KEY)
+        return index.to_bytes()
+
+    def test_hit_is_a_private_copy(self):
+        blob = self._index_bytes()
+        first = parse_index_cached(blob)
+        first.add(IndexEntry(name="injected", version="1-r0", size=1,
+                             sha256="cd" * 32))
+        again = parse_index_cached(blob)
+        assert len(again.entries) == 1
+        assert again.to_bytes() == blob
+        assert again.verify(KEY.public_key)
+
+    def test_parse_failure_is_not_cached(self):
+        blob = b"no signature header\nserial:1\n"
+        for _ in range(2):
+            with pytest.raises(PackagingError):
+                parse_index_cached(blob)
+        assert blob not in index_module._PARSE_MEMO
 
 
 def _fleet(channels: int, items: int, seed: int) -> ParallelTransferSchedule:
