@@ -159,13 +159,6 @@ class RefreshPlanState:
     inflight: dict[str, "_Source"] = field(default_factory=dict)
     #: Index-wave channel sequence (keeps channels unique across rounds).
     idx_seq: int = 0
-    #: Concatenated enclave timeline of all rounds.
-    timeline: list[tuple[str, str, float, float]] = field(default_factory=list)
-    #: Streaming replays set this False: the concatenated timeline is a
-    #: debugging artifact that grows O(trace), and nothing in the
-    #: streaming path reads it.  (Per-round timelines on each report are
-    #: unaffected.)
-    keep_timeline: bool = True
     rounds: int = 0
     #: Keep the enclave's shared-refresh memos alive across rounds: each
     #: round bumps the window's generation instead of discarding it, so
@@ -341,8 +334,6 @@ class RefreshOrchestrator:
         if state is not None:
             state.enclave_free = enclave_free
             state.idx_seq = self._idx_seq
-            if state.keep_timeline:
-                state.timeline.extend(self._timeline)
             state.rounds += 1
         # Every batch resolved: later rounds read landed blobs from the
         # content store (eviction-aware), not from dead _Source records.

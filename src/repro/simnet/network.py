@@ -394,7 +394,7 @@ class ScheduledFetchSession:
 
 
 class PlanFetchSession:
-    """Multi-wave client fetches over an externally owned schedule.
+    """Multi-wave client fetches over an externally owned streaming schedule.
 
     Where :class:`ScheduledFetchSession` models *one* fan-out wave on its
     own private schedule (solve once, then read timings), this session
@@ -402,51 +402,39 @@ class PlanFetchSession:
     :class:`ParallelTransferSchedule` shared with other traffic — a
     multi-round refresh plan's mirror downloads and quorum reads — and
     supports *successive waves at increasing start offsets* on the same
-    persistent per-client channels.
+    persistent per-client channels.  The schedule must be driven through
+    a :class:`~repro.simnet.schedule.ScheduleStream`, whose owner advances
+    its frontier to each wave instant and reads the final timings of the
+    keys :meth:`last_key` reports.
 
-    :meth:`begin_wave` pins the wave instant against the schedule's
-    *solved* state: the first fetch of each channel in the wave carries a
-    setup gap of ``max(0, wave_at - channel_free)``, and the solver's
-    monotonicity (added load never makes an existing stream finish
-    earlier) keeps the pin valid as later rounds pile more traffic onto
-    the link.  Final timings are read by whoever owns the schedule, after
-    all waves and rounds are enqueued — per-item keys are returned by
-    :meth:`fetch` / :meth:`last_key` for that purpose.
+    :meth:`begin_wave` pins the wave instant: the first fetch of each
+    channel in the wave carries a setup gap of ``max(0, wave_at -
+    channel_free)``, with no solve needed — a live channel is by
+    definition busy past the frontier (gap 0), a retired channel's last
+    finish is exact, and a never-seen channel has been free since time 0.
+    :meth:`retire_client` drops a rotated-out client's residue entirely.
 
     Per-client NIC downlinks layer onto the schedule exactly as in the
     single-wave session (``min(peer bandwidth, NIC, fair share)``), and a
     failed fetch charges the network timeout to its channel and re-raises.
-
-    On a **streaming** schedule (one driven through a
-    :class:`~repro.simnet.schedule.ScheduleStream`) the wave pin needs no
-    plan-wide solve at all: the stream's frontier sits at the wave
-    instant, so a live channel is by definition busy past it (gap 0 —
-    exactly what the materialized path's ``max(0, at - free)`` yields for
-    any ``free > at``) and a retired channel's last finish is the exact
-    ``free``.  Per-channel item lists collapse to a last-key slot, and
-    :meth:`retire_client` drops a rotated-out client's residue entirely.
     """
 
     def __init__(self, network: Network, schedule: ParallelTransferSchedule):
+        if not schedule.streaming:
+            raise ValueError("PlanFetchSession needs a streaming schedule "
+                             "(call schedule.stream() first)")
         self._network = network
         self._schedule = schedule
+        self._stream = schedule.stream_handle
         self._sequence = 0
         self._wave_at = 0.0
-        self._channel_items: dict[object, list[object]] = {}
-        #: Streaming mode: the only per-channel key history anyone reads
-        #: (:meth:`last_key`) — full item lists are never kept.
+        #: The only per-channel key history anyone reads (:meth:`last_key`).
         self._last_keys: dict[object, object] = {}
         self._channel_bytes: dict[object, int] = {}
         self._total_bytes = 0
         #: Channels whose first fetch of the current wave already pinned
         #: the wave gap.
         self._pinned: set[object] = set()
-        #: Per-channel busy-until at the last ``begin_wave`` solve.
-        self._frees: dict[object, float] = {}
-
-    @property
-    def schedule(self) -> ParallelTransferSchedule:
-        return self._schedule
 
     def begin_wave(self, at: float):
         """Open a pull wave whose channels start no earlier than ``at``."""
@@ -457,50 +445,26 @@ class PlanFetchSession:
             )
         self._wave_at = at
         self._pinned = set()
-        if self._schedule.streaming:
-            # Frees are answered per channel by the stream (live -> busy
-            # past the frontier, retired -> exact last finish); no solve.
-            self._frees = {}
-        elif any(self._channel_items.values()):
-            timings = self._schedule.solve()
-            self._frees = {
-                channel: max((timings[key].finish for key in items),
-                             default=0.0)
-                for channel, items in self._channel_items.items()
-            }
-        else:
-            self._frees = {}
 
     def _wave_gap(self, channel: object) -> float:
-        if self._schedule.streaming:
-            free = self._schedule.stream_handle.channel_free(channel)
-            if free is None:        # never fetched: free since time 0
-                free = 0.0
-            elif free == float("inf"):   # live: busy past the wave instant
-                return 0.0
-            return max(0.0, self._wave_at - free)
-        return max(0.0, self._wave_at - self._frees.get(channel, 0.0))
-
-    def _record_key(self, channel: object, key: object):
-        if self._schedule.streaming:
-            self._last_keys[channel] = key
-        else:
-            self._channel_items.setdefault(channel, []).append(key)
+        free = self._stream.channel_free(channel)
+        if free is None:        # never fetched: free since time 0
+            free = 0.0
+        elif free == float("inf"):   # live: busy past the wave instant
+            return 0.0
+        return max(0.0, self._wave_at - free)
 
     def retire_client(self, channel: object):
         """Forget a rotated-out client's channel state entirely.
 
-        Only valid when the channel will never fetch again (streaming
-        replays retiring a fleet client); its wire bytes stay counted in
+        Only valid when the channel will never fetch again (a streaming
+        replay retiring a fleet client); its wire bytes stay counted in
         the totals.
         """
-        if self._schedule.streaming:
-            self._schedule.stream_handle.forget_channel(channel)
+        self._stream.forget_channel(channel)
         self._last_keys.pop(channel, None)
-        self._channel_items.pop(channel, None)
         self._channel_bytes.pop(channel, None)
         self._pinned.discard(channel)
-        self._frees.pop(channel, None)
 
     def fetch(self, src_name: str, request: Request,
               channel: object = None) -> object:
@@ -531,11 +495,11 @@ class PlanFetchSession:
             # The client burned the timeout waiting before giving up.
             self._schedule.enqueue(channel, key,
                                    extra_wait + self._network.timeout, 0, 1.0)
-            self._record_key(channel, key)
+            self._last_keys[channel] = key
             raise
         self._schedule.enqueue(channel, key, extra_wait + probe.setup,
                                probe.size_bytes, probe.bandwidth, link=link)
-        self._record_key(channel, key)
+        self._last_keys[channel] = key
         self._channel_bytes[channel] = \
             self._channel_bytes.get(channel, 0) + probe.size_bytes
         self._total_bytes += probe.size_bytes
@@ -552,10 +516,4 @@ class PlanFetchSession:
 
     def last_key(self, channel: object) -> object | None:
         """Schedule key of the channel's most recent fetch (None if idle)."""
-        if self._schedule.streaming:
-            return self._last_keys.get(channel)
-        items = self._channel_items.get(channel)
-        return items[-1] if items else None
-
-    def channel_keys(self, channel: object) -> list[object]:
-        return list(self._channel_items.get(channel, []))
+        return self._last_keys.get(channel)

@@ -10,42 +10,48 @@ deployment and measures what the paper leaves open: per-client
 publish) and end-to-end **update availability** latency, over dozens of
 rounds.
 
-Three composition modes:
+One event loop, :meth:`TraceReplay.run`, drives every mode.  Transfers
+run on a *lane*: a :class:`~repro.simnet.schedule.ParallelTransferSchedule`
+driven as a :class:`~repro.simnet.schedule.ScheduleStream`, whose shared
+capacity models the TSR machine's NIC, together with the resumable
+:class:`~repro.core.orchestrator.RefreshPlanState` that refresh rounds
+extend (shared mirror channels, enclave frontier, cache-shard frontiers,
+in-flight transfer table) and the
+:class:`~repro.simnet.network.PlanFetchSession` that pins fleet waves at
+their instants.  Before each event the loop advances the stream to the
+event's instant, hands every settled transfer to the mode's recorder (a
+client's index landing, a pull's completion) and retires the drained
+download keys; ``solve_pending()`` resolves the tail.  The three modes
+differ only in how many lanes there are, when events start, and what the
+recorder keeps:
 
-* ``mode="serial"`` — today's composition: every event runs to completion
-  before the next may start (``multi_tenant_refresh()`` then a fleet
-  fan-out, repeated), with a barrier carrying the finish frontier across
-  events.  Rounds arriving faster than they drain pile up.
-* ``mode="interleaved"`` — the plan-wide timeline: *every* transfer of
-  the whole trace — quorum index reads, mirror package downloads, and
-  all clients' pull fetches — is a stream of **one**
-  :class:`~repro.simnet.schedule.ParallelTransferSchedule` whose shared
-  capacity models the TSR machine's NIC, refresh rounds extend one
-  resumable :class:`~repro.core.orchestrator.RefreshPlanState` (shared
-  mirror channels, enclave frontier, cache-shard frontiers, in-flight
-  transfer table), and fleet waves are pinned at their trace instants via
-  :class:`~repro.simnet.network.PlanFetchSession`.  Round k+1's quorum
-  widens while round k's fleet pulls still drain the uplink.
-* ``mode="streaming"`` — the interleaved timeline at O(active) memory:
-  the schedule runs as a :class:`~repro.simnet.schedule.ScheduleStream`
-  whose frontier advances to each event's instant, completions are
-  drained and folded into online metric aggregates the moment they
-  settle (no per-client transition lists, no per-round report list, no
-  plan timeline), the scheduler retires drained download keys, and —
-  when the trace rotates pull waves over a large fleet — each client's
-  node is torn down once its final wave drains.  Staleness uses a lazy
-  telescoping fold (per client: current serial + last landing instant;
-  each landing charges ``max(0, t' - max(t_last, P(s)))`` where ``P(s)``
-  is the first publish instant with a serial newer than ``s``), which
-  telescopes to exactly :func:`staleness_seconds`; availability uses a
-  per-client pointer into the publish list.  Percentiles come from
-  mergeable :class:`~repro.util.stats.QuantileSketch` aggregates plus
-  per-window scalar curves instead of an end-of-run pass over all
-  samples.  Timings are identical to ``interleaved`` — the stream
-  replays the very same solver on the very same enqueues — so installs,
-  served serials, and published bytes match bit-for-bit; only the
-  metric *representation* changes (sums exact up to float re-association,
-  percentiles within the sketch's rank-error bound).
+* ``mode="interleaved"`` — one lane for the whole trace, every event at
+  its trace instant: round k+1's quorum widens while round k's fleet
+  pulls still drain the uplink.  The recorder keeps each client's index
+  transitions and each round's
+  :class:`~repro.core.orchestrator.MultiTenantRefreshReport`, on an eager
+  fleet.
+* ``mode="streaming"`` — the same lane, hence the same timings, installs,
+  served serials and published bytes, at O(active) memory: the recorder
+  folds metrics online (no per-client transition lists, no per-round
+  report list), and — when the trace rotates pull waves over a large lazy
+  fleet — each client's node is torn down once its final wave drains.
+  Staleness uses a lazy telescoping fold that equals
+  :func:`staleness_seconds`, availability a per-client pointer into the
+  publish list, and percentiles mergeable
+  :class:`~repro.util.stats.QuantileSketch` aggregates plus per-window
+  scalar curves (sums exact up to float re-association, percentiles
+  within the sketch's rank-error bound).
+* ``mode="serial"`` — the barrier composition
+  (``multi_tenant_refresh()`` then a fleet fan-out, repeated): each
+  refresh round and each pull wave runs alone on a fresh lane (and a
+  fresh refresh plan), starts at the later of its trace instant and the
+  previous event's finish, and is resolved before the next event.  Rounds
+  arriving faster than they drain pile up.  It keeps the exact record,
+  like ``interleaved``.
+
+Pull latency is one sample per scheduled last-fetch key: wave start → the
+client's last fetch of that wave settling.
 
 Causality across in-flight rounds is kept by *versioned publications*
 (:meth:`~repro.core.service.TrustedSoftwareRepository.record_publication`):
@@ -247,8 +253,8 @@ class TraceReplayReport:
     #: (``timelines`` and ``refresh_rounds`` are then empty — per-client
     #: and per-round records were retired as they drained).
     streaming: StreamingReplaySummary | None = None
-    #: Per-pull completion latency (wave start → the client's last fetch
-    #: settling), folded across every scheduled wave in every mode.
+    #: Per-pull completion latency: wave start → the client's last fetch
+    #: of the wave settling, one sample per scheduled last-fetch key.
     pull_latency: QuantileSketch | None = None
     #: Edge-replica tier accounting (zero without replicas).
     replicas: int = 0
@@ -285,6 +291,12 @@ class TraceReplayReport:
         return max((t.staleness for t in self.timelines.values()),
                    default=0.0)
 
+    def _availability_samples(self) -> list[float]:
+        return [latency
+                for timeline in self.timelines.values()
+                for latency in timeline.availability.values()
+                if latency is not None]
+
     @property
     def availability_mean(self) -> float:
         """Mean catch-up latency over every (publish, client) pair."""
@@ -292,28 +304,20 @@ class TraceReplayReport:
             folded = self.streaming
             return (folded.availability_sum / folded.availability_count
                     if folded.availability_count else 0.0)
-        samples = [
-            latency
-            for timeline in self.timelines.values()
-            for latency in timeline.availability.values()
-            if latency is not None
-        ]
+        samples = self._availability_samples()
         return sum(samples) / len(samples) if samples else 0.0
 
     @property
     def availability_max(self) -> float:
         if self.streaming is not None:
             return self.streaming.availability_max
-        return max((latency
-                    for timeline in self.timelines.values()
-                    for latency in timeline.availability.values()
-                    if latency is not None), default=0.0)
+        return max(self._availability_samples(), default=0.0)
 
     def staleness_quantile(self, q: float) -> float:
         """``q``-th percentile of per-client staleness totals.
 
-        Exact over the timelines in the materialized modes; within the
-        sketch's rank-error bound in streaming mode.
+        Exact over the timelines in the serial and interleaved modes;
+        within the sketch's rank-error bound in streaming mode.
         """
         if self.streaming is not None:
             return self.streaming.staleness_sketch.quantile(q)
@@ -324,12 +328,7 @@ class TraceReplayReport:
         """``q``-th percentile of catch-up latency samples."""
         if self.streaming is not None:
             return self.streaming.availability_sketch.quantile(q)
-        samples = [
-            latency
-            for timeline in self.timelines.values()
-            for latency in timeline.availability.values()
-            if latency is not None
-        ]
+        samples = self._availability_samples()
         return percentile(samples, q) if samples else 0.0
 
     # Fleet wire-byte metrics (the delta-update ablation, EXPERIMENTS §8).
@@ -383,16 +382,292 @@ class TraceReplayReport:
         return sum(r.downloaded_bytes for r in self.refresh_rounds)
 
 
-@dataclass
-class _WaveRecord:
-    """One fleet wave awaiting its final transfer timings."""
+# -- recorders: what a replay keeps of its settled transfers ------------------
 
-    started_at: float
-    #: client name -> (schedule key of the index fetch, serial served).
-    index_marks: dict[str, tuple[object, int]]
-    #: client name -> schedule key of the wave's last fetch.
-    last_keys: dict[str, object]
-    schedule: ParallelTransferSchedule
+
+class _Recorder:
+    """What every mode keeps: the publishes, the pull-wave counters, and
+    per-pull completion latency."""
+
+    def __init__(self):
+        self.publishes: list[tuple[float, int]] = []
+        self.pull_wire_bytes: list[int] = []
+        self.installs = 0
+        self.failed_pulls = 0
+        self.failed_installs = 0
+        self.pull_latency = QuantileSketch()
+        #: Latest settled pull completion (the serial mode's wave barrier).
+        self.pulls_done = 0.0
+
+    def publish(self, at: float, serial: int):
+        self.publishes.append((at, serial))
+
+    def wave(self, outcome, wire_bytes: int):
+        self.pull_wire_bytes.append(wire_bytes)
+        self.installs += outcome.installs
+        self.failed_pulls += outcome.failed_pulls
+        self.failed_installs += outcome.failed_installs
+
+    def pulled(self, started: float, finish: float):
+        self.pull_latency.add(finish - started)
+        if finish > self.pulls_done:
+            self.pulls_done = finish
+
+
+class _ExactRecorder(_Recorder):
+    """``serial`` and ``interleaved``: every client's index landings and
+    every round's report, reduced to metrics once the horizon is known."""
+
+    def __init__(self, clients):
+        super().__init__()
+        self.rounds: list[MultiTenantRefreshReport] = []
+        self.timelines = {
+            client.name: ClientTimeline(name=client.name,
+                                        repo_id=client.repo_id)
+            for client in clients
+        }
+
+    def round(self, report: MultiTenantRefreshReport):
+        self.rounds.append(report)
+
+    def landed(self, name: str, at: float, serial: int):
+        self.timelines[name].transitions.append((at, serial))
+
+    def close(self, horizon: float, fleet: ClientFleet, lane) -> dict:
+        for timeline in self.timelines.values():
+            timeline.transitions.sort()
+            timeline.staleness = staleness_seconds(
+                self.publishes, timeline.transitions, horizon)
+            timeline.availability = availability_latencies(
+                self.publishes, timeline.transitions)
+        return {"rounds": len(self.rounds), "refresh_rounds": self.rounds,
+                "timelines": self.timelines}
+
+
+class _FoldingRecorder(_Recorder):
+    """``streaming``: the same metrics folded online as transfers settle.
+
+    Per client it keeps the current serial, the last landing instant, a
+    pointer into the publish list and the staleness so far.  Each landing
+    at ``t'`` charges ``max(0, t' - max(t_last, P(s)))``, where ``P(s)``
+    is the first publish instant with a serial newer than the client's
+    current ``s``; the charges telescope to exactly
+    :func:`staleness_seconds`.  The landing then consumes every publish
+    it catches up with as one availability sample.
+    """
+
+    def __init__(self, window: float):
+        super().__init__()
+        self.window = window
+        self._serials: list[int] = []
+        #: client name -> [serial, last landing, publish pointer, staleness].
+        self._clients: dict[str, list] = {}
+        self._window_stale: list[float] = []
+        self._window_avail: list[list[float]] = []
+        self._avail_sketch = QuantileSketch()
+        self._avail_sum = 0.0
+        self._avail_count = 0
+        self._avail_max = 0.0
+        self._totals = {
+            "rounds": 0, "prescans": 0, "downloads_deduped": 0,
+            "evicted_redownloads": 0, "downloaded_bytes": 0,
+        }
+
+    def publish(self, at: float, serial: int):
+        super().publish(at, serial)
+        self._serials.append(serial)
+
+    def round(self, report: MultiTenantRefreshReport):
+        totals = self._totals
+        totals["rounds"] += 1
+        for counter in ("prescans", "downloads_deduped",
+                        "evicted_redownloads", "downloaded_bytes"):
+            totals[counter] += getattr(report, counter)
+
+    def _first_newer(self, serial: int) -> float:
+        """Instant of the first publish strictly newer than ``serial``
+        (inf: the client is caught up with everything published)."""
+        i = bisect_right(self._serials, serial)
+        return self.publishes[i][0] if i < len(self.publishes) else math.inf
+
+    def _charge_windows(self, a: float, b: float):
+        window = self.window
+        stale = self._window_stale
+        i = int(a // window)
+        while a < b:
+            edge = (i + 1) * window
+            segment = min(b, edge) - a
+            if segment > 0:
+                while len(stale) <= i:
+                    stale.append(0.0)
+                stale[i] += segment
+            a = edge
+            i += 1
+
+    def landed(self, name: str, at: float, serial: int):
+        state = self._clients.get(name)
+        if state is None:
+            state = self._clients[name] = [serial, at, 0, 0.0]
+            ptr = 0
+        else:
+            old_serial, t_last, ptr, total = state
+            stale_from = max(t_last, self._first_newer(old_serial))
+            if at > stale_from:
+                total += at - stale_from
+                self._charge_windows(stale_from, at)
+            state[0] = serial
+            state[1] = at
+            state[3] = total
+        publishes = self.publishes
+        serials = self._serials
+        while ptr < len(publishes) and serials[ptr] <= serial:
+            sample = at - publishes[ptr][0]
+            self._avail_sum += sample
+            self._avail_count += 1
+            if sample > self._avail_max:
+                self._avail_max = sample
+            self._avail_sketch.add(sample)
+            wi = int(publishes[ptr][0] // self.window)
+            while len(self._window_avail) <= wi:
+                self._window_avail.append([0, 0.0, 0.0])
+            cell = self._window_avail[wi]
+            cell[0] += 1
+            cell[1] += sample
+            if sample > cell[2]:
+                cell[2] = sample
+            ptr += 1
+        state[2] = ptr
+
+    def close(self, horizon: float, fleet: ClientFleet, lane) -> dict:
+        # Horizon close-out: charge each client's still-open stale tail.
+        stale_sketch = QuantileSketch()
+        stale_sum = 0.0
+        stale_max = 0.0
+        for serial, t_last, _ptr, total in self._clients.values():
+            open_from = max(t_last, self._first_newer(serial))
+            if horizon > open_from:
+                total += horizon - open_from
+                self._charge_windows(open_from, horizon)
+            stale_sum += total
+            if total > stale_max:
+                stale_max = total
+            stale_sketch.add(total)
+        never_pulled = fleet.size - len(self._clients)
+        if never_pulled:
+            stale_sketch.add(0.0, weight=float(never_pulled))
+        summary = StreamingReplaySummary(
+            staleness_sum=stale_sum,
+            staleness_max=stale_max,
+            staleness_sketch=stale_sketch,
+            availability_sum=self._avail_sum,
+            availability_count=self._avail_count,
+            availability_max=self._avail_max,
+            availability_sketch=self._avail_sketch,
+            window_seconds=self.window,
+            window_stale_seconds=self._window_stale,
+            window_availability=self._window_avail,
+            refresh_totals=self._totals,
+            clients_booted=fleet.booted_total,
+            peak_live_channels=lane.peak_live,
+            peak_pending_items=lane.peak_pending,
+            final_stream_stats=lane.stream.stats(),
+        )
+        return {"rounds": self._totals["rounds"], "refresh_rounds": [],
+                "timelines": {}, "streaming": summary}
+
+
+# -- lanes and fleet rotation -------------------------------------------------
+
+
+class _Lane:
+    """One transfer stream and what enqueues onto it.
+
+    A lane owns a streaming :class:`ParallelTransferSchedule` at the
+    replay's NIC capacity, the :class:`RefreshPlanState` whose rounds
+    extend it, the :class:`PlanFetchSession` fleet waves pull through,
+    and the pull keys whose completions the replay still awaits.
+    """
+
+    def __init__(self, scenario: Scenario, capacity: float, replicas):
+        schedule = ParallelTransferSchedule(downlink_bandwidth=capacity)
+        network = scenario.network
+        for replica in replicas:
+            # One uplink pool per replica host, declared before the
+            # stream freezes the link set.
+            schedule.add_link(replica.hostname,
+                              network.host(replica.hostname).bandwidth)
+        self.schedule = schedule
+        self.stream = schedule.stream(0.0)
+        self.plan = RefreshPlanState(scheduler=MirrorDownloadScheduler(
+            scenario.tsr, schedule=schedule,
+            channel_key=lambda hostname: ("dl", hostname)))
+        self.session = PlanFetchSession(network, schedule)
+        #: Index-fetch key -> (client name, served serial).
+        self.marks: dict[object, tuple[str, int]] = {}
+        #: Last-fetch key -> (client index, wave start).
+        self.lasts: dict[object, tuple[int, float]] = {}
+        #: Client index -> its last key registered here.  A failed pull
+        #: can echo an earlier wave's key (possibly drained already),
+        #: which must never count twice.
+        self.registered: dict[int, object] = {}
+        #: Peaks of the stream's live footprint, sampled at every drain
+        #: and after every wave.
+        self.peak_live = 0
+        self.peak_pending = 0
+
+    def sample(self):
+        stream = self.stream
+        if stream.live_channels > self.peak_live:
+            self.peak_live = stream.live_channels
+        if stream.pending_items > self.peak_pending:
+            self.peak_pending = stream.pending_items
+
+
+class _Rotation:
+    """Tears down a lazy fleet's clients once their final wave drains.
+
+    The trace is pre-scanned for each client's final pull wave (one extra
+    lazy generation pass, no events retained).  A client's fetches
+    serialize on its own channel, so its latest registered key is the
+    last to drain: once that key has drained and the final wave has been
+    issued, the client never pulls again.
+    """
+
+    def __init__(self, fleet: ClientFleet, trace: Trace):
+        self._fleet = fleet
+        self._final: dict[int, int] = {}
+        self._final_all = -1
+        #: Pull waves issued so far.
+        self._waves = 0
+        waves = 0
+        for event in trace.iter_events():
+            if event.kind != "fleet_pull":
+                continue
+            if event.clients is None:
+                self._final_all = waves
+            else:
+                for i in event.clients:
+                    self._final[i] = waves
+            waves += 1
+
+    def _final_wave(self, index: int) -> int:
+        return max(self._final.get(index, -1), self._final_all)
+
+    def drained(self, index: int, key: object, lane: _Lane):
+        if (self._final_wave(index) < self._waves
+                and key == lane.registered.get(index)):
+            self._retire(index, lane)
+
+    def wave_issued(self, indices, lane: _Lane):
+        for index in indices:
+            if (self._final_wave(index) == self._waves
+                    and lane.registered.get(index) not in lane.lasts):
+                self._retire(index, lane)
+        self._waves += 1
+
+    def _retire(self, index: int, lane: _Lane):
+        lane.registered.pop(index, None)
+        self._fleet.retire(index, plan_session=lane.session)
 
 
 # -- the engine ---------------------------------------------------------------
@@ -420,7 +695,7 @@ class TraceReplay:
 
     The engine owns the plan timeline: the scenario clock is advanced
     exactly once, at the end, by the replay's wall-clock.  See the module
-    docstring for the two composition modes.
+    docstring for the event loop and its three modes.
     """
 
     def __init__(self, scenario: Scenario, trace: Trace, clients: int = 8,
@@ -446,13 +721,11 @@ class TraceReplay:
         self._tenants = list(tenants or scenario.tenants)
         #: The shared-NIC capacity every transfer of the plan contends
         #: for (half-duplex model: refresh downloads and client serving
-        #: share the TSR machine's one NIC in both modes).
+        #: share the TSR machine's one NIC in every mode).
         self._capacity = (
             link_bandwidth if link_bandwidth is not None
             else scenario.network.host(scenario.tsr.hostname).bandwidth
         )
-        self._interleaved = mode == "interleaved"
-        self._streaming = mode == "streaming"
         self._clients = clients
         self._client_downlink = client_downlink
         self._delta_updates = delta_updates
@@ -460,7 +733,7 @@ class TraceReplay:
         #: Forwarded to :class:`ClientFleet`: one memoized attestation
         #: keypair for the whole fleet instead of a prime search per
         #: client boot.  Replay metrics never read the attestation key,
-        #: so both modes produce identical reports either way — set it
+        #: so every mode produces identical reports either way — set it
         #: whenever the fleet is large.
         self._shared_tpm_seed = shared_tpm_seed
         #: Edge-replica serving tier (:class:`repro.core.replica.ReplicaTSR`
@@ -472,14 +745,6 @@ class TraceReplay:
         self._replica_refusals = 0
 
     # -- replica tier plumbing -------------------------------------------------
-
-    def _link_replicas(self, schedule: ParallelTransferSchedule):
-        """Declare one independent uplink pool per replica host on the
-        plan schedule (must run before a stream is opened)."""
-        network = self._scenario.network
-        for replica in self._replicas:
-            schedule.add_link(replica.hostname,
-                              network.host(replica.hostname).bandwidth)
 
     def _sync_replicas(self, at: float, repo_ids=None, schedule=None):
         for replica in self._replicas:
@@ -514,213 +779,10 @@ class TraceReplay:
                     break
         return refused
 
-    def _new_round_state(self) -> tuple[ParallelTransferSchedule,
-                                        RefreshPlanState]:
-        schedule = ParallelTransferSchedule(
-            downlink_bandwidth=self._capacity)
-        plan = RefreshPlanState(scheduler=MirrorDownloadScheduler(
-            self._scenario.tsr, schedule=schedule,
-            channel_key=lambda hostname: ("dl", hostname)))
-        return schedule, plan
+    # -- the event loop -------------------------------------------------------
 
-    def run(self) -> TraceReplayReport:
-        if self._streaming:
-            return self._run_streaming()
-        scenario = self._scenario
-        trace = self._trace
-        tsr = scenario.tsr
-
-        if self._interleaved:
-            schedule, plan = self._new_round_state()
-            self._link_replicas(schedule)
-            # One enclave memo window spans the whole plan: steady-state
-            # rounds replay unchanged blobs' analyses at their recorded
-            # costs instead of re-parsing them (host time only — every
-            # simulated duration and per-round counter is unchanged).
-            plan.persistent_enclave_memo = True
-            session = PlanFetchSession(scenario.network, schedule)
-        else:
-            schedule = plan = session = None
-        fleet = ClientFleet(
-            scenario, self._clients, name_prefix=f"replay-{trace.seed}",
-            session=session, client_downlink=self._client_downlink,
-            tenants=self._tenants, delta_updates=self._delta_updates,
-            shared_tpm_seed=self._shared_tpm_seed,
-            replicas=self._replicas,
-        )
-
-        #: Baseline: the pre-trace population is "publish zero".
-        publishes: list[tuple[float, int]] = [(0.0, scenario.origin.serial)]
-        for repo_id in self._tenants:
-            try:
-                tsr.get_index_bytes(repo_id)
-            except PolicyError:
-                continue  # tenant not refreshed before the trace
-            tsr.record_publication(repo_id, 0.0)
-        self._sync_replicas(0.0, schedule=schedule)
-
-        refresh_rounds: list[MultiTenantRefreshReport] = []
-        waves: list[_WaveRecord] = []
-        pull_wire_bytes: list[int] = []
-        installs = 0
-        failed_pulls = 0
-        failed_installs = 0
-        frontier = 0.0      # serial-mode barrier; last finish in both modes
-
-        try:
-            for event in trace.ordered():
-                start = (event.at if self._interleaved
-                         else max(event.at, frontier))
-                if event.kind == "publish":
-                    publish_event(scenario, event, trace.seed)
-                    publishes.append((event.at, scenario.origin.serial))
-                elif event.kind == "mirror_sync":
-                    targets = (event.mirrors if event.mirrors is not None
-                               else list(scenario.mirrors))
-                    for name in targets:
-                        scenario.mirrors[name].sync()
-                elif event.kind == "refresh":
-                    repo_ids = list(event.tenants or self._tenants)
-                    if self._interleaved:
-                        round_plan = plan
-                    else:
-                        _, round_plan = self._new_round_state()
-                    report = RefreshOrchestrator(
-                        tsr, repo_ids, max_streams=self._max_streams,
-                        origin=start, plan_state=round_plan,
-                        advance_clock=False,
-                    ).run()
-                    refresh_rounds.append(report)
-                    for repo_id in repo_ids:
-                        tsr.record_publication(repo_id, report.finished_at)
-                    self._sync_replicas(report.finished_at, repo_ids,
-                                        schedule=schedule)
-                    frontier = max(frontier, report.finished_at)
-                elif event.kind == "fleet_pull":
-                    clients = (fleet.clients if event.clients is None
-                               else fleet.subset(event.clients))
-                    if self._interleaved:
-                        wave_schedule, wave_session = schedule, session
-                    else:
-                        wave_schedule = ParallelTransferSchedule(
-                            downlink_bandwidth=self._capacity)
-                        self._link_replicas(wave_schedule)
-                        wave_session = PlanFetchSession(scenario.network,
-                                                        wave_schedule)
-                        fleet.use_session(wave_session)
-                    fleet.set_as_of(start)
-                    if self._replicas:
-                        self._heartbeat_replicas(
-                            start, schedule=wave_schedule)
-                        fleet.set_replica_refusals(
-                            self._freshness_refusals(start))
-                    wave_session.begin_wave(start)
-                    # Event-local RNG (like publish batches): a wave's
-                    # install choices depend on the trace seed and the
-                    # event's own seed, never on ambient state or other
-                    # waves' draws.
-                    wave_rng = random.Random(
-                        f"trace-pull:{trace.seed}:{event.seed}:{event.at}")
-                    wire_before = wave_session.total_wire_bytes
-                    outcome = run_pull_wave(
-                        clients, wave_rng, event.installs_per_client,
-                        plan_session=wave_session, tolerate_failures=True,
-                    )
-                    pull_wire_bytes.append(
-                        wave_session.total_wire_bytes - wire_before)
-                    installs += outcome.installs
-                    failed_pulls += outcome.failed_pulls
-                    failed_installs += outcome.failed_installs
-                    record = _WaveRecord(
-                        started_at=start,
-                        index_marks={
-                            name: (outcome.index_keys.get(name), serial)
-                            for name, serial in outcome.served_serial.items()
-                        },
-                        last_keys=dict(outcome.last_keys),
-                        schedule=wave_schedule,
-                    )
-                    waves.append(record)
-                    if not self._interleaved:
-                        timings = wave_schedule.solve()
-                        wave_end = max(
-                            (timings[key].finish
-                             for key in record.last_keys.values()
-                             if key is not None),
-                            default=start,
-                        )
-                        frontier = max(frontier, wave_end, start)
-        finally:
-            if self._interleaved and refresh_rounds:
-                # The rounds kept one persistent memo window open; close
-                # it so later standalone refreshes start cold.
-                tsr._enclave.ecall("end_shared_refresh")
-
-        # Resolve the plan: one final solve fixes every wave's timings
-        # (monotonicity means mid-flight pins stayed valid lower bounds).
-        timelines = {
-            client.name: ClientTimeline(name=client.name,
-                                        repo_id=client.repo_id)
-            for client in fleet.clients
-        }
-        wall = frontier
-        pull_latency = QuantileSketch()
-        solved: dict[int, dict] = {}
-        for record in waves:
-            key_id = id(record.schedule)
-            if key_id not in solved:
-                solved[key_id] = record.schedule.solve()
-            timings = solved[key_id]
-            for name, (index_key, serial) in record.index_marks.items():
-                landed = (timings[index_key].finish
-                          if index_key is not None else record.started_at)
-                timelines[name].transitions.append((landed, serial))
-            for key in record.last_keys.values():
-                if key is not None:
-                    finish = timings[key].finish
-                    wall = max(wall, finish)
-                    if finish >= record.started_at:
-                        # Keys older than the wave (a failed pull echoing
-                        # its previous fetch) are not this wave's latency.
-                        pull_latency.add(finish - record.started_at)
-        if self._interleaved and schedule is not None:
-            timings = schedule.solve()
-            wall = max([wall, plan.enclave_free,
-                        *plan.shard_free.values(),
-                        *(t.finish for t in timings.values())])
-
-        horizon = max(trace.horizon, wall)
-        for timeline in timelines.values():
-            timeline.transitions.sort()
-            timeline.staleness = staleness_seconds(
-                publishes, timeline.transitions, horizon)
-            timeline.availability = availability_latencies(
-                publishes, timeline.transitions)
-
-        scenario.clock.advance(wall)
-        return TraceReplayReport(
-            mode=self._mode,
-            rounds=len(refresh_rounds),
-            clients=fleet.size,
-            wall_elapsed=wall,
-            horizon=horizon,
-            installs=installs,
-            failed_pulls=failed_pulls,
-            failed_installs=failed_installs,
-            publishes=publishes,
-            refresh_rounds=refresh_rounds,
-            timelines=timelines,
-            delta_updates=self._delta_updates,
-            pull_wire_bytes=pull_wire_bytes,
-            delta_stats=fleet.delta_stats().as_dict(),
-            pull_latency=pull_latency,
-            replicas=len(self._replicas),
-            replica_refusals=self._replica_refusals,
-            replica_sync_bytes=sum(r.sync_bytes for r in self._replicas),
-        )
-
-
-    # -- streaming mode -------------------------------------------------------
+    def _lane(self) -> _Lane:
+        return _Lane(self._scenario, self._capacity, self._replicas)
 
     def _stale_window_width(self) -> float:
         """Window width for the time-resolved folds (default: the trace's
@@ -736,333 +798,200 @@ class TraceReplay:
         width = self._trace.horizon / max(1, self._trace.rounds())
         return width if width > 0 else 1.0
 
-    def _run_streaming(self) -> TraceReplayReport:
+    def run(self) -> TraceReplayReport:
         scenario = self._scenario
         trace = self._trace
         tsr = scenario.tsr
-        window = self._stale_window_width()
-
-        schedule, plan = self._new_round_state()
-        self._link_replicas(schedule)  # before the stream freezes links
-        plan.persistent_enclave_memo = True
-        plan.keep_timeline = False  # nothing streaming reads it; O(trace)
-        scheduler = plan.scheduler
-        stream = schedule.stream(0.0)
-        session = PlanFetchSession(scenario.network, schedule)
-        fleet = ClientFleet(
+        streaming = self._mode == "streaming"
+        # Interleaved and streaming replays run the whole trace on one
+        # lane, whose rounds keep one enclave memo window open: steady-
+        # state rounds replay unchanged blobs' analyses at their recorded
+        # costs instead of re-parsing them (host time only — every
+        # simulated duration and per-round counter is unchanged).
+        shared = None
+        if self._mode != "serial":
+            shared = self._lane()
+            shared.plan.persistent_enclave_memo = True
+        fleet = self._fleet = ClientFleet(
             scenario, self._clients, name_prefix=f"replay-{trace.seed}",
-            session=session, client_downlink=self._client_downlink,
-            tenants=self._tenants, delta_updates=self._delta_updates,
-            lazy=True, shared_tpm_seed=self._shared_tpm_seed,
-            replicas=self._replicas,
+            client_downlink=self._client_downlink, tenants=self._tenants,
+            delta_updates=self._delta_updates, lazy=streaming,
+            shared_tpm_seed=self._shared_tpm_seed, replicas=self._replicas,
         )
-
-        # Pre-scan the trace for each client's *final* pull wave (cheap:
-        # one extra lazy generation pass, no events retained).  Once that
-        # wave's last fetch drains, the client's node can be torn down.
-        final_wave: dict[int, int] = {}
-        final_all = -1
-        wave_total = 0
-        for ev in trace.iter_events():
-            if ev.kind != "fleet_pull":
-                continue
-            if ev.clients is None:
-                final_all = wave_total
-            else:
-                for i in ev.clients:
-                    final_wave[i] = wave_total
-            wave_total += 1
+        self._rotation = _Rotation(fleet, trace) if fleet.lazy else None
+        recorder = self._recorder = (
+            _FoldingRecorder(self._stale_window_width()) if streaming
+            else _ExactRecorder(fleet.clients))
 
         #: Baseline: the pre-trace population is "publish zero".
-        publishes: list[tuple[float, int]] = [(0.0, scenario.origin.serial)]
-        pub_serials: list[int] = [scenario.origin.serial]
+        recorder.publish(0.0, scenario.origin.serial)
         for repo_id in self._tenants:
             try:
                 tsr.get_index_bytes(repo_id)
             except PolicyError:
                 continue  # tenant not refreshed before the trace
             tsr.record_publication(repo_id, 0.0)
-        self._sync_replicas(0.0, schedule=schedule)
+        self._sync_replicas(
+            0.0, schedule=None if shared is None else shared.schedule)
 
-        # -- online metric folds (the whole point: no transition lists) --
-        #: client name -> [serial, last landing, publish pointer, staleness].
-        cstate: dict[str, list] = {}
-        stale_sketch = QuantileSketch()
-        avail_sketch = QuantileSketch()
-        pull_latency = QuantileSketch()
-        window_stale: list[float] = []
-        window_avail: list[list[float]] = []
-        avail_sum = 0.0
-        avail_count = 0
-        avail_max = 0.0
-
-        def first_newer(serial: int) -> float:
-            """Instant of the first publish strictly newer than ``serial``
-            (inf: the client is caught up with everything published)."""
-            i = bisect_right(pub_serials, serial)
-            return publishes[i][0] if i < len(publishes) else math.inf
-
-        def charge_windows(a: float, b: float):
-            i = int(a // window)
-            while a < b:
-                edge = (i + 1) * window
-                segment = min(b, edge) - a
-                if segment > 0:
-                    while len(window_stale) <= i:
-                        window_stale.append(0.0)
-                    window_stale[i] += segment
-                a = edge
-                i += 1
-
-        def fold_transition(name: str, landed: float, serial: int):
-            """One index landing: close the stale interval it ends (the
-            telescoping sum of these equals :func:`staleness_seconds`
-            exactly) and consume newly caught-up publishes."""
-            nonlocal avail_sum, avail_count, avail_max
-            state = cstate.get(name)
-            if state is None:
-                state = cstate[name] = [serial, landed, 0, 0.0]
-                ptr = 0
-            else:
-                old_serial, t_last, ptr, total = state
-                stale_from = max(t_last, first_newer(old_serial))
-                if landed > stale_from:
-                    total += landed - stale_from
-                    charge_windows(stale_from, landed)
-                state[0] = serial
-                state[1] = landed
-                state[3] = total
-            while ptr < len(publishes) and pub_serials[ptr] <= serial:
-                sample = landed - publishes[ptr][0]
-                avail_sum += sample
-                avail_count += 1
-                if sample > avail_max:
-                    avail_max = sample
-                avail_sketch.add(sample)
-                wi = int(publishes[ptr][0] // window)
-                while len(window_avail) <= wi:
-                    window_avail.append([0, 0.0, 0.0])
-                cell = window_avail[wi]
-                cell[0] += 1
-                cell[1] += sample
-                if sample > cell[2]:
-                    cell[2] = sample
-                ptr += 1
-            state[2] = ptr
-
-        # -- drained-key actions + retirement countdown ------------------
-        mark_of: dict[object, tuple[str, int]] = {}
-        #: last schedule key -> (client name, client index, wave start).
-        last_of: dict[object, tuple[str, int, float]] = {}
-        pending_last: dict[int, int] = {}
-        last_registered: dict[int, object] = {}
-        final_issued: set[int] = set()
-        peak_live = 0
-        peak_pending = 0
-
-        def retire(index: int):
-            pending_last.pop(index, None)
-            last_registered.pop(index, None)
-            fleet.retire(index, plan_session=session)
-
-        def absorb(drained: dict):
-            nonlocal peak_live, peak_pending
-            if drained:
-                scheduler.retire_settled(drained)
-                for key, timing in drained.items():
-                    mark = mark_of.pop(key, None)
-                    if mark is not None:
-                        fold_transition(mark[0], timing.finish, mark[1])
-                    last = last_of.pop(key, None)
-                    if last is not None:
-                        pull_latency.add(timing.finish - last[2])
-                        index = last[1]
-                        pending_last[index] -= 1
-                        if not pending_last[index] and index in final_issued:
-                            retire(index)
-            live = stream.live_channels
-            if live > peak_live:
-                peak_live = live
-            pending = stream.pending_items
-            if pending > peak_pending:
-                peak_pending = pending
-
-        refresh_totals = {
-            "rounds": 0, "prescans": 0, "downloads_deduped": 0,
-            "evicted_redownloads": 0, "downloaded_bytes": 0,
-        }
-        pull_wire_bytes: list[int] = []
-        installs = 0
-        failed_pulls = 0
-        failed_installs = 0
-        wave_ordinal = 0
-
+        #: The latest refresh finish; in serial mode also the wave
+        #: barrier every later round and wave starts behind.
+        frontier = 0.0
         try:
             for event in trace.iter_events():
-                stream.advance_to(event.at)
-                absorb(stream.drain())
-                start = event.at
+                if shared is not None:
+                    shared.stream.advance_to(event.at)
+                    self._settle(shared, shared.stream.drain())
                 if event.kind == "publish":
                     publish_event(scenario, event, trace.seed)
-                    publishes.append((event.at, scenario.origin.serial))
-                    pub_serials.append(scenario.origin.serial)
+                    recorder.publish(event.at, scenario.origin.serial)
                 elif event.kind == "mirror_sync":
                     targets = (event.mirrors if event.mirrors is not None
                                else list(scenario.mirrors))
                     for name in targets:
                         scenario.mirrors[name].sync()
-                elif event.kind == "refresh":
-                    repo_ids = list(event.tenants or self._tenants)
-                    report = RefreshOrchestrator(
-                        tsr, repo_ids, max_streams=self._max_streams,
-                        origin=start, plan_state=plan,
-                        advance_clock=False,
-                    ).run()
-                    refresh_totals["rounds"] += 1
-                    refresh_totals["prescans"] += report.prescans
-                    refresh_totals["downloads_deduped"] += \
-                        report.downloads_deduped
-                    refresh_totals["evicted_redownloads"] += \
-                        report.evicted_redownloads
-                    refresh_totals["downloaded_bytes"] += \
-                        report.downloaded_bytes
-                    for repo_id in repo_ids:
-                        tsr.record_publication(repo_id, report.finished_at)
-                    self._sync_replicas(report.finished_at, repo_ids,
-                                        schedule=schedule)
-                elif event.kind == "fleet_pull":
-                    indices = (range(fleet.size) if event.clients is None
-                               else event.clients)
-                    clients = fleet.subset(indices)
-                    fleet.set_as_of(start)
-                    if self._replicas:
-                        self._heartbeat_replicas(start, schedule=schedule)
-                        fleet.set_replica_refusals(
-                            self._freshness_refusals(start))
-                    session.begin_wave(start)
-                    wave_rng = random.Random(
-                        f"trace-pull:{trace.seed}:{event.seed}:{event.at}")
-                    wire_before = session.total_wire_bytes
-                    outcome = run_pull_wave(
-                        clients, wave_rng, event.installs_per_client,
-                        plan_session=session, tolerate_failures=True,
-                    )
-                    pull_wire_bytes.append(
-                        session.total_wire_bytes - wire_before)
-                    installs += outcome.installs
-                    failed_pulls += outcome.failed_pulls
-                    failed_installs += outcome.failed_installs
-                    for name, serial in outcome.served_serial.items():
-                        key = outcome.index_keys.get(name)
-                        if key is None:
-                            # No fetch was scheduled (e.g. answered from
-                            # local state): the index lands at wave start.
-                            fold_transition(name, start, serial)
-                        else:
-                            mark_of[key] = (name, serial)
-                    name_to_index = {client.name: i
-                                     for i, client in zip(indices, clients)}
-                    for name, key in outcome.last_keys.items():
-                        index = name_to_index[name]
-                        # A failed pull can report a *previous* wave's key
-                        # (possibly already drained): never re-register it.
-                        if key is None or key == last_registered.get(index):
-                            continue
-                        last_registered[index] = key
-                        last_of[key] = (name, index, start)
-                        pending_last[index] = pending_last.get(index, 0) + 1
-                    for index in indices:
-                        if wave_ordinal == max(final_wave.get(index, -1),
-                                               final_all):
-                            final_issued.add(index)
-                            if not pending_last.get(index):
-                                retire(index)
-                    wave_ordinal += 1
-                    if stream.live_channels > peak_live:
-                        peak_live = stream.live_channels
-                    if stream.pending_items > peak_pending:
-                        peak_pending = stream.pending_items
+                else:
+                    # Serial runs each round and wave alone on a fresh
+                    # lane, from the previous one's finish at the earliest.
+                    lane = shared or self._lane()
+                    start = event.at if shared else max(event.at, frontier)
+                    if event.kind == "refresh":
+                        frontier = max(frontier,
+                                       self._refresh(lane, event, start))
+                    else:
+                        self._pull(lane, event, start)
+                    if lane is not shared:
+                        # The serial barrier is the event's own outcome —
+                        # the round's publication, its clients' last
+                        # fetches — not the replica syncs on its lane.
+                        self._resolve(lane)
+                        frontier = max(frontier, start, recorder.pulls_done)
         finally:
-            if refresh_totals["rounds"]:
+            if shared is not None and shared.plan.rounds:
                 # The rounds kept one persistent memo window open; close
                 # it so later standalone refreshes start cold.
                 tsr._enclave.ecall("end_shared_refresh")
 
-        # Resolve the tail: everything still pending finishes untouched by
-        # any future load, so one O(active) clone solve fixes it.
-        final_timings = stream.solve_pending()
-        tail = []
-        for key, (name, serial) in mark_of.items():
-            tail.append((final_timings[key].finish, name, serial))
-        tail.sort()
-        for finish, name, serial in tail:
-            fold_transition(name, finish, serial)
-        for key, last in last_of.items():
-            timing = final_timings.get(key)
-            if timing is not None:
-                pull_latency.add(timing.finish - last[2])
-        wall = stream.max_finish
-        for timing in final_timings.values():
-            if timing.finish > wall:
-                wall = timing.finish
-        wall = max([wall, plan.enclave_free, *plan.shard_free.values()])
-
-        # Horizon close-out: charge each client's still-open stale tail.
+        wall = frontier
+        if shared is not None:
+            wall = max(wall, self._resolve(shared))
         horizon = max(trace.horizon, wall)
-        stale_sum = 0.0
-        stale_max = 0.0
-        for name, (serial, t_last, _ptr, total) in cstate.items():
-            open_from = max(t_last, first_newer(serial))
-            if horizon > open_from:
-                total += horizon - open_from
-                charge_windows(open_from, horizon)
-            stale_sum += total
-            if total > stale_max:
-                stale_max = total
-            stale_sketch.add(total)
-        never_pulled = fleet.size - len(cstate)
-        if never_pulled:
-            stale_sketch.add(0.0, weight=float(never_pulled))
-
         scenario.clock.advance(wall)
-        summary = StreamingReplaySummary(
-            staleness_sum=stale_sum,
-            staleness_max=stale_max,
-            staleness_sketch=stale_sketch,
-            availability_sum=avail_sum,
-            availability_count=avail_count,
-            availability_max=avail_max,
-            availability_sketch=avail_sketch,
-            window_seconds=window,
-            window_stale_seconds=window_stale,
-            window_availability=window_avail,
-            refresh_totals=refresh_totals,
-            clients_booted=fleet.booted_total,
-            peak_live_channels=peak_live,
-            peak_pending_items=peak_pending,
-            final_stream_stats=stream.stats(),
-        )
         return TraceReplayReport(
             mode=self._mode,
-            rounds=refresh_totals["rounds"],
             clients=fleet.size,
             wall_elapsed=wall,
             horizon=horizon,
-            installs=installs,
-            failed_pulls=failed_pulls,
-            failed_installs=failed_installs,
-            publishes=publishes,
-            refresh_rounds=[],
-            timelines={},
+            installs=recorder.installs,
+            failed_pulls=recorder.failed_pulls,
+            failed_installs=recorder.failed_installs,
+            publishes=recorder.publishes,
             delta_updates=self._delta_updates,
-            pull_wire_bytes=pull_wire_bytes,
+            pull_wire_bytes=recorder.pull_wire_bytes,
             delta_stats=fleet.delta_stats().as_dict(),
-            streaming=summary,
-            pull_latency=pull_latency,
+            pull_latency=recorder.pull_latency,
             replicas=len(self._replicas),
             replica_refusals=self._replica_refusals,
             replica_sync_bytes=sum(r.sync_bytes for r in self._replicas),
+            **recorder.close(horizon, fleet, shared),
         )
+
+    def _refresh(self, lane: _Lane, event: TraceEvent, start: float) -> float:
+        """Run one refresh round on the lane's plan; return its finish."""
+        tsr = self._scenario.tsr
+        repo_ids = list(event.tenants or self._tenants)
+        report = RefreshOrchestrator(
+            tsr, repo_ids, max_streams=self._max_streams, origin=start,
+            plan_state=lane.plan, advance_clock=False,
+        ).run()
+        self._recorder.round(report)
+        for repo_id in repo_ids:
+            tsr.record_publication(repo_id, report.finished_at)
+        self._sync_replicas(report.finished_at, repo_ids,
+                            schedule=lane.schedule)
+        return report.finished_at
+
+    def _pull(self, lane: _Lane, event: TraceEvent, start: float):
+        """Run one pull wave through the lane's session; register the
+        fetch keys whose completions the recorder awaits."""
+        fleet = self._fleet
+        session = lane.session
+        indices = (range(fleet.size) if event.clients is None
+                   else event.clients)
+        fleet.use_session(session)
+        clients = fleet.subset(indices)
+        fleet.set_as_of(start)
+        if self._replicas:
+            self._heartbeat_replicas(start, schedule=lane.schedule)
+            fleet.set_replica_refusals(self._freshness_refusals(start))
+        session.begin_wave(start)
+        # Event-local RNG (like publish batches): a wave's install choices
+        # depend on the trace seed and the event's own seed, never on
+        # ambient state or other waves' draws.
+        wave_rng = random.Random(
+            f"trace-pull:{self._trace.seed}:{event.seed}:{event.at}")
+        wire_before = session.total_wire_bytes
+        outcome = run_pull_wave(
+            clients, wave_rng, event.installs_per_client,
+            plan_session=session, tolerate_failures=True,
+        )
+        recorder = self._recorder
+        recorder.wave(outcome, session.total_wire_bytes - wire_before)
+        for name, serial in outcome.served_serial.items():
+            key = outcome.index_keys.get(name)
+            if key is None:
+                # No fetch was scheduled: the index lands at wave start.
+                recorder.landed(name, start, serial)
+            else:
+                lane.marks[key] = (name, serial)
+        for index, client in zip(indices, clients):
+            key = outcome.last_keys.get(client.name)
+            if key is None or key == lane.registered.get(index):
+                continue
+            lane.registered[index] = key
+            lane.lasts[key] = (index, start)
+        if self._rotation is not None:
+            self._rotation.wave_issued(indices, lane)
+        lane.sample()
+
+    def _settle(self, lane: _Lane, drained: dict):
+        """Hand drained transfers to the recorder and retire their keys."""
+        if drained:
+            lane.plan.scheduler.retire_settled(drained)
+            recorder = self._recorder
+            for key, timing in drained.items():
+                mark = lane.marks.pop(key, None)
+                if mark is not None:
+                    recorder.landed(mark[0], timing.finish, mark[1])
+                last = lane.lasts.pop(key, None)
+                if last is not None:
+                    recorder.pulled(last[1], timing.finish)
+                    if self._rotation is not None:
+                        self._rotation.drained(last[0], key, lane)
+        lane.sample()
+
+    def _resolve(self, lane: _Lane) -> float:
+        """Settle everything still pending on a lane; return the instant
+        of its last activity (transfers, enclave, disk).
+
+        Pending transfers finish untouched by any future load, so one
+        O(active) clone solve fixes them; index landings reach the
+        recorder in finish order.
+        """
+        tail = lane.stream.solve_pending()
+        recorder = self._recorder
+        landings = sorted((tail[key].finish, name, serial)
+                          for key, (name, serial) in lane.marks.items())
+        for finish, name, serial in landings:
+            recorder.landed(name, finish, serial)
+        for key, (_, started) in lane.lasts.items():
+            recorder.pulled(started, tail[key].finish)
+        lane.marks.clear()
+        lane.lasts.clear()
+        plan = lane.plan
+        return max([lane.stream.max_finish,
+                    *(timing.finish for timing in tail.values()),
+                    plan.enclave_free, *plan.shard_free.values()])
 
 
 def replay_trace(scenario: Scenario, trace: Trace, clients: int = 8,

@@ -594,11 +594,12 @@ def run_pull_wave(clients: list[FleetClient], rng: random.Random,
     ``installable`` restricts choices to packages known servable (empty /
     ``None`` falls back to each client's own index).  ``measure_clock``
     (a :class:`SimClock`) records per-client elapsed for clock-serialized
-    clients; ``plan_session`` records each client's last schedule key so
-    the replay can resolve wave completion offsets after the full plan is
-    solved.  ``tolerate_failures`` turns an unanswerable index pull into
-    a counted failure instead of an exception (a replay client pulling
-    before the first publication exists simply stays stale).
+    clients; ``plan_session`` records each client's index and last
+    schedule keys so the replay can read the wave's completion offsets
+    as its stream settles them.  ``tolerate_failures`` turns an
+    unanswerable index pull into a counted failure instead of an
+    exception (a replay client pulling before the first publication
+    exists simply stays stale).
     """
     from repro.util.errors import NetworkError
 

@@ -1,7 +1,7 @@
 """Discrete outcomes of a trace replay are a pure function of (scenario,
 trace, seed): two replays with every content memo cold agree, and a replay
-over memos warmed by an earlier one agrees with a cold one, in both the
-interleaved and the streaming mode.  The fingerprint covers the signed
+over memos warmed by an earlier one agrees with a cold one, in the
+interleaved, serial and streaming modes.  The fingerprint covers the signed
 indexes, every publication's index and blobs, the install and wire
 counters, and each client's serial sequence."""
 
@@ -84,8 +84,8 @@ def _fingerprint(scenario, report):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("kwargs", [{}, STREAMING],
-                         ids=["interleaved", "streaming"])
+@pytest.mark.parametrize("kwargs", [{}, dict(mode="serial"), STREAMING],
+                         ids=["interleaved", "serial", "streaming"])
 class TestReplayDeterminism:
     def test_cold_replays_agree(self, kwargs):
         _cold_memos()

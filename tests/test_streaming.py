@@ -314,10 +314,15 @@ def _assert_replay_equivalent(materialized, streaming):
     for attr in ("rounds", "clients", "installs", "failed_pulls",
                  "failed_installs", "client_wire_bytes", "downloaded_bytes",
                  "deduped_downloads", "evicted_redownloads", "prescans",
-                 "pull_wire_bytes", "publishes"):
+                 "pull_wire_bytes", "publishes", "wall_elapsed", "horizon"):
         assert getattr(materialized, attr) == getattr(streaming, attr), attr
-    for attr in ("wall_elapsed", "horizon", "staleness_mean",
-                 "staleness_max", "availability_mean", "availability_max"):
+    # Both modes feed their recorders the same drained timings.
+    assert materialized.pull_latency.count == streaming.pull_latency.count
+    for q in (0, 50, 95, 100):
+        assert materialized.pull_latency_quantile(q) == \
+            streaming.pull_latency_quantile(q), q
+    for attr in ("staleness_mean", "staleness_max", "availability_mean",
+                 "availability_max"):
         assert getattr(streaming, attr) == pytest.approx(
             getattr(materialized, attr), rel=1e-9, abs=1e-9), attr
     folded = streaming.streaming

@@ -397,6 +397,7 @@ class TestPlanFetchSession:
     def test_wave_pins_start_offsets(self):
         scenario = self._scenario()
         schedule = ParallelTransferSchedule(downlink_bandwidth=3 * 2 ** 20)
+        schedule.stream(0.0)
         session = PlanFetchSession(scenario.network, schedule)
         node, _ = scenario.new_node("puller", session=None)
         session.begin_wave(5.0)
@@ -412,8 +413,10 @@ class TestPlanFetchSession:
 
     def test_waves_must_be_time_ordered(self):
         scenario = self._scenario()
-        session = PlanFetchSession(scenario.network,
-                                   ParallelTransferSchedule())
+        schedule = ParallelTransferSchedule()
+        stream = schedule.stream(0.0)
+        session = PlanFetchSession(scenario.network, schedule)
+        stream.advance_to(5.0)
         session.begin_wave(5.0)
         with pytest.raises(NetworkError):
             session.begin_wave(4.0)
@@ -421,6 +424,7 @@ class TestPlanFetchSession:
     def test_second_wave_queues_behind_first(self):
         scenario = self._scenario()
         schedule = ParallelTransferSchedule(downlink_bandwidth=3 * 2 ** 20)
+        stream = schedule.stream(0.0)
         session = PlanFetchSession(scenario.network, schedule)
         scenario.new_node("puller", session=None)
         request = Request(scenario.tsr.hostname, "get_index",
@@ -430,7 +434,9 @@ class TestPlanFetchSession:
         first_end = schedule.solve()[session.last_key("puller")].finish
         # Wave 2 nominally starts *before* wave 1's transfer drains: the
         # channel serializes, so it starts at the channel's free instant.
-        session.begin_wave(min(first_end / 2, first_end - 1e-6))
+        second_at = min(first_end / 2, first_end - 1e-6)
+        stream.advance_to(second_at)
+        session.begin_wave(second_at)
         session.fetch("puller", request, channel="puller")
         timings = schedule.solve()
         assert timings[session.last_key("puller")].start >= \
@@ -439,6 +445,7 @@ class TestPlanFetchSession:
     def test_failed_fetch_charges_timeout_and_raises(self):
         scenario = self._scenario()
         schedule = ParallelTransferSchedule()
+        schedule.stream(0.0)
         session = PlanFetchSession(scenario.network, schedule)
         scenario.new_node("puller", session=None)
         scenario.network.set_down(scenario.tsr.hostname)
@@ -452,6 +459,11 @@ class TestPlanFetchSession:
         key = session.last_key("puller")
         assert timings[key].finish == pytest.approx(
             1.0 + scenario.network.timeout)
+
+    def test_requires_a_streaming_schedule(self):
+        scenario = self._scenario()
+        with pytest.raises(ValueError):
+            PlanFetchSession(scenario.network, ParallelTransferSchedule())
 
 
 # -- resumable orchestrator plan ----------------------------------------------
@@ -503,12 +515,10 @@ class TestPlanOrigin:
                                      advance_clock=False).run()
         assert plan.rounds == 2
         # Round 2's sanitize jobs queued behind round 1's enclave work.
-        round_two = [entry for entry in plan.timeline
-                     if entry not in first.enclave_timeline]
         assert second.finished_at >= first.finished_at - 1e-9
         for _, _, start, _ in second.enclave_timeline:
             assert start >= first.enclave_timeline[-1][3] - 1e-9
-        assert round_two  # the shared timeline accumulated
+        assert second.enclave_timeline  # round 2 queued enclave work
 
 
 # -- optimistic pre-scan -------------------------------------------------------
