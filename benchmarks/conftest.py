@@ -27,6 +27,10 @@ from repro.bench.report import recorded_tables
 from repro.workload.generator import generate_workload
 from repro.workload.scenario import build_scenario
 
+#: The solver bench checks against the dense reference oracle that the
+#: tier-1 suite keeps in ``tests/reference_solver.py``.
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tests"))
+
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.02"))
 CENSUS_SCALE = float(os.environ.get("REPRO_CENSUS_SCALE", "0.25"))
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"

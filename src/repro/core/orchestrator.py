@@ -340,7 +340,8 @@ class RefreshOrchestrator:
         self._inflight.clear()
         # This round has consumed its download results; freeze its
         # batches so cross-round schedulers stop recomputing them (and,
-        # on a streaming schedule, can retire their keys once drained).
+        # on a schedule whose stream is advanced, can retire their keys
+        # once drained).
         scheduler.settle_round()
         if self._advance_clock:
             self._network.clock.advance(makespan - self._origin)

@@ -120,8 +120,8 @@ class DownloadBatch:
     #: Marked by :meth:`MirrorDownloadScheduler.settle_round` once the
     #: refresh round that issued this batch has consumed its results:
     #: later ``resolve`` calls stop recomputing it (nobody reads a past
-    #: round's finishes), and — on a streaming schedule — its keys may
-    #: be retired from the live core as they drain.
+    #: round's finishes), and — on a schedule whose stream is advanced —
+    #: its keys may be retired from the live core as they drain.
     settled: bool = False
 
 
@@ -387,8 +387,8 @@ class MirrorDownloadScheduler:
         # (Re)compute from the *current* timings: a later resolve with
         # extra load can shift earlier transfers, never the other way.
         # Settled batches are skipped — their round already consumed the
-        # results, and nothing reads a past round's finishes again (on a
-        # streaming schedule their timings may already be drained).
+        # results, and nothing reads a past round's finishes again (once
+        # the schedule's stream advances, their timings may be drained).
         for batch in self._batches:
             if batch.settled:
                 continue
@@ -409,9 +409,9 @@ class MirrorDownloadScheduler:
         """Freeze every open batch: the round that issued them is over.
 
         Safe in every mode (a settled batch is merely excluded from
-        future recomputation); on a streaming schedule it additionally
-        licenses :meth:`retire_settled` to drop the batch's keys as the
-        stream drains them.
+        future recomputation); on a schedule whose stream is advanced it
+        additionally licenses :meth:`retire_settled` to drop the batch's
+        keys as the stream drains them.
         """
         for batch in self._batches:
             if batch.settled:

@@ -23,7 +23,6 @@ from repro.simnet.network import (
 from repro.simnet.schedule import (
     ParallelTransferSchedule,
     TransferTiming,
-    max_min_rates,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "ScheduledFetchSession",
     "TransferProbe",
     "TransferTiming",
-    "max_min_rates",
 ]

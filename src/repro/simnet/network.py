@@ -13,11 +13,14 @@ here) computes per-transfer completion offsets for many concurrent streams —
 each channel serves one stream at a time at its own bandwidth, capped by its
 channel's capacity layer (a client NIC), and all active streams share a
 common link capacity max-min fairly.  The schedule is the *single* transfer
-engine: :meth:`Network.gather` (and its composable form,
+engine, and every schedule runs on one :class:`~repro.simnet.schedule.
+ScheduleStream` core that begins at the schedule's start time:
+:meth:`Network.gather` (and its composable form,
 :meth:`Network.gather_scheduled`) is built on it, as are the pipelined
 refresh engine (:mod:`repro.core.pipeline`), the quorum reader
-(:mod:`repro.core.quorum`), and the client fleet
-(:class:`ScheduledFetchSession`).
+(:mod:`repro.core.quorum`), the client fleet
+(:class:`ScheduledFetchSession`), and trace replay's multi-wave pulls
+(:class:`PlanFetchSession`).
 
 Failure injection: hosts can be taken down (requests fail after a timeout)
 and pairs of hosts can be partitioned — the paper's adversary "prevents
@@ -38,7 +41,6 @@ from repro.simnet.latency import (
 from repro.simnet.schedule import (  # noqa: F401  (re-exported)
     ParallelTransferSchedule,
     TransferTiming,
-    max_min_rates,
 )
 from repro.util.errors import NetworkError
 
@@ -230,7 +232,7 @@ class Network:
         elif len(channels) != len(requests):
             raise ValueError("channels must parallel requests")
         schedule = ParallelTransferSchedule(
-            downlink_bandwidth=src.downlink_bandwidth
+            downlink_bandwidth=src.downlink_bandwidth, start_time=start_at
         )
         probes: list[TransferProbe | None] = [None] * len(requests)
         results: list[Response | NetworkError] = [None] * len(requests)
@@ -243,7 +245,7 @@ class Network:
             probes[i] = probe
             schedule.enqueue(channel, i, probe.setup, probe.size_bytes,
                              probe.bandwidth)
-        timings = schedule.solve(start_time=start_at)
+        timings = schedule.solve()
         finishes: list[float] = []
         for i, probe in enumerate(probes):
             if probe is None:
@@ -290,10 +292,10 @@ class ScheduledFetchSession:
     Failed fetches charge the network timeout to their channel (the client
     waited for it) and re-raise.
 
-    ``start_time`` is recorded at construction: :meth:`solve` (and the
-    accessors built on it, :meth:`channel_finish` / :attr:`makespan`)
-    defaults to it, so a session placed mid-timeline cannot silently
-    resolve at offset 0.0.
+    ``start_time`` is fixed at construction, where the session's
+    schedule begins: :meth:`solve` (and the accessors built on it,
+    :meth:`channel_finish` / :attr:`makespan`) resolve there, so a
+    session placed mid-timeline cannot silently resolve at offset 0.0.
     """
 
     def __init__(self, network: Network,
@@ -301,10 +303,9 @@ class ScheduledFetchSession:
                  start_time: float = 0.0):
         self._network = network
         self._schedule = ParallelTransferSchedule(
-            downlink_bandwidth=shared_bandwidth
+            downlink_bandwidth=shared_bandwidth, start_time=start_time
         )
         self._start_time = start_time
-        self._solved_at: float | None = None
         self._sequence = 0
         self._channel_items: dict[object, list[object]] = {}
         self._timings: dict[object, TransferTiming] | None = None
@@ -358,20 +359,17 @@ class ScheduledFetchSession:
               ) -> dict[object, TransferTiming]:
         """Run the event simulation once; repeat calls return the result.
 
-        ``start_time`` defaults to the value recorded at construction.
-        Re-solving at a *different* offset raises instead of silently
-        returning the cached timings.
+        The session solves at the ``start_time`` it was built with; asking
+        for a *different* offset raises instead of silently returning
+        timings from the wrong origin.
         """
-        if start_time is None:
-            start_time = self._start_time
-        if self._timings is None:
-            self._solved_at = start_time
-            self._timings = self._schedule.solve(start_time=start_time)
-        elif start_time != self._solved_at:
+        if start_time is not None and start_time != self._start_time:
             raise NetworkError(
-                f"session already solved at start_time={self._solved_at}; "
-                f"cannot re-solve at {start_time}"
+                f"session starts at start_time={self._start_time}; "
+                f"cannot solve at {start_time}"
             )
+        if self._timings is None:
+            self._timings = self._schedule.solve()
         return self._timings
 
     def channel_finish(self, channel: object) -> float:
@@ -383,18 +381,18 @@ class ScheduledFetchSession:
         timings = self.solve()
         items = self._channel_items.get(channel, [])
         return max((timings[key].finish for key in items),
-                   default=self._solved_at)
+                   default=self._start_time)
 
     @property
     def makespan(self) -> float:
         """Completion offset of the slowest channel."""
         timings = self.solve()
         return max((t.finish for t in timings.values()),
-                   default=self._solved_at)
+                   default=self._start_time)
 
 
 class PlanFetchSession:
-    """Multi-wave client fetches over an externally owned streaming schedule.
+    """Multi-wave client fetches over an externally owned schedule.
 
     Where :class:`ScheduledFetchSession` models *one* fan-out wave on its
     own private schedule (solve once, then read timings), this session
@@ -402,10 +400,10 @@ class PlanFetchSession:
     :class:`ParallelTransferSchedule` shared with other traffic — a
     multi-round refresh plan's mirror downloads and quorum reads — and
     supports *successive waves at increasing start offsets* on the same
-    persistent per-client channels.  The schedule must be driven through
-    a :class:`~repro.simnet.schedule.ScheduleStream`, whose owner advances
-    its frontier to each wave instant and reads the final timings of the
-    keys :meth:`last_key` reports.
+    persistent per-client channels.  The schedule's owner drives its
+    :attr:`~ParallelTransferSchedule.stream`: it advances the frontier
+    to each wave instant and reads the final timings of the keys
+    :meth:`last_key` reports.
 
     :meth:`begin_wave` pins the wave instant: the first fetch of each
     channel in the wave carries a setup gap of ``max(0, wave_at -
@@ -420,12 +418,9 @@ class PlanFetchSession:
     """
 
     def __init__(self, network: Network, schedule: ParallelTransferSchedule):
-        if not schedule.streaming:
-            raise ValueError("PlanFetchSession needs a streaming schedule "
-                             "(call schedule.stream() first)")
         self._network = network
         self._schedule = schedule
-        self._stream = schedule.stream_handle
+        self._stream = schedule.stream
         self._sequence = 0
         self._wave_at = 0.0
         #: The only per-channel key history anyone reads (:meth:`last_key`).

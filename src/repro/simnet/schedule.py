@@ -17,8 +17,8 @@ pool (:meth:`ParallelTransferSchedule.add_link`; an edge replica's
 serving uplink next to the primary's) — while channels stay global, so
 one client's fetches serialize even when they cross links.
 
-:meth:`ParallelTransferSchedule.solve` is an *incremental* event-driven
-simulation built for 10k+-channel fleets:
+The solver is an *incremental* event-driven simulation built for
+10k+-channel fleets:
 
 * a heap of next-completion events replaces the scan over every channel
   per event;
@@ -33,57 +33,47 @@ simulation built for 10k+-channel fleets:
   once without touching any of them.
 
 Per event the work is O(log channels) plus the dirty-set moves (amortized
-small), against the reference solver's O(channels · log channels) full
-recomputation.  The PR 2 reference loop is kept verbatim as
-:meth:`ParallelTransferSchedule.solve_reference` for differential testing;
-both solvers model the same fluid system and agree to float tolerance.
+small), against a dense solver's O(channels · log channels) full
+recomputation.  That dense solver lives in the test tree
+(``tests/reference_solver.py``) as the differential oracle; both model
+the same fluid system and agree to float tolerance.
 
-The solver core is flat: channels are numbered densely at solve time, all
-per-channel state lives in parallel lists, and heap entries pack
-``(channel id, epoch)`` into one integer, so event processing never
+The solver core is flat: channels are numbered densely in first-enqueue
+order, all per-channel state lives in parallel lists, and heap entries
+pack ``(channel id, epoch)`` into one integer, so event processing never
 hashes or compares channel objects.  The fleet endgame — every pending
 stream level-bound, no setups left, no queued successors — is completed
 as one *batched tail drain* in virtual-deadline order instead of one
-heap event per stream; with ``REPRO_SOLVER=numpy`` (and numpy available)
-the drain's deadline sort and finish-time recurrence are vectorized, at
-float-ulp (not modelling) divergence from the pure path, which remains
-the default.  Re-solving an unchanged schedule returns a cached result
-(every ``enqueue``/``limit_channel`` invalidates it).
+heap event per stream.
 
-``solve`` does not advance any clock and does not consume the queues, so
-callers may enqueue more work and re-solve (the refresh pipeline reinserts
-retries into the live schedule this way).
+Every schedule holds its work in one :class:`ScheduleStream`, a
+persistent core that begins at the schedule's ``start_time``; enqueues
+feed it directly.  :meth:`ParallelTransferSchedule.solve` clones the
+core and runs the clone to exhaustion, so it advances no clock and
+consumes no queue: callers may enqueue more work and re-solve (the
+refresh pipeline reinserts retries into the live schedule this way), and
+re-solving an unchanged schedule returns a cached result.
 
-**Streaming mode** (:meth:`ParallelTransferSchedule.stream`) turns the
-same engine into a persistent event loop for long multi-round plans: the
-core keeps its water-level state alive between trace events, the caller
+Long multi-round plans also drive the core as an event loop: the caller
 periodically advances it to a time *frontier* (:meth:`ScheduleStream.
 advance_to`), and every transfer whose completion lands at or before the
 frontier is **settled** — its timing is final, because every enqueue the
 streaming contract admits begins its payload at or after the frontier
 and the solver is monotone (added load never makes an existing stream
-finish earlier).  Settled items and fully drained channels are *retired*:
-their queue columns, heap entries, and per-channel slots are reclaimed
-(dense channel ids are recycled through a free list), so live-core memory
-tracks *active* streams instead of trace length.  Mid-plan ``solve()``
-calls — the refresh engine's quorum frontiers and retry decisions —
-clone the live core and run the clone to exhaustion: the clone's state at
-the frontier is exactly what a from-scratch solve of the full history
-would have reached there, so mid-plan timings are identical to the
-materialized path's while touching only O(active) state.
+finish earlier).  Settled items and fully drained channels are
+*retired*: their queue columns, heap entries, and per-channel slots are
+reclaimed (dense channel ids are recycled through a free list), so
+live-core memory tracks *active* streams instead of trace length.  A
+clone's state at the frontier is exactly what a from-scratch solve of
+the full history would have reached there, so advancing never moves a
+timing while a solve touches only O(active) state.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass
-
-try:  # optional vector core for the tail drain (``REPRO_SOLVER=numpy``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - toolchain ships numpy
-    _np = None
 
 #: Heap entries pack ``cid << _EPOCH_BITS | epoch``: ordering equals the
 #: old ``(channel order, epoch)`` tuple tie-break, in one int compare.
@@ -103,71 +93,28 @@ class TransferTiming:
         return self.finish - self.start
 
 
-@dataclass
-class _StreamItem:
-    key: object
-    setup: float
-    size_bytes: int
-    bandwidth: float
-    group: int = 0
-
-
-def max_min_rates(caps: dict, capacity: float | None) -> dict:
-    """Max-min fair allocation of a shared capacity among capped streams.
-
-    Each stream receives at most its own cap (the peer's serving
-    bandwidth); slack left by streams capped below the fair share is
-    redistributed to the rest (progressive filling).  ``capacity=None``
-    means the shared link is not the bottleneck.
-
-    Ties between equal caps are broken by insertion order of ``caps``
-    (enqueue order): the sort is stable and keys are never compared, so
-    the allocation — including the order of the returned dict — is
-    reproducible run to run even for keys whose ``repr`` contains a
-    memory address.
-    """
-    if capacity is None or capacity >= sum(caps.values()):
-        return dict(caps)
-    rates: dict = {}
-    remaining = capacity
-    pending = sorted(caps.items(), key=lambda item: item[1])
-    while pending:
-        share = remaining / len(pending)
-        key, cap = pending[0]
-        if cap <= share:
-            rates[key] = cap
-            remaining -= cap
-            pending.pop(0)
-            continue
-        for key, cap in pending:
-            rates[key] = share
-        break
-    return rates
-
-
 class _EngineState:
-    """Flat solver-core state, shared by the one-shot and streaming paths.
+    """Flat solver-core state.
 
-    The one-shot path (:meth:`ParallelTransferSchedule._solve`) builds
-    one of these from the queued columns and runs it to exhaustion; a
-    :class:`ScheduleStream` keeps one alive across trace events, appends
-    to its queues as work arrives, and advances it frontier by frontier.
-    ``clone()`` copies exactly the state the event loop mutates (cursor
-    lists, water-level scalars, heaps) while sharing the read-only queue
-    columns, which is how mid-plan solves run without disturbing the
-    live core.
+    A :class:`ScheduleStream` keeps one alive for its schedule's whole
+    life, appends to its queues as work arrives, and advances it frontier
+    by frontier.  ``clone()`` copies exactly the state the event loop
+    mutates (cursor lists, water-level scalars, heaps) while sharing the
+    read-only queue columns, which is how solves run without disturbing
+    the live core.
 
     Capacity is per *link group*: group 0 is the default shared link
     (``downlink_bandwidth``), further groups are the secondary links
     declared with :meth:`ParallelTransferSchedule.add_link` (a replica
-    host's uplink).  Each group runs its own water-fill — its own
-    capsum/ncap/nlvl/level/vnow scalars and completion heaps — because
-    the links are physically independent pipes; channels stay global,
-    so one channel's queue still serializes across links.
+    host's uplink), each opened by :meth:`add_group`.  Each group runs
+    its own water-fill — its own capsum/ncap/nlvl/level/vnow scalars
+    and completion heaps — because the links are physically independent
+    pipes; channels stay global, so one channel's queue still
+    serializes across links.
     """
 
     __slots__ = (
-        "caps", "ngroups", "start_time", "use_numpy", "chans",
+        "caps", "ngroups", "start_time", "chans",
         "qkey", "qsetup", "qsize", "qcap", "qgrp", "qlen",
         "idx", "strt", "cls", "ecap", "dat", "epo", "lastfin", "agrp",
         "capsum", "ncap", "nlvl", "level", "vnow", "now",
@@ -176,13 +123,10 @@ class _EngineState:
         "lvlmin_heaps", "timings",
     )
 
-    def __init__(self, caps: list[float | None], start_time: float,
-                 use_numpy: bool):
-        ngroups = len(caps)
-        self.caps = caps          # shared-link capacity per link group
-        self.ngroups = ngroups
+    def __init__(self, downlink: float | None, start_time: float):
+        self.caps: list[float | None] = []  # shared capacity per group
+        self.ngroups = 0
         self.start_time = start_time
-        self.use_numpy = use_numpy
         self.chans: list = []
         self.qkey: list[list] = []
         self.qsetup: list[list[float]] = []
@@ -208,11 +152,11 @@ class _EngineState:
         #: Link group of the channel's *active* payload (valid while
         #: cls != 0; the next begin rewrites it from ``qgrp``).
         self.agrp: list[int] = []
-        self.capsum = [0.0] * ngroups  # total rate of capped streams
-        self.ncap = [0] * ngroups      # number of capped streams
-        self.nlvl = [0] * ngroups      # number of level-bound streams
-        self.level = [math.inf] * ngroups  # fair share per link group
-        self.vnow = [0.0] * ngroups    # virtual time: integral of level
+        self.capsum: list[float] = []  # total rate of capped streams
+        self.ncap: list[int] = []      # number of capped streams
+        self.nlvl: list[int] = []      # number of level-bound streams
+        self.level: list[float] = []   # fair share per link group
+        self.vnow: list[float] = []    # virtual time: integral of level
         self.now = start_time
         self.tot_ncap = 0        # sum over groups (hot-loop gates)
         self.tot_nlvl = 0
@@ -222,18 +166,38 @@ class _EngineState:
         #: Enqueued items not yet completed (exact loop-exit counter).
         self.remaining = 0
         self.setup_heap: list = []   # (abs end, cid << _EPOCH_BITS); not stale
-        self.cap_heaps = [[] for _ in range(ngroups)]     # (abs finish, pack)
-        self.lvl_heaps = [[] for _ in range(ngroups)]     # (virt deadline, pack)
-        self.capmax_heaps = [[] for _ in range(ngroups)]  # (-eff cap, pack)
-        self.lvlmin_heaps = [[] for _ in range(ngroups)]  # (eff cap, pack)
+        self.cap_heaps: list[list] = []     # (abs finish, pack)
+        self.lvl_heaps: list[list] = []     # (virt deadline, pack)
+        self.capmax_heaps: list[list] = []  # (-eff cap, pack)
+        self.lvlmin_heaps: list[list] = []  # (eff cap, pack)
         self.timings: dict[object, TransferTiming] = {}
+        self.add_group(downlink)
+
+    def add_group(self, capacity: float | None) -> int:
+        """Open an empty link group with its own pool; returns its index.
+
+        An empty group contributes no event and its virtual clock only
+        runs while it holds level-bound streams, so opening one mid-run
+        solves exactly as if it had been open from the start.
+        """
+        self.caps.append(capacity)
+        self.capsum.append(0.0)
+        self.ncap.append(0)
+        self.nlvl.append(0)
+        self.level.append(math.inf)
+        self.vnow.append(0.0)
+        self.cap_heaps.append([])
+        self.lvl_heaps.append([])
+        self.capmax_heaps.append([])
+        self.lvlmin_heaps.append([])
+        self.ngroups += 1
+        return self.ngroups - 1
 
     def clone(self) -> "_EngineState":
         other = _EngineState.__new__(_EngineState)
         other.caps = self.caps
         other.ngroups = self.ngroups
         other.start_time = self.start_time
-        other.use_numpy = self.use_numpy
         # Queue columns are read-only during a run: share them.
         other.chans = self.chans
         other.qkey = self.qkey
@@ -273,20 +237,18 @@ def _run_engine(st: _EngineState, until: float | None = None,
                 ) -> dict[object, TransferTiming]:
     """Run the event loop over ``st``, stopping at time ``until``.
 
-    ``until=None`` runs to exhaustion (the one-shot solve and the
-    streaming clone-solve); a finite ``until`` processes exactly the
-    events whose instant is <= ``until`` and suspends — the streaming
-    advance.  The batched drains (tail drain, numpy setup drain) jump
-    past arbitrarily many events, so they only engage on unbounded runs;
+    ``until=None`` runs to exhaustion (a solve's clone); a finite
+    ``until`` processes exactly the events whose instant is <= ``until``
+    and suspends — the streaming advance.  The batched tail drain jumps
+    past arbitrarily many events, so it only engages on unbounded runs;
     the bounded path takes the generic per-event branch, which computes
-    the same floats event by event (the drains replay the event loop's
+    the same floats event by event (the drain replays the event loop's
     arithmetic verbatim — see ``drain_tail``).  Completed items land in
     ``st.timings``; all other state is written back for resumption.
     """
     timings = st.timings
     caps_g = st.caps
     ngroups = st.ngroups
-    use_numpy = st.use_numpy and until is None
     qkey = st.qkey
     qsetup = st.qsetup
     qsize = st.qsize
@@ -496,9 +458,7 @@ def _run_engine(st: _EngineState, until: float | None = None,
         capsum) / remaining`` after each.  The drain follows the
         sorted deadlines until a remaining stream's own cap would
         bind (``rebalance`` then promotes it and the event loop
-        resumes).  The pure path replays the event loop's arithmetic
-        verbatim; the numpy path (``REPRO_SOLVER=numpy``) vectorizes
-        the recurrence with float-ulp divergence only.
+        resumes).  It replays the event loop's arithmetic verbatim.
         """
         nonlocal now, remaining, tot_nlvl
         capacity = caps_g[g]
@@ -512,9 +472,6 @@ def _run_engine(st: _EngineState, until: float | None = None,
                 live[cid] = entry
         entries = sorted(live.values())
         m = len(entries)
-        if use_numpy and m > 2:
-            _drain_tail_numpy(g, entries)
-            return
         # Suffix minimum of the streams' own caps in deadline order:
         # the live top of ``lvlmin_heap`` after j completions.
         sufmin = [math.inf] * (m + 1)
@@ -556,162 +513,6 @@ def _run_engine(st: _EngineState, until: float | None = None,
                     for e in survivors)
                 rebalance(g)
                 return
-
-    def _drain_tail_numpy(g, entries):
-        """Vectorized tail drain: closed-form finish times.
-
-        In exact arithmetic the event loop's virtual time after
-        completing stream j is ``max(vnow, d_j)`` and its level is
-        ``(capacity - capsum) / (nlvl - j)``, so finish times are a
-        cumulative sum over the sorted deadline gaps.  Differs from
-        the pure path only in float rounding (differentially tested).
-        """
-        nonlocal now, remaining, tot_nlvl
-        capacity = caps_g[g]
-        m = len(entries)
-        cids = [e[1] >> _EPOCH_BITS for e in entries]
-        d_arr = _np.array([e[0] for e in entries])
-        caps = _np.array([ecap[c] for c in cids])
-        prev_v = _np.empty(m)
-        prev_v[0] = vnow[g]
-        _np.maximum(d_arr[:-1], vnow[g], out=prev_v[1:])
-        deltas = _np.maximum(d_arr - prev_v, 0.0)
-        counts = nlvl[g] - _np.arange(m)
-        levels = (capacity - capsum[g]) / counts
-        levels[0] = level[g]
-        finishes = now + _np.cumsum(deltas / levels)
-        # Streams beyond the first whose cap meets the risen level
-        # must go back through ``rebalance`` (promotion).
-        cut = m
-        if m > 1:
-            sufmin = _np.minimum.accumulate(caps[::-1])[::-1]
-            bad = _np.nonzero(sufmin[1:] <= levels[1:])[0]
-            if bad.size:
-                cut = int(bad[0]) + 1
-        # No epoch bump on completion: ``cls`` going 0 already stales
-        # every heap entry, and the next begin bumps the epoch anyway.
-        # Local rebinds: this loop touches 100k elements on the fan-out
-        # shape, and LOAD_FAST beats a cell deref per access.
-        fin = finishes[:cut].tolist()
-        cls_l, idx_l, strt_l = cls, idx, strt
-        lastfin_l, qkey_l, tim, make = lastfin, qkey, timings, TransferTiming
-        for cid, f in zip(cids, fin):
-            cls_l[cid] = 0
-            i = idx_l[cid]
-            tim[qkey_l[cid][i]] = make(strt_l[cid], f)
-            lastfin_l[cid] = f
-            idx_l[cid] = i + 1
-        remaining -= cut
-        last = float(finishes[cut - 1])
-        if last > now:
-            now = last
-        top_v = float(d_arr[cut - 1])
-        if top_v > vnow[g]:
-            vnow[g] = top_v
-        nlvl[g] -= cut
-        tot_nlvl -= cut
-        if nlvl[g] == 0:
-            level[g] = math.inf
-            return
-        survivors = entries[cut:]
-        lvl_heaps[g][:] = survivors
-        lvlmin_heaps[g][:] = sorted(
-            (ecap[e[1] >> _EPOCH_BITS], e[1]) for e in survivors)
-        level[g] = (capacity - capsum[g]) / nlvl[g]
-        rebalance(g)
-
-    def drain_setups_numpy():
-        """Vectorized begin wave (``REPRO_SOLVER=numpy``).
-
-        In the saturated regime (no capped streams) a fleet fan-out
-        presents a long run of setup-end events before any stream
-        completes, and every begin takes the saturated fast path —
-        a pure arithmetic recurrence (level falls as ``C / nlvl``,
-        virtual time integrates the level, each stream's virtual
-        deadline is fixed at its begin instant).  Compute the run in
-        closed form, stopping at the first setup where the fast path
-        would not fire or a completion would interleave; the event
-        loop resumes there.  Returns the number of setups consumed.
-        Single-group only (the caller gates on ``ngroups == 1``), so
-        every index below is group 0.
-        """
-        nonlocal now, blockers, tot_nlvl
-        capacity = caps_g[0]
-        lvl_heap = lvl_heaps[0]
-        lvlmin_heap = lvlmin_heaps[0]
-        ends = sorted(setup_heap)
-        total = len(ends)
-        cids = [entry[1] >> _EPOCH_BITS for entry in ends]
-        t_arr = _np.array([entry[0] for entry in ends])
-        sizes = _np.array([qsize[c][idx[c]] for c in cids],
-                          dtype=_np.float64)
-        caps = _np.array([qcap[c][idx[c]] for c in cids])
-        counts = nlvl[0] + _np.arange(total)     # nlvl at begin i
-        share = (capacity - (capsum[0] + caps)) / counts
-        # level on the interval ending at begin i (after i demotes)
-        lvls = _np.empty(total)
-        lvls[0] = level[0]
-        lvls[1:] = (capacity - capsum[0]) / counts[1:]
-        gaps = _np.empty(total)
-        gaps[0] = t_arr[0] - now
-        _np.subtract(t_arr[1:], t_arr[:-1], out=gaps[1:])
-        v_arr = vnow[0] + _np.cumsum(_np.maximum(gaps, 0.0) * lvls)
-        deadlines = v_arr + (sizes / caps) * caps
-        # Fast-path validity: the begin demotes itself and promotes
-        # nothing — its cap and every level-bound cap exceed the
-        # post-entry share.
-        top = peek(lvlmin_heap, 2)
-        prev_cap_min = top[0] if top is not None else math.inf
-        lvl_cap_min = _np.empty(total)
-        lvl_cap_min[0] = prev_cap_min
-        if total > 1:
-            _np.minimum(_np.minimum.accumulate(caps)[:-1], prev_cap_min,
-                        out=lvl_cap_min[1:])
-        ok = (sizes > 0.0) & (caps > share) & (lvl_cap_min > share)
-        # Completion interleave: after begin i the earliest virtual
-        # deadline must not complete before setup i+1 ends.
-        top = peek(lvl_heap, 2)
-        dmin = _np.minimum.accumulate(deadlines)
-        if top is not None:
-            dmin = _np.minimum(dmin, top[0])
-        t_comp = t_arr + _np.maximum(dmin - v_arr, 0.0) \
-            * (counts + 1) / (capacity - capsum[0])
-        ok[1:] &= t_comp[:-1] >= t_arr[1:]
-        bad = _np.nonzero(~ok)[0]
-        consumed = int(bad[0]) if bad.size else total
-        if consumed == 0:
-            return 0
-        cls_l, agrp_l, ecap_l, dat_l = cls, agrp, ecap, dat
-        epo_l, idx_l, qlen_l = epo, idx, qlen
-        lvl_append = lvl_heap.append
-        lvlmin_append = lvlmin_heap.append
-        for cid, cap, deadline in zip(cids, caps[:consumed].tolist(),
-                                      deadlines[:consumed].tolist()):
-            cls_l[cid] = 2
-            agrp_l[cid] = 0
-            ecap_l[cid] = cap
-            dat_l[cid] = deadline
-            e = epo_l[cid] + 1
-            epo_l[cid] = e
-            pack = cid << _EPOCH_BITS | e
-            lvl_append((deadline, pack))
-            lvlmin_append((cap, pack))
-            if idx_l[cid] + 1 < qlen_l[cid]:
-                blockers += 1
-        heapq.heapify(lvl_heap)
-        heapq.heapify(lvlmin_heap)
-        if consumed == total:
-            del setup_heap[:]
-        else:
-            setup_heap[:] = ends[consumed:]  # sorted list is a heap
-        nlvl[0] += consumed
-        tot_nlvl += consumed
-        now = float(t_arr[consumed - 1])
-        last_v = float(v_arr[consumed - 1])
-        if last_v > vnow[0]:
-            vnow[0] = last_v
-        rebalance(0)
-        return consumed
 
     while True:
         # ``remaining`` counts enqueued-not-completed items exactly;
@@ -757,11 +558,6 @@ def _run_engine(st: _EngineState, until: float | None = None,
             break
         if until is not None and best_when > until:
             break  # suspend: the caller resumes past this frontier
-        if best_kind == 0 and use_numpy and ngroups == 1 \
-                and caps_g[0] is not None and ncap[0] == 0 \
-                and nlvl[0] > 0 and len(setup_heap) >= 64:
-            if drain_setups_numpy():
-                continue
         if best_when < now:
             best_when = now
         if best_when > now:
@@ -792,55 +588,32 @@ class ParallelTransferSchedule:
     capped by its peer's bandwidth and by its channel's capacity layer
     (:meth:`limit_channel`), if set.
 
-    :meth:`solve` runs the incremental event simulation (see the module
-    docstring) and returns per-item :class:`TransferTiming` offsets; it
-    does not advance any clock, so the caller decides how the makespan
-    maps onto simulated time.  :meth:`solve_reference` is the dense PR 2
-    solver, kept for differential testing.  :meth:`stream` switches the
-    schedule into streaming mode (see :class:`ScheduleStream`): enqueues
-    feed the persistent core directly, nothing is materialized in the
-    queue mirror, and ``solve()`` answers from a clone of the live core.
+    The work lives in :attr:`stream`, the :class:`ScheduleStream` core
+    that begins at ``start_time``.  :meth:`solve` runs the incremental
+    event simulation (see the module docstring) and returns per-item
+    :class:`TransferTiming` offsets; it does not advance any clock, so
+    the caller decides how the makespan maps onto simulated time.
     """
 
     def __init__(self, downlink_bandwidth: float | None = None,
-                 channel_capacities: dict | None = None):
+                 channel_capacities: dict | None = None,
+                 start_time: float = 0.0):
         if downlink_bandwidth is not None and downlink_bandwidth <= 0:
             raise ValueError("downlink bandwidth must be positive")
-        self._downlink = downlink_bandwidth
-        #: Per-link-group shared capacity; group 0 is the default link.
-        self._link_caps: list[float | None] = [downlink_bandwidth]
-        #: Secondary link name -> group index (see :meth:`add_link`).
+        #: Secondary link name -> link group index (see :meth:`add_link`).
         self._links: dict[object, int] = {}
-        self._queues: dict[object, list[_StreamItem]] = {}
-        #: Column mirror of ``_queues`` — (keys, setups, sizes, bandwidths,
-        #: groups) per channel — so :meth:`_solve` flattens by reference
-        #: instead of walking 100k item objects attribute by attribute.
-        self._cols: dict[object, tuple[list, list, list, list, list]] = {}
         self._channel_caps: dict[object, float] = {}
         #: Bumped on any mutation; lets an unchanged re-solve return the
         #: cached timings (the refresh engine re-solves between waves).
         self._version = 0
-        self._solved: tuple[tuple[int, float], dict] | None = None
-        self._stream: ScheduleStream | None = None
+        self._solved: tuple[int, dict] | None = None
+        self._stream = ScheduleStream(self, downlink_bandwidth, start_time)
         for channel, cap in (channel_capacities or {}).items():
             self.limit_channel(channel, cap)
 
     @property
-    def streaming(self) -> bool:
-        """Whether a :class:`ScheduleStream` owns this schedule's items."""
-        return self._stream is not None
-
-    @property
-    def stream_handle(self) -> "ScheduleStream | None":
-        return self._stream
-
-    def stream(self, start_time: float = 0.0) -> "ScheduleStream":
-        """Switch this (still empty) schedule into streaming mode."""
-        if self._stream is not None:
-            raise RuntimeError("schedule is already streaming")
-        if any(cols[0] for cols in self._cols.values()):
-            raise RuntimeError("stream() requires an empty schedule")
-        self._stream = ScheduleStream(self, start_time)
+    def stream(self) -> "ScheduleStream":
+        """The persistent solver core holding this schedule's work."""
         return self._stream
 
     def add_link(self, link: object, capacity: float | None):
@@ -852,28 +625,22 @@ class ParallelTransferSchedule:
         replica's serving uplink — whose payload phases water-fill
         *that* capacity instead, while the channel queues stay global
         (one client's fetches still serialize across links).
-        Idempotent at the same capacity; declared links cannot be
-        re-declared at a different capacity, and a streaming schedule's
-        link set is frozen when :meth:`stream` is called.
+        Idempotent at the same capacity; a declared link cannot be
+        re-declared at a different capacity.  A link may be declared at
+        any time: its pool starts empty.
         """
         if capacity is not None and capacity <= 0:
             raise ValueError("link capacity must be positive")
+        core = self._stream._st
         group = self._links.get(link)
-        if group is not None:
-            if self._link_caps[group] != capacity:
-                raise ValueError(
-                    f"link {link!r} already declared at capacity "
-                    f"{self._link_caps[group]}, not {capacity}"
-                )
-            return
-        if self._stream is not None:
-            raise RuntimeError(
-                "a streaming schedule's link set is frozen at stream() "
-                "time; declare links before streaming"
+        if group is None:
+            self._links[link] = core.add_group(capacity)
+            self._version += 1
+        elif core.caps[group] != capacity:
+            raise ValueError(
+                f"link {link!r} already declared at capacity "
+                f"{core.caps[group]}, not {capacity}"
             )
-        self._links[link] = len(self._link_caps)
-        self._link_caps.append(capacity)
-        self._version += 1
 
     def has_link(self, link: object) -> bool:
         """Whether ``link`` was declared with :meth:`add_link`."""
@@ -883,20 +650,23 @@ class ParallelTransferSchedule:
         """Cap every payload phase on ``channel`` at ``bandwidth``.
 
         The layered-capacity hook: a fleet client's NIC downlink bounds
-        its stream no matter how much of the shared link is free.  In
-        streaming mode the cap is frozen into each item at enqueue time,
-        so changing a channel's cap once items were enqueued is rejected
-        (the materialized path would apply the latest cap retroactively —
-        a divergence the streaming contract rules out; no caller re-caps
-        a channel at a different rate).
+        its stream no matter how much of the shared link is free.  The
+        cap is frozen into each item as it is enqueued, so a channel's
+        cap is set once, and only while none of its items is in the core:
+        a changed cap, or a first cap on a channel with queued items,
+        raises instead of missing those items.  Repeating the same cap is
+        a no-op (both fetch sessions re-assert a client's NIC before
+        every fetch).
         """
         if bandwidth <= 0:
             raise ValueError("channel capacity must be positive")
-        if (self._stream is not None
-                and self._channel_caps.get(channel, bandwidth) != bandwidth):
+        current = self._channel_caps.get(channel)
+        if current == bandwidth:
+            return
+        if current is not None or channel in self._stream._cid_of:
             raise ValueError(
-                "streaming schedules cannot change a channel's capacity "
-                f"({channel!r}: {self._channel_caps[channel]} -> {bandwidth})"
+                f"cannot cap channel {channel!r} at {bandwidth}: a cap is "
+                f"set once (now {current}), before any of its items queue"
             )
         self._channel_caps[channel] = bandwidth
         self._version += 1
@@ -913,170 +683,30 @@ class ParallelTransferSchedule:
             group = self._links.get(link)
             if group is None:
                 raise ValueError(f"unknown link {link!r}; add_link it first")
-        if self._stream is not None:
-            self._stream._enqueue(channel, key, setup, size_bytes,
-                                  float(bandwidth), group)
-            self._version += 1
-            return
-        self._queues.setdefault(channel, []).append(
-            _StreamItem(key=key, setup=setup, size_bytes=size_bytes,
-                        bandwidth=bandwidth, group=group)
-        )
-        cols = self._cols.get(channel)
-        if cols is None:
-            cols = self._cols[channel] = ([], [], [], [], [])
-        cols[0].append(key)
-        cols[1].append(setup)
-        cols[2].append(size_bytes)
-        cols[3].append(float(bandwidth))
-        cols[4].append(group)
+        self._stream._enqueue(channel, key, setup, size_bytes,
+                              float(bandwidth), group)
         self._version += 1
 
-    def _effective_cap(self, channel: object, bandwidth: float) -> float:
-        limit = self._channel_caps.get(channel)
-        return bandwidth if limit is None else min(bandwidth, limit)
+    def solve(self) -> dict[object, TransferTiming]:
+        """Timings of every item not yet drained from :attr:`stream`.
 
-    # -- incremental solver --------------------------------------------------
-
-    def solve(self, start_time: float = 0.0) -> dict[object, TransferTiming]:
-        stamp = (self._version, start_time)
-        if self._solved is not None and self._solved[0] == stamp:
-            return dict(self._solved[1])
-        if self._stream is not None:
-            if start_time != self._stream.start_time:
-                raise ValueError(
-                    "a streaming schedule solves at its stream's start "
-                    f"time ({self._stream.start_time}), not {start_time}"
-                )
-            timings = self._stream.solve_pending()
-        else:
-            timings = self._solve(start_time)
-        self._solved = (stamp, timings)
-        return dict(timings)
-
-    def _solve(self, start_time: float) -> dict[object, TransferTiming]:
-        use_numpy = _np is not None \
-            and os.environ.get("REPRO_SOLVER") == "numpy"
-        st = _EngineState(list(self._link_caps), start_time, use_numpy)
-
-        # Flatten channels to dense ids (insertion order — the same
-        # tie-break the dict-keyed solver used) and queues to parallel
-        # lists: per-event state access is a list index, never a hash or
-        # comparison of an arbitrary channel object.
-        limits = self._channel_caps
-        for channel, cols in self._cols.items():
-            keys = cols[0]
-            if not keys:
-                continue
-            st.chans.append(channel)
-            st.qkey.append(keys)
-            st.qsetup.append(cols[1])
-            st.qsize.append(cols[2])
-            limit = limits.get(channel)
-            if limit is None:
-                st.qcap.append(cols[3])
-            else:
-                st.qcap.append([bw if bw <= limit else float(limit)
-                                for bw in cols[3]])
-            st.qgrp.append(cols[4])
-        n = len(st.chans)
-        st.qlen = [len(keys) for keys in st.qkey]
-        st.remaining = sum(st.qlen)
-        st.idx = [0] * n
-        st.strt = [start_time] * n
-        st.cls = [0] * n
-        st.ecap = [0.0] * n
-        st.dat = [0.0] * n
-        st.epo = [0] * n
-        st.lastfin = [start_time] * n
-        st.agrp = [0] * n
-        # One heapify beats n heappushes; pop order is identical either
-        # way (packs are unique, so the tuple order is total).
-        st.setup_heap = [(start_time + st.qsetup[cid][0],
-                          cid << _EPOCH_BITS) for cid in range(n)]
-        heapq.heapify(st.setup_heap)
-        return _run_engine(st, None)
-
-    # -- reference solver (PR 2), for differential testing -------------------
-
-    def solve_reference(self, start_time: float = 0.0,
-                        ) -> dict[object, TransferTiming]:
-        """Dense per-event recomputation: every active stream's rate is
-        rebuilt (with a sort) at every event.  O(events × channels log
-        channels) — kept only to differentially validate :meth:`solve`,
-        which must agree with it to float tolerance."""
-        if self._stream is not None:
-            raise RuntimeError(
-                "solve_reference needs the materialized queue mirror, "
-                "which streaming mode never builds"
-            )
-        timings: dict[object, TransferTiming] = {}
-        # Per-channel cursor state: (queue index, phase, phase datum).
-        # phase "setup" -> datum is the absolute end of the setup phase;
-        # phase "transfer" -> datum is the remaining payload bytes.
-        state: dict[object, list] = {}
-        started: dict[object, float] = {}
-        for channel, queue in self._queues.items():
-            if queue:
-                state[channel] = [0, "setup", start_time + queue[0].setup]
-                started[(channel, 0)] = start_time
-        now = start_time
-        while state:
-            # One max-min pool per link group: a stream only contends
-            # with streams on its own link.
-            active_by_group: list[dict] = [{} for _ in self._link_caps]
-            for channel, cursor in state.items():
-                if cursor[1] == "transfer":
-                    item = self._queues[channel][cursor[0]]
-                    active_by_group[item.group][channel] = \
-                        self._effective_cap(channel, item.bandwidth)
-            rates: dict = {}
-            for g, active in enumerate(active_by_group):
-                if active:
-                    rates.update(max_min_rates(active, self._link_caps[g]))
-            horizons: dict[object, float] = {}
-            for channel, cursor in state.items():
-                if cursor[1] == "setup":
-                    horizons[channel] = cursor[2]
-                else:
-                    rate = rates[channel]
-                    horizons[channel] = (now + cursor[2] / rate if rate > 0
-                                         else float("inf"))
-            step_end = min(horizons.values())
-            for channel, cursor in list(state.items()):
-                if cursor[1] == "transfer":
-                    if horizons[channel] <= step_end:
-                        # This stream defines the event: complete it by
-                        # identity, not subtraction — at large clock
-                        # values the per-step drain can round to zero and
-                        # leave a sub-epsilon residue that never clears.
-                        cursor[2] = 0.0
-                    else:
-                        cursor[2] -= rates[channel] * (step_end - now)
-            now = step_end
-            for channel, cursor in list(state.items()):
-                index, phase, datum = cursor
-                item = self._queues[channel][index]
-                if phase == "setup" and datum <= now + 1e-15:
-                    state[channel] = [index, "transfer", float(item.size_bytes)]
-                elif phase == "transfer" and datum <= 1e-9:
-                    timings[item.key] = TransferTiming(
-                        start=started[(channel, index)], finish=now
-                    )
-                    if index + 1 < len(self._queues[channel]):
-                        nxt = self._queues[channel][index + 1]
-                        state[channel] = [index + 1, "setup", now + nxt.setup]
-                        started[(channel, index + 1)] = now
-                    else:
-                        del state[channel]
-        return timings
+        The core's :meth:`~ScheduleStream.solve_pending`, cached until
+        the next mutation; nothing is consumed, so callers may enqueue
+        more work and re-solve.
+        """
+        if self._solved is None or self._solved[0] != self._version:
+            self._solved = (self._version, self._stream.solve_pending())
+        return dict(self._solved[1])
 
 
 class ScheduleStream:
-    """A persistent solver core with frontier advancement and retirement.
+    """The persistent solver core behind a :class:`ParallelTransferSchedule`.
 
-    The streaming contract (everything else follows from the solver's
-    monotonicity):
+    Enqueues append to the core's per-channel queues, and
+    :meth:`solve_pending` (what ``solve()`` returns) runs a clone of it
+    to exhaustion.  A schedule that is only ever solved needs nothing
+    more.  Long plans also advance the core, under the streaming
+    contract (everything else follows from the solver's monotonicity):
 
     * the driver advances the frontier only *between* trace events, to
       the current event's instant — :meth:`advance_to`;
@@ -1091,10 +721,9 @@ class ScheduleStream:
     queue prefixes, and retires fully drained channels — their dense
     slot returns to a free list and only one float (the channel's last
     finish, the anchor a later revival chains its setup off) survives in
-    :attr:`finished`.  Mid-plan ``solve()`` clones the live core and runs
-    the clone to exhaustion; because the clone's state at the frontier
-    equals a from-scratch solve's state there, mid-plan timings match the
-    materialized path exactly while costing O(active streams).
+    :attr:`finished`.  Because a clone's state at the frontier equals a
+    from-scratch solve's state there, advancing never moves a timing,
+    and a solve costs O(active streams).
     """
 
     #: Settle-before-frontier slack for float round-off in wave-gap
@@ -1102,12 +731,9 @@ class ScheduleStream:
     _SLACK = 1e-9
 
     def __init__(self, schedule: ParallelTransferSchedule,
-                 start_time: float = 0.0):
-        use_numpy = _np is not None \
-            and os.environ.get("REPRO_SOLVER") == "numpy"
+                 downlink: float | None, start_time: float):
         self._schedule = schedule
-        self._st = _EngineState(list(schedule._link_caps), start_time,
-                                use_numpy)
+        self._st = _EngineState(downlink, start_time)
         self._cid_of: dict[object, int] = {}
         self._free_cids: list[int] = []
         #: Retired channels' last completion instant (revival anchor and
@@ -1324,7 +950,7 @@ class ScheduleStream:
 
     def solve_pending(self) -> dict[object, TransferTiming]:
         """Timings of everything not yet drained, as a from-scratch
-        ``solve()`` over the full history would report them.
+        solve of the full history would report them.
 
         Clones the live core (O(active state)) and runs the clone to
         exhaustion; merges the settled-but-undrained buffer.

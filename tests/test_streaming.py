@@ -4,11 +4,11 @@ replay mode.
 
 The contract under test everywhere: streaming is a *memory*
 representation change, not a behaviour change.  Transfer timings are
-bit-identical to the one-shot solve (the stream replays the same
-engine on the same enqueues), discrete replay outcomes (installs,
-served serials, published bytes) are exact, and metric sums differ only
-by float re-association; solver/fleet state must track the *active*
-streams, not the whole history.
+bit-identical to a solve of the never-advanced core (advancing replays
+the same engine on the same enqueues), discrete replay outcomes
+(installs, served serials, published bytes) are exact, and metric sums
+differ only by float re-association; solver/fleet state must track the
+*active* streams, not the whole history.
 """
 
 import math
@@ -65,7 +65,7 @@ class TestScheduleStream:
 
             control = ParallelTransferSchedule(downlink_bandwidth=capacity)
             streamed = ParallelTransferSchedule(downlink_bandwidth=capacity)
-            stream = streamed.stream(0.0)
+            stream = streamed.stream
             collected = {}
             for at, items in waves:
                 stream.advance_to(at)
@@ -91,7 +91,7 @@ class TestScheduleStream:
 
     def test_retirement_bounds_live_state(self):
         schedule = ParallelTransferSchedule(downlink_bandwidth=100.0)
-        stream = schedule.stream(0.0)
+        stream = schedule.stream
         for wave in range(50):
             at = float(wave)
             stream.advance_to(at)
@@ -114,7 +114,7 @@ class TestScheduleStream:
 
     def test_frontier_rules(self):
         schedule = ParallelTransferSchedule(downlink_bandwidth=10.0)
-        stream = schedule.stream(0.0)
+        stream = schedule.stream
         stream.advance_to(5.0)
         with pytest.raises(ValueError):
             stream.advance_to(4.0)
@@ -125,7 +125,7 @@ class TestScheduleStream:
 
     def test_channel_free_and_forget(self):
         schedule = ParallelTransferSchedule(downlink_bandwidth=10.0)
-        stream = schedule.stream(0.0)
+        stream = schedule.stream
         schedule.enqueue("a", ("a", 0), 0.5, 10, 5.0)
         assert stream.channel_free("a") == math.inf
         assert stream.channel_free("never") is None
@@ -138,19 +138,8 @@ class TestScheduleStream:
         assert stream.channel_free("a") is None
 
     def test_streaming_schedule_guards(self):
-        schedule = ParallelTransferSchedule(downlink_bandwidth=10.0)
-        schedule.enqueue("a", ("a", 0), 0.0, 10, 5.0)
-        with pytest.raises(RuntimeError):
-            schedule.stream(0.0)  # not empty
-
-        fresh = ParallelTransferSchedule(downlink_bandwidth=10.0)
-        fresh.stream(1.0)
-        with pytest.raises(RuntimeError):
-            fresh.stream(1.0)  # already streaming
-        with pytest.raises(ValueError):
-            fresh.solve(start_time=0.0)  # wrong plan origin
-        with pytest.raises(RuntimeError):
-            fresh.solve_reference()
+        fresh = ParallelTransferSchedule(downlink_bandwidth=10.0,
+                                         start_time=1.0)
         fresh.limit_channel("a", 4.0)
         fresh.limit_channel("a", 4.0)  # same cap: fine
         with pytest.raises(ValueError):
@@ -158,7 +147,7 @@ class TestScheduleStream:
 
     def test_solve_on_stream_reports_pending(self):
         schedule = ParallelTransferSchedule(downlink_bandwidth=10.0)
-        stream = schedule.stream(0.0)
+        stream = schedule.stream
         schedule.enqueue("a", ("a", 0), 0.0, 100, 5.0)
         schedule.enqueue("a", ("a", 1), 0.0, 100, 5.0)
         mid = schedule.solve()

@@ -397,7 +397,6 @@ class TestPlanFetchSession:
     def test_wave_pins_start_offsets(self):
         scenario = self._scenario()
         schedule = ParallelTransferSchedule(downlink_bandwidth=3 * 2 ** 20)
-        schedule.stream(0.0)
         session = PlanFetchSession(scenario.network, schedule)
         node, _ = scenario.new_node("puller", session=None)
         session.begin_wave(5.0)
@@ -414,7 +413,7 @@ class TestPlanFetchSession:
     def test_waves_must_be_time_ordered(self):
         scenario = self._scenario()
         schedule = ParallelTransferSchedule()
-        stream = schedule.stream(0.0)
+        stream = schedule.stream
         session = PlanFetchSession(scenario.network, schedule)
         stream.advance_to(5.0)
         session.begin_wave(5.0)
@@ -424,7 +423,7 @@ class TestPlanFetchSession:
     def test_second_wave_queues_behind_first(self):
         scenario = self._scenario()
         schedule = ParallelTransferSchedule(downlink_bandwidth=3 * 2 ** 20)
-        stream = schedule.stream(0.0)
+        stream = schedule.stream
         session = PlanFetchSession(scenario.network, schedule)
         scenario.new_node("puller", session=None)
         request = Request(scenario.tsr.hostname, "get_index",
@@ -445,7 +444,6 @@ class TestPlanFetchSession:
     def test_failed_fetch_charges_timeout_and_raises(self):
         scenario = self._scenario()
         schedule = ParallelTransferSchedule()
-        schedule.stream(0.0)
         session = PlanFetchSession(scenario.network, schedule)
         scenario.new_node("puller", session=None)
         scenario.network.set_down(scenario.tsr.hostname)
@@ -459,11 +457,6 @@ class TestPlanFetchSession:
         key = session.last_key("puller")
         assert timings[key].finish == pytest.approx(
             1.0 + scenario.network.timeout)
-
-    def test_requires_a_streaming_schedule(self):
-        scenario = self._scenario()
-        with pytest.raises(ValueError):
-            PlanFetchSession(scenario.network, ParallelTransferSchedule())
 
 
 # -- resumable orchestrator plan ----------------------------------------------
