@@ -90,9 +90,10 @@ def test_fig10_cache_latency(content_scenario, benchmark):
     table.add_row("Sanitized", human_duration(mean(sanitized_lat)), "129x",
                   f"{speedup_sanitized:.0f}x")
     table.note(f"{len(sample)} packages sampled; means over one pass")
-    table.note("the Original-cache speedup is smaller here than the "
-               "paper's 2.7x because CPython sanitization dominates the "
-               "saved mirror fetch; ordering and magnitudes reproduce")
+    table.note("the Original-cache speedup tracks how really executed "
+               "sanitization (signing on OpenSSL, the rest in CPython) "
+               "compares with the saved mirror fetch; ordering and "
+               "magnitudes reproduce")
     record_table(table)
 
     # Shape: strict ordering; sanitized-cache wins by orders of magnitude.

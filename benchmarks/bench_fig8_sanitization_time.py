@@ -4,10 +4,12 @@ Paper: sanitization time is heavily skewed — 11 ms (p50), 36 ms (p75),
 422 ms (p95), up to 30 s (p100) — and grows with both the number of files
 (signing) and the package size (archive processing).
 
-Our absolute numbers differ by a constant factor (CPython vs the paper's
-Rust prototype); the skew and the growth directions are the reproduced
-shape.  Timings are *native* (outside the simulated enclave), like the
-paper's instrumentation.
+Signing exponentiates on OpenSSL's Montgomery kernel
+(``repro.crypto.bignum``), native like the paper's Rust prototype, so p50
+and p75 land near the paper's; the rest of the pipeline is CPython, so
+absolute numbers are not expected to match.  The skew and the growth
+directions are the reproduced shape.  Timings are *native* (outside the
+simulated enclave), like the paper's instrumentation.
 """
 
 from repro.bench.report import PaperTable, record_table

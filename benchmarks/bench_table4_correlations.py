@@ -57,11 +57,13 @@ def test_table4_phase_correlations(content_scenario, benchmark):
                       f"{measured_files:+.2f}", f"{paper_size:+.2f}",
                       f"{measured_size:+.2f}")
     table.note(
-        "deviation: in CPython, RSA signing costs a larger share than in "
-        "the paper's Rust prototype, so the *archive* share anti-correlates "
-        "with file count here; the narrative-carrying signs (signing "
-        "dominates many-file packages, integrity checking and script "
-        "rewriting fade) reproduce — see EXPERIMENTS.md"
+        "deviation: per-file RSA signing still costs a larger share of a "
+        "many-file package than in the paper's Rust prototype, so the "
+        "*archive* share anti-correlates with file count here; signing "
+        "runs on OpenSSL's Montgomery kernel, so its share barely tracks "
+        "package size, as in the paper; the narrative-carrying signs "
+        "(signing dominates many-file packages, integrity checking and "
+        "script rewriting fade) reproduce — see EXPERIMENTS.md"
     )
     record_table(table)
 

@@ -4,13 +4,19 @@ Miller-Rabin with 40 rounds gives a < 2^-80 error probability, which is the
 standard engineering choice. A small-prime sieve rejects most candidates
 cheaply before the expensive witness loop runs, and a factor below 2^16
 lets about half of the remaining composites fail their first round modulo
-that factor instead of the full-size candidate.
+that factor instead of the full-size candidate.  Each round's witness
+exponentiation runs on :func:`repro.crypto.bignum.powmod`, which returns
+exactly what ``pow`` does, so verdicts, the rng stream and every seeded key
+are those of the pure-Python loop; the squarings that follow stay on
+``pow``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+from repro.crypto.bignum import powmod
 
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -39,7 +45,7 @@ _SIEVE_PRODUCT = math.prod(_odd_primes_below(1 << 16))
 
 def _round_passes(witness: int, d: int, r: int, modulus: int) -> bool:
     """One Miller-Rabin round for ``modulus - 1 == d * 2**r``, ``d`` odd."""
-    x = pow(witness, d, modulus)
+    x = powmod(witness, d, modulus)
     if x in (1, modulus - 1):
         return True
     for _ in range(r - 1):

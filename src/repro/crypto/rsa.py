@@ -2,8 +2,11 @@
 
 This mirrors what Alpine Linux's ``abuild-sign`` produces: RSA keys whose
 SHA-256 PKCS#1 v1.5 signatures are ``modulus_size`` bytes long (256 bytes for
-RSA-2048).  Signing uses the CRT optimization; verification is a single
-public-exponent exponentiation.
+RSA-2048).  Signing uses the CRT optimization, and its two half-size
+private exponentiations run on OpenSSL's constant-time Montgomery kernel
+(:func:`repro.crypto.bignum.powmod`, bit-identical to ``pow``);
+verification is a single public-exponent exponentiation (e = 65537), cheap
+enough for built-in ``pow``.
 
 Keys serialize to a PEM-like container (see :mod:`repro.crypto.pem`) so that
 security policies can embed them exactly as the paper's Listing 1 shows.
@@ -15,6 +18,7 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
+from repro.crypto.bignum import powmod
 from repro.crypto.hashes import SHA256_DIGEST_SIZE, sha256_bytes
 from repro.crypto.pem import pem_decode, pem_encode
 from repro.crypto.primes import generate_prime
@@ -174,8 +178,8 @@ class RsaPrivateKey:
         m = _os2ip(em)
         # CRT: two half-size exponentiations instead of one full-size.
         dp, dq, q_inv = self._crt_params()
-        m1 = pow(m, dp, self.p)
-        m2 = pow(m, dq, self.q)
+        m1 = powmod(m, dp, self.p)
+        m2 = powmod(m, dq, self.q)
         h = (q_inv * (m1 - m2)) % self.p
         s = m2 + h * self.q
         signature = _i2osp(s, self.size_bytes)

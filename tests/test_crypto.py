@@ -1,9 +1,13 @@
 """Tests for the from-scratch crypto stack (hashes, RSA, PEM, certificates)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import bignum, rsa
+from repro.crypto.bignum import powmod
 from repro.crypto.certs import CertificateAuthority, Certificate, verify_chain
 from repro.crypto.hashes import hmac_sha256, sha256_bytes, sha256_hex
 from repro.crypto.pem import pem_decode, pem_encode
@@ -167,6 +171,66 @@ class TestRsa:
     def test_roundtrip_any_message(self, message):
         key = generate_keypair(512, seed=99)
         assert key.public_key.verify(message, key.sign(message))
+
+    def test_golden_keys_and_signatures(self):
+        """Seeded keys and their signatures are byte-identical to those of
+        the pure-``pow`` implementation, whichever modexp kernel runs."""
+        h = hashlib.sha256()
+        for bits, seed in [(1024, s) for s in range(4)] + [(2048, 2048)]:
+            k = generate_keypair(bits, seed=seed)
+            h.update(f"{bits}:{seed}:{k.n:x}:{k.d:x}\n".encode())
+            for i in range(16):
+                h.update(k.sign(b"golden-%d" % i))
+        assert h.hexdigest() == (
+            "8a19bc81de300f06e380c1850af7495bd579199fe4ba42d1068f68634543a29f"
+        )
+
+    def test_self_check_catches_a_faulty_kernel(self, rsa_key, monkeypatch):
+        monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
+        monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
+        monkeypatch.setattr(
+            rsa, "powmod",
+            lambda base, exp, mod: (bignum.powmod(base, exp, mod) + 1) % mod)
+        with pytest.raises(SignatureError,
+                           match="self-check of freshly produced signature failed"):
+            rsa_key.sign(b"faulted CRT half")
+
+
+def _same_as_pow(base, exponent, modulus):
+    try:
+        expected = pow(base, exponent, modulus)
+    except ValueError:  # negative exponent without an inverse
+        with pytest.raises(ValueError):
+            powmod(base, exponent, modulus)
+    else:
+        assert powmod(base, exponent, modulus) == expected
+
+
+class TestBignum:
+    def test_backend_is_reported(self):
+        assert bignum.BACKEND in ("openssl", "python")
+
+    def test_matches_pow_on_small_operands_exhaustively(self):
+        """Moduli 1 and 2, even moduli and negative exponents take the
+        ``pow`` fallback; the rest run on the kernel."""
+        for modulus in range(1, 34):
+            for exponent in (-2, -1, 0, 1, 2, 3, 7, 64):
+                for base in range(-40, 41):
+                    _same_as_pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize(
+        "bits", [2, 3, 8, 31, 32, 33, 64, 65, 127, 512, 1024, 2048, 4096])
+    def test_matches_pow_on_seeded_operands(self, bits):
+        rng = random.Random(bits)
+        odd = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        for shift, modulus in enumerate((odd, odd - 1)):
+            exponents = [0, 1, rng.getrandbits(4), rng.getrandbits(bits),
+                         rng.getrandbits(bits + 67)]
+            bases = [rng.randrange(modulus), 0, modulus,
+                     modulus + rng.randrange(modulus),
+                     -rng.randrange(1, modulus * modulus + 2)]
+            for i, exponent in enumerate(exponents):
+                _same_as_pow(bases[(i + shift) % 5], exponent, modulus)
 
 
 class TestPem:

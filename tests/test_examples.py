@@ -40,6 +40,12 @@ class TestExamples:
         assert "cross-tenant dedupe" in result.stdout
         assert "multi-tenant orchestrated refresh complete" in result.stdout
 
+    def test_fleet_attestation(self):
+        result = _run("fleet_attestation.py")
+        assert result.returncode == 0, result.stderr
+        assert "mirror-channel nodes are all false positives" in result.stdout
+        assert "the one red TSR node is the real implant" in result.stdout
+
     def test_trace_replay(self):
         result = _run("trace_replay.py")
         assert result.returncode == 0, result.stderr

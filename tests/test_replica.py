@@ -249,8 +249,30 @@ class TestAdversarialSync:
         scenario.tsr.record_publication(scenario.repo_id, 0.0)
         replica = ReplicaTSR("edge-00.example", scenario.tsr,
                              sync_cadence=1.0)
-        replica.sync_from_primary(at=scenario.clock.now() + 0.1)
+        # Advance the clock rather than stamping the sync ahead of it: a
+        # later sync at ``clock.now()`` must land after this one however
+        # little simulated time the next publication round takes.
+        scenario.clock.advance(0.1)
+        replica.sync_from_primary(at=scenario.clock.now())
         return scenario, replica
+
+    def test_sync_stamped_before_heartbeat_adopts_without_rewinding(self):
+        scenario, replica = self._scenario_and_replica()
+        heartbeat = scenario.clock.now() + 5.0
+        replica.sync_from_primary(at=heartbeat)
+        assert replica.synced_through == heartbeat
+        assert len(replica._publications[scenario.repo_id]) == 1
+        _publish_round(scenario, seed=1)
+        assert scenario.clock.now() < heartbeat
+
+        # A sync stamped before the heartbeat still adopts everything
+        # published by its own instant, and freshness never moves back.
+        assert replica.sync_from_primary(at=scenario.clock.now()) == 1
+        assert replica.sync_failures == 0
+        assert replica.synced_through == heartbeat
+        assert replica._publications[scenario.repo_id] == \
+            scenario.tsr.publications(scenario.repo_id)
+        assert len(replica._publications[scenario.repo_id]) == 2
 
     def test_tampered_sync_envelope_never_adopted(self):
         scenario, replica = self._scenario_and_replica()
