@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.archive.gz import (
-    gzip_compress_cached,
-    gzip_compress_cached_with_cost,
-    gzip_decompress,
-    split_gzip_streams,
-)
+from repro.archive.gz import gzip_compress_cached_with_cost, split_gzip_streams
 from repro.archive.tar import TarEntry, read_tar, write_tar
 from repro.crypto.hashes import sha256_bytes, sha256_hex
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
@@ -118,9 +113,6 @@ class ApkPackage:
             entries.append(entry)
         return write_tar(entries)
 
-    def _data_tar_gz(self) -> bytes:
-        return gzip_compress_cached(self._data_tar())
-
     def build_segments(self, signing_key: RsaPrivateKey,
                        key_name: str = "builder") -> tuple[bytes, bytes, bytes]:
         """The three compressed segments (signature, control, data).
@@ -169,9 +161,10 @@ class ApkPackage:
     @classmethod
     def parse(cls, blob: bytes) -> "ParsedApk":
         """Split an apk into its segments and decode metadata."""
-        segments = split_gzip_streams(blob, expected=3)
-        signature_entries = read_tar(gzip_decompress(segments[0]))
-        control_entries = read_tar(gzip_decompress(segments[1]))
+        (_, signature_tar), (control_gz, control_tar), (data_gz, data_tar) = \
+            split_gzip_streams(blob, expected=3)
+        signature_entries = read_tar(signature_tar)
+        control_entries = read_tar(control_tar)
         signature = None
         signer_name = None
         for entry in signature_entries:
@@ -193,7 +186,7 @@ class ApkPackage:
         if pkginfo is None:
             raise PackagingError("apk control segment missing .PKGINFO")
         meta = _parse_pkginfo(pkginfo)
-        data_entries = read_tar(gzip_decompress(segments[2]))
+        data_entries = read_tar(data_tar)
         files = []
         for entry in data_entries:
             if not entry.is_file:
@@ -218,8 +211,8 @@ class ApkPackage:
             package=package,
             signature=signature,
             signer_name=signer_name,
-            control_gz=segments[1],
-            data_gz=segments[2],
+            control_gz=control_gz,
+            data_gz=data_gz,
             datahash=meta["datahash"],
         )
 

@@ -74,29 +74,35 @@ def gzip_decompress(data: bytes) -> bytes:
     return out
 
 
-def split_gzip_streams(data: bytes, expected: int | None = None) -> list[bytes]:
-    """Split concatenated gzip streams into their compressed byte ranges.
+def split_gzip_streams(data: bytes, expected: int | None = None,
+                       ) -> list[tuple[bytes, bytes]]:
+    """Split concatenated gzip streams, inflating each member once.
 
-    Returns the raw *compressed* bytes of each stream (the apk signature is
-    issued over the compressed control segment, so byte ranges matter).
+    Returns one ``(compressed, inflated)`` pair per member: the raw
+    compressed byte range (the apk signature is issued over the compressed
+    control segment, so byte ranges matter) and the member's payload.
+    Finding where a member ends means inflating it anyway, so callers take
+    the payload from here instead of running :func:`gzip_decompress`
+    again; zlib checks each member's CRC32 and ISIZE trailer as it goes.
     """
     if not data.startswith(_GZIP_MAGIC):
         raise PackagingError("payload does not start with a gzip stream")
-    streams: list[bytes] = []
+    view = memoryview(data)
+    streams: list[tuple[bytes, bytes]] = []
     offset = 0
     while offset < len(data):
         if data[offset:offset + 2] != _GZIP_MAGIC:
             raise PackagingError(f"garbage between gzip streams at offset {offset}")
         decompressor = zlib.decompressobj(wbits=31)
         try:
-            decompressor.decompress(data[offset:])
-            decompressor.flush()
+            inflated = decompressor.decompress(view[offset:])
+            inflated += decompressor.flush()
         except zlib.error as exc:
             raise PackagingError(f"corrupt gzip stream at offset {offset}: {exc}") from exc
         if not decompressor.eof:
             raise PackagingError(f"truncated gzip stream at offset {offset}")
         consumed = len(data) - offset - len(decompressor.unused_data)
-        streams.append(data[offset:offset + consumed])
+        streams.append((data[offset:offset + consumed], inflated))
         offset += consumed
     if expected is not None and len(streams) != expected:
         raise PackagingError(

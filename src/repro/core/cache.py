@@ -131,10 +131,6 @@ class PackageCache:
         self.manifest_misses = 0
 
     @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
     def shard_budget_bytes(self) -> int | None:
         return self._budget
 
@@ -248,9 +244,6 @@ class PackageCache:
     def original_was_evicted(self, repo_id: str, name: str) -> bool:
         """Was this original evicted since last asked?  Pops the marker."""
         return self._pop_evicted(self._path(ORIGINAL_PREFIX, repo_id, name))
-
-    def sanitized_was_evicted(self, repo_id: str, name: str) -> bool:
-        return self._pop_evicted(self._path(SANITIZED_PREFIX, repo_id, name))
 
     def content_was_evicted(self, sha256: str) -> bool:
         return self._pop_evicted(self._content_path(sha256))
@@ -404,10 +397,6 @@ class PackageCache:
             return None
         self.manifest_hits += 1
         return manifest
-
-    def has_chunk_manifest(self, sha256: str) -> bool:
-        index = self.content_shard_index(sha256)
-        return self._shards[index].isfile(self._manifest_path(sha256))
 
     def drop_chunk_manifest(self, sha256: str):
         """Forget a manifest whose base publication was pruned

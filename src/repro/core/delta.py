@@ -29,14 +29,20 @@ diffing compressed apk bytes saves almost nothing.  The apk's signature
 and control segments travel as literals (they are small and the signature
 covers the compressed control bytes), the data segment as content-defined
 chunk ops (:mod:`repro.archive.chunks`) against the client's cached prior
-version.  The client patches the decompressed data tar, recompresses with
-the repo's deterministic gzip, reassembles the three streams, and checks
+version.  The client patches the decompressed data tar, recompresses it
+through the deterministic-gzip memo (:func:`gzip_compress_cached`: the
+sanitizer's repack already deflated a genuine target's tar, so the patch
+costs no second deflate), reassembles the three streams, and checks
 the whole-blob SHA-256 from the envelope — the package manager then
 re-verifies size, hash and signature against the signed index exactly as
 for a full pull, so accepted bytes are *identical* to a full pull by
-construction.  The TSR side needs only a chunk *manifest* (ordered chunk
-ids) of the base, never its bytes: manifests live in the package cache
-(:meth:`repro.core.cache.PackageCache.put_chunk_manifest`).
+construction.  The TSR side diffs against a chunk *manifest* (ordered
+chunk ids) of the base, built on the first delta request against that
+base from the retained publication's copy of its bytes
+(:meth:`repro.core.service.TrustedSoftwareRepository.chunk_manifest`) and
+kept in the package cache
+(:meth:`repro.core.cache.PackageCache.put_chunk_manifest`) until retention
+prunes the last publication that pins it.
 
 Every malformed, mismatched, or unapplicable envelope raises
 :class:`DeltaError` (or :class:`RollbackError` for the stale-serial case)
@@ -56,7 +62,12 @@ from repro.archive.chunks import (
     decode_ops,
     encode_ops,
 )
-from repro.archive.gz import gzip_compress, gzip_decompress, split_gzip_streams
+from repro.archive.gz import (
+    gzip_compress,
+    gzip_compress_cached,
+    gzip_decompress,
+    split_gzip_streams,
+)
 from repro.archive.index import (
     IndexEntry,
     RepositoryIndex,
@@ -220,8 +231,7 @@ def apply_index_delta(base: RepositoryIndex,
 
 def blob_manifest(blob: bytes) -> bytes:
     """Chunk manifest of an apk blob's *uncompressed data segment*."""
-    _, _, data_gz = split_gzip_streams(blob, expected=3)
-    data = gzip_decompress(data_gz)
+    _, data = split_gzip_streams(blob, expected=3)[2]
     return MANIFEST_HEADER + "".join(
         f"{cid}\n" for cid in chunk_ids(data)).encode()
 
@@ -250,9 +260,8 @@ def build_package_delta(base_manifest: bytes,
     """
     base_ids = set(parse_manifest(base_manifest))
     try:
-        sig_gz, control_gz, data_gz = split_gzip_streams(target_blob,
-                                                         expected=3)
-        data = gzip_decompress(data_gz)
+        (sig_gz, _), (control_gz, _), (_, data) = split_gzip_streams(
+            target_blob, expected=3)
     except PackagingError as exc:
         raise DeltaError(f"target blob is not a valid apk: {exc}") from exc
     ops = build_chunk_ops(base_ids, data)
@@ -308,14 +317,13 @@ def apply_package_delta(base_blob: bytes, payload: bytes) -> bytes:
         raise DeltaError(f"malformed pdelta header {header!r}") from exc
     try:
         inner = gzip_decompress(inner_gz)
-        _, _, base_data_gz = split_gzip_streams(base_blob, expected=3)
-        base_data = gzip_decompress(base_data_gz)
+        _, base_data = split_gzip_streams(base_blob, expected=3)[2]
     except PackagingError as exc:
         raise DeltaError(f"undecodable delta payload: {exc}") from exc
     sig_gz, offset = _read_sized(inner, b"S:", 0)
     control_gz, offset = _read_sized(inner, b"C:", offset)
     data = apply_chunk_ops(decode_ops(inner[offset:]), chunk_map(base_data))
-    blob = sig_gz + control_gz + gzip_compress(data)
+    blob = sig_gz + control_gz + gzip_compress_cached(data)
     if len(blob) != new_size or sha256_hex(blob) != new_sha:
         raise DeltaError(
             "package delta reconstruction does not match the declared "

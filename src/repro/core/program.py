@@ -12,8 +12,6 @@ and feeds results in through ecalls, the standard SGX partitioning.
 
 from __future__ import annotations
 
-import json
-
 from repro.archive.index import IndexEntry, RepositoryIndex, parse_index_cached
 from repro.core.catalog import RepositoryCatalog, extract_scan_delta
 from repro.core.policy import SecurityPolicy
@@ -616,8 +614,3 @@ def _catalog_from_dict(raw: dict) -> RepositoryCatalog:
     catalog.user_primary_group = dict(raw.get("primary", {}))
     catalog.insecure_findings = [tuple(pair) for pair in raw.get("insecure", [])]
     return catalog
-
-
-def state_to_json(snapshot: dict) -> str:
-    """Canonical JSON used by the sealing flow."""
-    return json.dumps(snapshot, sort_keys=True)

@@ -66,7 +66,6 @@ class ReplicaTSR:
         #: replica's full-pull reasons stay byte-identical to the
         #: primary's ("retention"/"depth" vs "unknown-base").
         self._pruned_through: dict[str, int] = {}
-        self._pruned_manifest_shas: set[str] = set()
         # Serving accounting (the replica's share of the fleet traffic).
         self.serve_count = 0
         self.delta_index_serves = 0
@@ -194,7 +193,6 @@ class ReplicaTSR:
         pruned = self._primary._pruned_through.get(repo_id)
         if pruned is not None:
             self._pruned_through[repo_id] = pruned
-        self._pruned_manifest_shas = self._primary._pruned_manifest_shas
         return changed
 
     def _verify_envelope(self, repo_id: str, ours, payload: object):
@@ -420,8 +418,9 @@ class ReplicaTSR:
             self._count_fallback(self.delta_package_fallbacks, "same")
             return package_full_envelope("same", blob)
         # The manifest store is content-addressed and synced alongside
-        # publications; the simulation shares the primary's copy.
-        manifest = self._primary.cache.get_chunk_manifest(base_sha256)
+        # publications; the simulation shares the primary's copy, which
+        # the primary builds on the first request against the base.
+        manifest = self._primary.chunk_manifest(base_sha256)
         if manifest is None:
             self._count_fallback(self.delta_package_fallbacks, "unknown-base")
             return package_full_envelope("unknown-base", blob)

@@ -688,6 +688,10 @@ class TrustedSoftwareRepository:
         publication; reads bypass recency so snapshotting does not skew
         eviction).  ``available_at`` is clamped monotonic: a round that
         finished out of order can never publish *before* its predecessor.
+        No chunk manifest is built here: :meth:`chunk_manifest` builds a
+        base's manifest from these captured blobs on the first delta
+        request against it, so publications nobody diffs against cost no
+        chunking.
 
         The log is bounded: once it exceeds ``publication_retention``
         (default ``delta_log_depth + 1`` — every base within the delta
@@ -713,12 +717,6 @@ class TrustedSoftwareRepository:
             if blob is not None and len(blob) == entry.size \
                     and sha256_hex(blob) == entry.sha256:
                 blobs[name] = blob
-        if self.delta_log_depth > 0:
-            # Retain chunk manifests of everything this publication pins:
-            # the next round's delta serving diffs against these even
-            # after the blobs themselves age out of the cache.
-            for name, blob in blobs.items():
-                self._ensure_manifest(index.entries[name].sha256, blob)
         if previous is not None:
             available_at = max(available_at, previous.available_at)
         publication = Publication(
@@ -844,17 +842,34 @@ class TrustedSoftwareRepository:
 
     # -- delta serving (publication-log diffs) --------------------------------
 
-    def _ensure_manifest(self, sha256: str, blob: bytes):
-        """Retain the chunk manifest of a served/published blob so it can
-        act as a delta base next round (idempotent, fails open)."""
-        if self.cache.has_chunk_manifest(sha256):
-            return
+    def chunk_manifest(self, sha256: str) -> bytes | None:
+        """The chunk manifest of delta base ``sha256``, built on first use.
+
+        Returns the cached manifest, else builds one from a retained
+        publication's copy of the blob and caches it, else ``None`` (the
+        base was never published, was pruned with its publication, or is
+        not a chunkable apk).  Every tenant's log is searched because
+        manifests are keyed by content.
+        """
+        manifest = self.cache.get_chunk_manifest(sha256)
+        if manifest is not None:
+            return manifest
         from repro.core.delta import blob_manifest
         from repro.util.errors import DeltaError, PackagingError
+        blob = next((publication.blobs[name]
+                     for log in self._publications.values()
+                     for publication in log
+                     for name, (_, pinned) in publication.entries.items()
+                     if pinned == sha256 and name in publication.blobs),
+                    None)
+        if blob is None:
+            return None
         try:
-            self.cache.put_chunk_manifest(sha256, blob_manifest(blob))
+            manifest = blob_manifest(blob)
         except (DeltaError, PackagingError):
-            pass  # unmanifestable blob: delta requests fall back to full
+            return None  # unmanifestable blob: delta requests fall back
+        self.cache.put_chunk_manifest(sha256, manifest)
+        return manifest
 
     def _delta_target(self, repo_id: str,
                       as_of: float | None) -> Publication | None:
@@ -985,13 +1000,10 @@ class TrustedSoftwareRepository:
         if self.delta_log_depth <= 0:
             self._count_fallback(self.delta_package_fallbacks, "disabled")
             return package_full_envelope("disabled", blob)
-        # This serve's target is the fleet's next-round base: retain its
-        # manifest now, whatever this request ends up being served as.
-        self._ensure_manifest(new_sha, blob)
         if base_sha256 == new_sha:
             self._count_fallback(self.delta_package_fallbacks, "same")
             return package_full_envelope("same", blob)
-        manifest = self.cache.get_chunk_manifest(base_sha256)
+        manifest = self.chunk_manifest(base_sha256)
         if manifest is None:
             if base_sha256 in self._pruned_manifest_shas:
                 self.retention_full_pulls += 1

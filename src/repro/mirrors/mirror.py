@@ -57,10 +57,6 @@ class Mirror:
             return
         self._snapshot = self._origin.snapshot()
 
-    def pin_to(self, serial: int):
-        """Point a replay mirror at a specific vulnerable snapshot."""
-        self._snapshot = self._origin.snapshot_at(serial)
-
     @property
     def serial(self) -> int:
         return self._snapshot.serial

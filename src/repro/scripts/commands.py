@@ -464,7 +464,3 @@ _COMMANDS: dict[str, CommandFn] = {
 def lookup(name: str) -> CommandFn | None:
     """Resolve a command name; None means unsupported."""
     return _COMMANDS.get(name)
-
-
-def supported_commands() -> list[str]:
-    return sorted(_COMMANDS)

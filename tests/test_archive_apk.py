@@ -1,5 +1,7 @@
 """Tests for gzip segments, the apk container, and the repository index."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +23,11 @@ class TestGzip:
 
     def test_split_three_streams(self):
         parts = [gzip_compress(b"sig"), gzip_compress(b"ctrl"), gzip_compress(b"data")]
-        streams = split_gzip_streams(b"".join(parts), expected=3)
+        pairs = split_gzip_streams(b"".join(parts), expected=3)
+        streams = [compressed for compressed, _ in pairs]
         assert streams == parts
         assert [gzip_decompress(s) for s in streams] == [b"sig", b"ctrl", b"data"]
+        assert [inflated for _, inflated in pairs] == [b"sig", b"ctrl", b"data"]
 
     def test_split_rejects_wrong_count(self):
         blob = gzip_compress(b"only one")
@@ -38,6 +42,35 @@ class TestGzip:
         blob = gzip_compress(b"x" * 1000)
         with pytest.raises(PackagingError):
             split_gzip_streams(blob[:-5])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_split_inflates_like_decompress_over_member_mixes(self, seed):
+        rng = random.Random(f"gzip-mix:{seed}")
+        kinds = {
+            "empty": b"",
+            "one-byte": bytes([rng.randrange(256)]),
+            "incompressible": rng.randbytes(64 * 1024),
+            "compressible": bytes([rng.randrange(256)]) * (64 * 1024),
+        }
+        members = [kinds[rng.choice(sorted(kinds))]
+                   for _ in range(rng.randint(1, 4))]
+        parts = [gzip_compress(member) for member in members]
+        pairs = split_gzip_streams(b"".join(parts), expected=len(parts))
+        assert [compressed for compressed, _ in pairs] == parts
+        for (compressed, inflated), member in zip(pairs, members):
+            assert inflated == gzip_decompress(compressed) == member
+
+    @pytest.mark.parametrize("corrupt", [0, 1, 2])
+    def test_split_rejects_corrupted_member_crc(self, corrupt):
+        parts = [gzip_compress(b"sig"), gzip_compress(b"ctrl" * 50),
+                 gzip_compress(b"data" * 500)]
+        # The gzip trailer is CRC32 then ISIZE: flip one CRC byte.
+        crc_at = len(parts[corrupt]) - 8
+        member = bytearray(parts[corrupt])
+        member[crc_at] ^= 0x01
+        parts[corrupt] = bytes(member)
+        with pytest.raises(PackagingError):
+            split_gzip_streams(b"".join(parts), expected=3)
 
     def test_decompress_rejects_trailing_garbage(self):
         with pytest.raises(PackagingError):
@@ -89,12 +122,12 @@ class TestApk:
     def test_verify_detects_tampered_data_segment(self, rsa_key):
         pkg = _sample_package()
         blob = pkg.build(rsa_key)
-        streams = split_gzip_streams(blob, expected=3)
+        streams = [gz for gz, _ in split_gzip_streams(blob, expected=3)]
         # Replace the data segment with different (validly compressed) bytes.
         evil = ApkPackage(name=pkg.name, version=pkg.version,
                           files=[PackageFile(path="/bin/backdoor", content=b"evil")])
         evil_blob = evil.build(rsa_key)
-        evil_data = split_gzip_streams(evil_blob, expected=3)[2]
+        evil_data = split_gzip_streams(evil_blob, expected=3)[2][0]
         tampered = streams[0] + streams[1] + evil_data
         parsed = ApkPackage.parse(tampered)
         with pytest.raises(IntegrityError):
@@ -102,10 +135,11 @@ class TestApk:
 
     def test_verify_detects_tampered_control_segment(self, rsa_key):
         blob = _sample_package().build(rsa_key)
-        streams = split_gzip_streams(blob, expected=3)
+        streams = [gz for gz, _ in split_gzip_streams(blob, expected=3)]
         other = _sample_package()
         other.version = "9.9.9-r9"
-        other_streams = split_gzip_streams(other.build(rsa_key), expected=3)
+        other_streams = [gz for gz, _ in
+                         split_gzip_streams(other.build(rsa_key), expected=3)]
         # Old signature + new control: signature check must fail.
         tampered = streams[0] + other_streams[1] + other_streams[2]
         parsed = ApkPackage.parse(tampered)
@@ -141,7 +175,7 @@ class TestApk:
 
     def test_parse_rejects_two_segments(self, rsa_key):
         blob = _sample_package().build(rsa_key)
-        streams = split_gzip_streams(blob, expected=3)
+        streams = [gz for gz, _ in split_gzip_streams(blob, expected=3)]
         with pytest.raises(PackagingError):
             ApkPackage.parse(streams[0] + streams[1])
 

@@ -35,6 +35,7 @@ from repro.core.delta import (
     parse_index_delta_envelope,
     parse_package_delta_envelope,
 )
+from repro.core.replica import ReplicaTSR
 from repro.crypto.hashes import sha256_hex
 from repro.util.errors import DeltaError, RollbackError
 from repro.workload.generator import evolve_packages, generate_trace
@@ -270,6 +271,83 @@ class TestEndToEndEquivalence:
         manager.install(name)
         assert manager.delta_stats.base_reuses >= 1
         assert manager.delta_stats.package_wire_bytes == wire_before
+
+
+# -- chunk manifests built on the first delta request -------------------------
+
+
+def _rebuilt_scenario():
+    """A delta scenario whose every package changed since publication 0;
+    returns it with one package name and that package's publication-0
+    SHA-256 and blob (the delta base)."""
+    scenario = _delta_scenario()
+    base = scenario.tsr.publications(scenario.repo_id)[0]
+    name = sorted(scenario.population)[0]
+    _publish_round(scenario, 11, fraction=1.0)
+    return scenario, name, base.entries[name][1], base.blobs[name]
+
+
+class TestManifestsOnFirstRequest:
+    def test_publishing_writes_no_manifest(self):
+        scenario, _, _, _ = _rebuilt_scenario()
+        assert scenario.tsr.delta_log_depth > 0
+        assert len(scenario.tsr.publications(scenario.repo_id)) == 2
+        assert scenario.tsr.cache.manifest_writes == 0
+
+    def test_first_request_builds_one_manifest_and_repeats_reuse_it(self):
+        scenario, name, base_sha, base_blob = _rebuilt_scenario()
+        tsr, cache = scenario.tsr, scenario.tsr.cache
+        first = tsr.package_delta_at(scenario.repo_id, name, base_sha)
+        assert parse_package_delta_envelope(first)[0] == "delta"
+        assert cache.manifest_writes == 1
+        assert cache.get_chunk_manifest(base_sha) == blob_manifest(base_blob)
+        again = tsr.package_delta_at(scenario.repo_id, name, base_sha)
+        assert again == first
+        assert cache.manifest_writes == 1
+
+    def test_base_pinned_only_by_a_pruned_publication_is_unknown(self):
+        scenario = _delta_scenario()
+        tsr = scenario.tsr
+        tsr.publication_retention = 2
+        base = tsr.publications(scenario.repo_id)[0]
+        built, untouched = sorted(scenario.population)[:2]
+        _publish_round(scenario, 12, fraction=1.0)
+        # One base gets its manifest while its publication is retained;
+        # two more rebuild-everything rounds then prune that publication.
+        tsr.package_delta_at(scenario.repo_id, built, base.entries[built][1])
+        assert tsr.cache.manifest_writes == 1
+        for seed in (13, 14):
+            _publish_round(scenario, seed, fraction=1.0)
+        pinned = {sha for p in tsr.publications(scenario.repo_id)
+                  for _, sha in p.entries.values()}
+        for name in (built, untouched):
+            base_sha = base.entries[name][1]
+            assert base_sha not in pinned
+            before = tsr.retention_full_pulls
+            kind, reason, _ = parse_package_delta_envelope(
+                tsr.package_delta_at(scenario.repo_id, name, base_sha))
+            assert (kind, reason) == ("full", "unknown-base")
+            assert tsr.retention_full_pulls == before + 1
+            assert tsr.cache.get_chunk_manifest(base_sha) is None
+        assert tsr.delta_package_fallbacks.get("unknown-base") == 2
+        assert tsr.cache.manifest_writes == 1
+
+    def test_replica_builds_an_untouched_base_like_the_primary(self):
+        scenario, name, base_sha, base_blob = _rebuilt_scenario()
+        tsr = scenario.tsr
+        replica = ReplicaTSR("edge-00.example", tsr, sync_cadence=1.0)
+        scenario.clock.advance(0.1)
+        replica.sync_from_primary(at=scenario.clock.now())
+        assert scenario.tsr.cache.manifest_writes == 0
+        served = replica.package_delta_at(scenario.repo_id, name, base_sha)
+        assert parse_package_delta_envelope(served)[0] == "delta"
+        assert scenario.tsr.cache.manifest_writes == 1
+        assert served == tsr.package_delta_at(scenario.repo_id, name,
+                                              base_sha)
+        target = tsr.publications(scenario.repo_id)[-1].blobs[name]
+        assert served == build_package_delta(blob_manifest(base_blob),
+                                             target)
+        assert apply_package_delta(base_blob, served) == target
 
 
 # -- adversarial suite --------------------------------------------------------

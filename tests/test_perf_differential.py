@@ -17,6 +17,10 @@ pin:
   its measured cost; a seeded keypair regenerates identically once its
   memo entry is gone; an index parse hit is a private copy, and a
   failed parse is not cached.
+* **Delta reconstruction** — a client patching a package delta
+  re-deflates through the compress memo: cold and warm reconstructions
+  are byte-identical, a warm one deflates nothing, and a tampered literal
+  misses the memo and still fails the envelope's hash check.
 * **Chunker engines** — the vectorized steady-state gear scan vs the
   scalar rolling loop, on random, adversarial, and odd-parameter inputs.
 """
@@ -26,8 +30,10 @@ import random
 import pytest
 
 from repro.archive import chunks
+from repro.archive import gz as gz_module
 from repro.archive import index as index_module
 from repro.archive.apk import ApkPackage, PackageFile
+from repro.archive.chunks import decode_ops, encode_ops
 from repro.archive.gz import (
     clear_compress_memo,
     gzip_compress,
@@ -36,10 +42,16 @@ from repro.archive.gz import (
     gzip_decompress,
 )
 from repro.archive.index import IndexEntry, RepositoryIndex, parse_index_cached
+from repro.core import delta as delta_module
+from repro.core.delta import (
+    apply_package_delta,
+    blob_manifest,
+    build_package_delta,
+)
 from repro.crypto import rsa
 from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import generate_keypair
-from repro.util.errors import PackagingError
+from repro.util.errors import DeltaError, PackagingError
 
 KEY = generate_keypair(bits=1024, seed=71)
 OTHER_KEY = generate_keypair(bits=1024, seed=72)
@@ -231,6 +243,71 @@ class TestCompressMemoEquivalence:
         assert cold == warm
         assert cost > 0.0
         assert gzip_decompress(cold) == self.DATA
+
+
+class TestDeltaReconstructionThroughMemo:
+    """Client-side delta reconstruction re-deflates the patched data tar
+    through the compress memo that the target's build already filled."""
+
+    def _pair(self) -> tuple[bytes, bytes, bytes]:
+        """(base blob, target blob, pdelta envelope); building the target
+        leaves its data segment's deflate in a freshly cleared memo."""
+        clear_compress_memo()
+        payload = random.Random("memo-delta").randbytes(24 * 1024)
+        base = ApkPackage(name="tool", version="1.0-r0", files=[
+            PackageFile("/usr/bin/tool", payload)]).build(KEY)
+        patched = payload[:9000] + b"patched release" + payload[9000:]
+        target = ApkPackage(name="tool", version="1.0-r1", files=[
+            PackageFile("/usr/bin/tool", patched)]).build(KEY)
+        envelope = build_package_delta(blob_manifest(base), target)
+        assert envelope is not None
+        return base, target, envelope
+
+    @staticmethod
+    def _count_deflates(monkeypatch) -> list[int]:
+        calls: list[int] = []
+
+        def counting(data, level=6):
+            calls.append(len(data))
+            return gzip_compress(data, level)
+
+        monkeypatch.setattr(gz_module, "gzip_compress", counting)
+        monkeypatch.setattr(delta_module, "gzip_compress", counting)
+        return calls
+
+    def test_cold_and_warm_memo_reconstruct_identical_bytes(self):
+        base, target, envelope = self._pair()
+        clear_compress_memo()
+        cold = apply_package_delta(base, envelope)
+        warm = apply_package_delta(base, envelope)
+        assert cold == warm == target
+
+    def test_warm_memo_reconstruction_deflates_nothing(self, monkeypatch):
+        base, target, envelope = self._pair()
+        calls = self._count_deflates(monkeypatch)
+        assert apply_package_delta(base, envelope) == target
+        assert calls == []
+
+    def test_flipped_literal_byte_misses_memo_and_fails(self, monkeypatch):
+        base, target, envelope = self._pair()
+        header, _, inner_gz = envelope.partition(b"\n")
+        inner = gzip_decompress(inner_gz)
+        ops_at = 0
+        for _ in ("signature", "control"):
+            newline = inner.index(b"\n", ops_at)
+            ops_at = newline + 1 + int(inner[ops_at + 2:newline])
+        ops = decode_ops(inner[ops_at:])
+        at = next(i for i, (kind, _) in enumerate(ops) if kind == "literal")
+        literal = ops[at][1]
+        ops[at] = ("literal", bytes([literal[0] ^ 0x01]) + literal[1:])
+        tampered = header + b"\n" + gzip_compress(inner[:ops_at]
+                                                  + encode_ops(ops))
+        calls = self._count_deflates(monkeypatch)
+        with pytest.raises(DeltaError):
+            apply_package_delta(base, tampered)
+        assert len(calls) == 1  # the tampered data tar missed the memo
+        assert apply_package_delta(base, envelope) == target
+        assert len(calls) == 1
 
 
 class TestKeypairMemo:
