@@ -8,8 +8,11 @@ behaviour:
 
 * *waves* — concurrent fetch waves round-robined over the policy mirrors
   (the original ablation), and
-* *pipelined* — the full refresh engine of :mod:`repro.core.pipeline`,
-  which additionally overlaps sanitization with the remaining downloads.
+* *pipelined* — the overlapped refresh, ``refresh(pipelined=True)``: a
+  one-tenant :class:`repro.core.orchestrator.RefreshOrchestrator` round,
+  which fans downloads out over every policy mirror on the schedule that
+  carries the quorum reads and overlaps sanitization with the remaining
+  downloads.
 """
 
 from repro.bench.report import PaperTable, record_table

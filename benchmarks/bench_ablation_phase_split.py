@@ -4,8 +4,9 @@ Backs Table 4's correlation story with the raw split: archive processing
 and signature generation dominate; integrity checking and script
 rewriting are minor.  Also isolates the per-file signing cost (the paper's
 dominant factor for many-file packages), and — new — measures how much of
-the phased wall-clock the pipelined refresh engine claws back by
-overlapping downloads and sanitization (identical verdicts in both modes).
+the phased wall-clock the overlapped refresh (``refresh(pipelined=True)``)
+claws back by overlapping downloads and sanitization (identical verdicts
+in both modes).
 """
 
 from repro.bench.report import PaperTable, record_table

@@ -11,7 +11,7 @@ former avoids re-downloading on re-sanitization, the latter turns a
 download request into a disk read (Fig. 10's 129x).
 
 Sharding: package blobs are spread over ``shards`` independent stores
-(hash of ``repo_id/name``), so the pipelined refresh engine can account
+(hash of ``repo_id/name``), so the overlapped refresh can account
 concurrent reads and writes on different shards as overlapping — a lookup
 no longer serializes behind an insert hitting another shard.  Shard 0's
 filesystem doubles as the root ``disk`` holding non-package state (the

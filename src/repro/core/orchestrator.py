@@ -43,6 +43,10 @@ deployments, an orchestrated multi-tenant refresh produces byte-identical
 sanitized indexes and packages, and identical quorum verdicts, to running
 the N phased refreshes serially — while finishing in a fraction of the
 simulated wall-clock (`benchmarks/bench_multi_tenant_refresh.py`).
+
+This is the repository's one overlapped refresh engine: a single
+repository's ``refresh(pipelined=True)`` runs it as a one-tenant round,
+next to the paper's phased ``refresh()``.
 """
 
 from __future__ import annotations
@@ -236,8 +240,7 @@ class RefreshOrchestrator:
     def __init__(self, service, repo_ids: list[str],
                  max_streams: int | None = None, interleave: bool = True,
                  origin: float = 0.0,
-                 plan_state: RefreshPlanState | None = None,
-                 advance_clock: bool | None = None):
+                 plan_state: RefreshPlanState | None = None):
         if not repo_ids:
             raise ValueError("orchestrator needs at least one repository")
         if len(set(repo_ids)) != len(repo_ids):
@@ -251,12 +254,10 @@ class RefreshOrchestrator:
         self._interleave = interleave
         #: Plan-time offset this round's first quorum waves start at.
         self._origin = origin
-        self._plan_state = plan_state
         #: Standalone rounds advance the clock by their own makespan; a
-        #: multi-round driver owns the clock and advances it once at the
-        #: end of the whole trace.
-        self._advance_clock = (advance_clock if advance_clock is not None
-                               else plan_state is None)
+        #: multi-round driver (a ``plan_state`` round) owns the clock and
+        #: advances it once at the end of the whole trace.
+        self._plan_state = plan_state
         self._plans: list[_TenantPlan] = []
         for index, repo_id in enumerate(repo_ids):
             config = service.repo_config(repo_id)
@@ -286,11 +287,12 @@ class RefreshOrchestrator:
         #: repo_id -> summed (finish - queued_at) of the serving-induced
         #: re-sanitize jobs this round drained for that repository.
         self._resanitize_waits: dict[str, float] = {}
-        #: Batches issued by THIS round.  On a shared multi-round
-        #: scheduler, materialization must never walk earlier rounds'
-        #: dead batches — that would resurrect blobs the cache has since
-        #: evicted (and grow each round's work with plan length).
-        self._round_batches: list = []
+        #: (plan, batch) for every batch issued by THIS round.  On a
+        #: shared multi-round scheduler, materialization must never walk
+        #: earlier rounds' dead batches — that would resurrect blobs the
+        #: cache has since evicted (and grow each round's work with plan
+        #: length).
+        self._round_batches: list[tuple[_TenantPlan, object]] = []
 
     # -- public entry -------------------------------------------------------
 
@@ -302,8 +304,7 @@ class RefreshOrchestrator:
         if state is not None and state.scheduler is not None:
             scheduler = state.scheduler
         else:
-            scheduler = MirrorDownloadScheduler(
-                self._service, channel_key=lambda hostname: ("dl", hostname))
+            scheduler = MirrorDownloadScheduler(self._service)
             if state is not None:
                 state.scheduler = scheduler
         self._resanitize_phase()
@@ -343,7 +344,7 @@ class RefreshOrchestrator:
         # on a schedule whose stream is advanced, can retire their keys
         # once drained).
         scheduler.settle_round()
-        if self._advance_clock:
+        if state is None:
             self._network.clock.advance(makespan - self._origin)
         reports = {
             plan.repo_id: self._report_for(plan) for plan in self._plans
@@ -374,12 +375,14 @@ class RefreshOrchestrator:
         """
         service = self._service
         cache = service.cache
+        plans = {plan.repo_id: plan for plan in self._plans}
         for job in service.take_resanitize_jobs():
             start = max(self._enclave_busy, self._origin, job.queued_at)
             finish = start + job.duration
             self._enclave_busy = finish
             service.complete_resanitize(job)
-            self._charge_shard(cache.shard_index(job.repo_id, job.name),
+            self._charge_shard(plans.get(job.repo_id),
+                               cache.shard_index(job.repo_id, job.name),
                                job.size_bytes, finish)
             self._timeline.append((job.repo_id, f"resanitize:{job.name}",
                                    start, finish))
@@ -456,7 +459,7 @@ class RefreshOrchestrator:
                     plan.quorum = self._service._enclave.ecall(
                         "evaluate_quorum", plan.repo_id, plan.responses)
                     plan.quorum_elapsed = plan.frontier
-                    plan.end = plan.frontier
+                    plan.end = max(plan.end, plan.frontier)
                     active.remove(plan)
                     continue
                 except QuorumError:
@@ -510,7 +513,7 @@ class RefreshOrchestrator:
         batch = scheduler.add_batch(
             names, expected, mirrors=list(plan.ordered),
             fanout=plan.fanout, not_before=plan.frontier, best_effort=True)
-        self._round_batches.append(batch)
+        self._round_batches.append((plan, batch))
         for name in names:
             self._inflight[expected[name]["sha256"]] = _Source(
                 batch=batch, name=name, owner=plan.repo_id, optimistic=True)
@@ -534,7 +537,7 @@ class RefreshOrchestrator:
         if info["deduped"]:
             return
         # Disk read off the blob's shard, then the serial enclave channel.
-        ready = self._charge_shard(shard, len(blob), plan.frontier)
+        ready = self._charge_shard(plan, shard, len(blob), plan.frontier)
         duration = self._service.epc_model.simulated_duration(
             info["native"], info["working_set"]
         ) if self._service.sgx_enabled else info["native"]
@@ -562,7 +565,7 @@ class RefreshOrchestrator:
                         shard = cache.content_shard_index(sha)
                         plan.deduped_downloads += 1
                         plan.deduped_download_bytes += len(blob)
-                    ready = self._charge_shard(shard, len(blob),
+                    ready = self._charge_shard(plan, shard, len(blob),
                                                plan.quorum_elapsed)
                     plan.acquire[name] = ("blob", blob, ready)
                     continue
@@ -578,7 +581,7 @@ class RefreshOrchestrator:
                     to_fetch, {n: expected[n] for n in to_fetch},
                     mirrors=list(plan.ordered), fanout=plan.fanout,
                     not_before=plan.quorum_elapsed)
-                self._round_batches.append(batch)
+                self._round_batches.append((plan, batch))
                 for name in to_fetch:
                     source = _Source(batch=batch, name=name,
                                      owner=plan.repo_id)
@@ -617,7 +620,7 @@ class RefreshOrchestrator:
                     names, {n: expected[n] for n in names},
                     mirrors=list(plan.ordered), fanout=plan.fanout,
                     not_before=detect)
-                self._round_batches.append(batch)
+                self._round_batches.append((plan, batch))
                 for name in names:
                     source = _Source(batch=batch, name=name,
                                      owner=plan.repo_id)
@@ -633,13 +636,13 @@ class RefreshOrchestrator:
         # shared multi-round scheduler, earlier rounds' batches are dead:
         # walking them would resurrect blobs the cache evicted since.
         written: set[str] = set()
-        for batch in self._round_batches:
+        for owner, batch in self._round_batches:
             for name, blob in batch.fetched.items():
                 sha = batch.expected[name]["sha256"]
                 if sha in written or cache.has_content(sha):
                     continue
                 cache.put_content(blob, sha)
-                self._charge_shard(cache.content_shard_index(sha),
+                self._charge_shard(owner, cache.content_shard_index(sha),
                                    len(blob), batch.finishes[name])
                 written.add(sha)
 
@@ -669,7 +672,7 @@ class RefreshOrchestrator:
                         plan.deduped_download_bytes += len(blob)
                         sha = plan.quorum["expected"][name]["sha256"]
                         ready = self._charge_shard(
-                            cache.content_shard_index(sha), len(blob),
+                            plan, cache.content_shard_index(sha), len(blob),
                             max(finish, plan.quorum_elapsed))
                 plan.jobs[name] = _SanJob(name=name, blob=blob, ready=ready)
 
@@ -731,7 +734,7 @@ class RefreshOrchestrator:
             finish = start + duration
             enclave_free = finish
             cache.put_sanitized(plan.repo_id, name, result.blob)
-            self._charge_shard(cache.shard_index(plan.repo_id, name),
+            self._charge_shard(plan, cache.shard_index(plan.repo_id, name),
                                len(result.blob), finish)
             plan.results.append(result)
             plan.sanitize_elapsed += duration
@@ -739,18 +742,25 @@ class RefreshOrchestrator:
                 plan.sanitized_early += 1
             if result.shared_analysis:
                 plan.shared_sanitize += 1
-            plan.end = max(plan.end, finish)
             self._timeline.append((plan.repo_id, name, start, finish))
         return enclave_free
 
     # -- shared accounting ---------------------------------------------------
 
-    def _charge_shard(self, shard: int, size: int, at: float) -> float:
-        """Serialize one disk operation on a cache shard (all tenants)."""
+    def _charge_shard(self, plan: _TenantPlan | None, shard: int,
+                      size: int, at: float) -> float:
+        """Serialize one disk operation on a cache shard (all tenants).
+
+        The tenant whose package the operation moves (``plan``; None for
+        a re-sanitize job of a repository outside this round) ends no
+        earlier than the operation does.
+        """
         start = max(self._shard_free.get(shard, 0.0), at)
         finish = start + LOCAL_DISK_SEEK_S \
             + size / LOCAL_DISK_BANDWIDTH_BYTES_PER_S
         self._shard_free[shard] = finish
+        if plan is not None:
+            plan.end = max(plan.end, finish)
         return finish
 
     def _report_for(self, plan: _TenantPlan) -> RefreshReport:
@@ -767,7 +777,6 @@ class RefreshOrchestrator:
             results=plan.results,
             wall_elapsed=plan.end - self._origin,
             pipelined=True,
-            orchestrated=True,
             mirror_assignments=plan.mirror_assignments,
             sanitized_early=plan.sanitized_early,
             deduped_downloads=plan.deduped_downloads,

@@ -38,7 +38,7 @@ class _RepositoryState:
         self.sanitized_index = RepositoryIndex(serial=0)
         self.catalog = RepositoryCatalog()
         self.sanitizer: Sanitizer | None = None
-        #: Provisional sanitizer for the pipelined refresh: usable before
+        #: Provisional sanitizer for the overlapped refresh: usable before
         #: the catalog is frozen, but only on packages whose rewrite does
         #: not read the catalog (no account-creation commands).
         self.early_sanitizer: Sanitizer | None = None

@@ -10,9 +10,11 @@ Transfer accounting runs on the shared event-driven engine
 (:meth:`Network.gather_scheduled` over the incremental
 :class:`repro.simnet.schedule.ParallelTransferSchedule` solver): the
 first wave's concurrent index downloads share the TSR host's downlink with
-exact max-min accounting — the same model pipeline downloads use — and
-extension reads compose onto the same timeline via ``start_at``, so quorum
-and pipeline phases can later interleave on one schedule.
+exact max-min accounting — the same model overlapped refresh downloads
+use — and extension reads compose onto the same timeline via
+``start_at``, the way the overlapped refresh
+(:mod:`repro.core.orchestrator`) interleaves quorum and download phases
+on one schedule.
 """
 
 from __future__ import annotations

@@ -56,19 +56,21 @@ class RefreshReport:
     insecure_findings: list[tuple[str, str]] = field(default_factory=list)
     results: list[SanitizationResult] = field(default_factory=list)
     #: Simulated wall-clock of the whole refresh.  In sequential mode the
-    #: phases simply add up; the pipelined engine overlaps them, so its
-    #: wall-clock is recorded explicitly and is less than the phase sum.
+    #: phases simply add up; an overlapped refresh runs them concurrently,
+    #: so its wall-clock is recorded explicitly and is less than the phase
+    #: sum.
     wall_elapsed: float | None = None
+    #: This refresh ran overlapped, as a
+    #: :class:`repro.core.orchestrator.RefreshOrchestrator` round.
     pipelined: bool = False
-    #: Package name -> serving mirror (pipelined downloads only).
+    #: Package name -> serving mirror (overlapped refreshes only).
     mirror_assignments: dict[str, str] = field(default_factory=dict)
-    #: Packages sanitized before the catalog barrier (pipelined only).
+    #: Packages sanitized before the catalog barrier (overlapped
+    #: refreshes only).
     sanitized_early: int = 0
-    #: This refresh ran as part of a multi-tenant orchestrated plan.
-    orchestrated: bool = False
     #: Packages whose download was satisfied by another tenant's transfer
-    #: or the content-addressed cache (orchestrated plans only), and the
-    #: bytes that did not have to move again because of it.
+    #: or the content-addressed cache, and the bytes that did not have to
+    #: move again because of it.
     deduped_downloads: int = 0
     deduped_download_bytes: int = 0
     #: Packages whose catalog scan replayed a memoized delta.
@@ -86,7 +88,8 @@ class RefreshReport:
     #: Simulated seconds this repository's serving-induced re-sanitize
     #: jobs spent between being queued (an evicted-blob serve) and
     #: leaving the enclave channel this round — the measurable coupling
-    #: of serving load back into refresh wall-clock (orchestrated plans).
+    #: of serving load back into refresh wall-clock (overlapped
+    #: refreshes only).
     resanitize_wait_s: float = 0.0
 
     @property
@@ -103,7 +106,7 @@ class RefreshReport:
 
     @property
     def overlap_saved(self) -> float:
-        """Seconds the pipeline saved versus running the phases back to back."""
+        """Seconds the overlap saved versus running the phases back to back."""
         return max(0.0, self.phase_sum - self.total_elapsed)
 
 
@@ -167,7 +170,7 @@ class RepoConfig:
     to re-export the enclave state, re-parse the policy YAML, and re-sort
     the mirror set on *every* call.  Policies are immutable after
     deployment, so this is resolved once per repository and shared by the
-    phased, pipelined, and orchestrated refresh paths (the cache is
+    phased and overlapped refresh paths (the cache is
     dropped on :meth:`TrustedSoftwareRepository.restart`).
     """
 
@@ -339,23 +342,27 @@ class TrustedSoftwareRepository:
         as future work (Table 3 discussion); 1 reproduces the paper's
         sequential behaviour.
 
-        ``pipelined`` switches to the overlapped refresh engine
-        (:mod:`repro.core.pipeline`): downloads fan out over every policy
-        mirror concurrently (capped by ``max_streams``) and sanitization
-        starts while later packages are still in flight.  Verdicts are
+        ``pipelined`` runs the overlapped refresh instead: a one-tenant
+        :class:`repro.core.orchestrator.RefreshOrchestrator` round, whose
+        report this returns.  Index reads and downloads share one
+        schedule, downloads fan out over every policy mirror concurrently
+        (capped by ``max_streams``), and sanitization starts while later
+        packages are still in flight.  Verdicts and sanitized bytes are
         identical to sequential mode; only the schedule differs.
         """
         if parallel_downloads < 1:
             raise ValueError("parallel_downloads must be >= 1")
-        config = self.repo_config(repo_id)
-        policy_mirrors = list(config.mirrors)
+        if pipelined:
+            from repro.core.orchestrator import RefreshOrchestrator
+
+            return RefreshOrchestrator(self, [repo_id],
+                                       max_streams=max_streams
+                                       ).run().reports[repo_id]
+
+        policy_mirrors = self._policy_mirrors(repo_id)
         quorum_start = self._network.clock.now()
         quorum = self._read_quorum(repo_id, policy_mirrors)
         quorum_elapsed = self._network.clock.now() - quorum_start
-
-        if pipelined:
-            return self._refresh_pipelined(repo_id, policy_mirrors, quorum,
-                                           quorum_elapsed, max_streams)
 
         download_elapsed = 0.0
         sanitize_elapsed = 0.0
@@ -444,40 +451,6 @@ class TrustedSoftwareRepository:
             evicted_redownloads=evicted_redownloads,
             deduped_downloads=deduped_downloads,
             deduped_download_bytes=deduped_download_bytes,
-        )
-
-    def _refresh_pipelined(self, repo_id: str, policy_mirrors: list[dict],
-                           quorum: dict, quorum_elapsed: float,
-                           max_streams: int | None) -> RefreshReport:
-        """The overlapped refresh path (see :mod:`repro.core.pipeline`)."""
-        from repro.core.pipeline import RefreshPipeline
-
-        pipeline = RefreshPipeline(self, repo_id, policy_mirrors,
-                                   quorum["expected"],
-                                   max_streams=max_streams)
-        outcome = pipeline.run(list(quorum["changed"]))
-        self._network.clock.advance(outcome.makespan)
-        index_bytes = self._enclave.ecall("finalize_index", repo_id)
-        del index_bytes  # published on demand via get_index
-        self._seal_state()
-        return RefreshReport(
-            serial=quorum["serial"],
-            changed_packages=list(quorum["changed"]),
-            sanitized=len(outcome.results),
-            rejected=outcome.rejected,
-            downloaded_bytes=outcome.downloaded_bytes,
-            quorum_elapsed=quorum_elapsed,
-            download_elapsed=outcome.download_elapsed,
-            sanitize_elapsed=outcome.sanitize_elapsed,
-            insecure_findings=outcome.catalog_info["insecure_findings"],
-            results=outcome.results,
-            wall_elapsed=quorum_elapsed + outcome.makespan,
-            pipelined=True,
-            mirror_assignments=outcome.mirror_assignments,
-            sanitized_early=outcome.sanitized_early,
-            evicted_redownloads=outcome.evicted_redownloads,
-            deduped_downloads=outcome.deduped_downloads,
-            deduped_download_bytes=outcome.deduped_download_bytes,
         )
 
     def repo_config(self, repo_id: str) -> RepoConfig:

@@ -16,8 +16,8 @@ common link capacity max-min fairly.  The schedule is the *single* transfer
 engine, and every schedule runs on one :class:`~repro.simnet.schedule.
 ScheduleStream` core that begins at the schedule's start time:
 :meth:`Network.gather` (and its composable form,
-:meth:`Network.gather_scheduled`) is built on it, as are the pipelined
-refresh engine (:mod:`repro.core.pipeline`), the quorum reader
+:meth:`Network.gather_scheduled`) is built on it, as are the overlapped
+refresh's downloads (:mod:`repro.core.pipeline`), the quorum reader
 (:mod:`repro.core.quorum`), the client fleet
 (:class:`ScheduledFetchSession`), and trace replay's multi-wave pulls
 (:class:`PlanFetchSession`).
@@ -207,8 +207,8 @@ class Network:
         ``>= start_at``) or the :class:`NetworkError` the request failed
         with.  Payload phases of all successful requests share the source
         host's ``downlink_bandwidth`` max-min fairly — the exact fluid-flow
-        accounting the refresh pipeline uses, replacing the old closed-form
-        shared-downlink bound.
+        accounting overlapped refresh downloads use, replacing the old
+        closed-form shared-downlink bound.
 
         ``channels`` optionally assigns each request to a schedule channel;
         requests on the same channel serialize (one connection), distinct

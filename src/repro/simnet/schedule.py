@@ -1,7 +1,7 @@
 """The transfer-schedule solver: incremental max-min fluid-flow accounting.
 
-Every concurrent transfer in the system — quorum reads, the pipelined
-refresh engine, client batch fetches, and the fleet fan-out — runs on
+Every concurrent transfer in the system — quorum reads, overlapped
+refresh downloads, client batch fetches, and the fleet fan-out — runs on
 :class:`ParallelTransferSchedule`.  Each *channel* (one connection)
 processes its queue in order: a per-item setup phase (RTT + upload +
 processing, no downlink use) followed by a payload phase whose rate is
@@ -51,7 +51,8 @@ persistent core that begins at the schedule's ``start_time``; enqueues
 feed it directly.  :meth:`ParallelTransferSchedule.solve` clones the
 core and runs the clone to exhaustion, so it advances no clock and
 consumes no queue: callers may enqueue more work and re-solve (the
-refresh pipeline reinserts retries into the live schedule this way), and
+mirror download scheduler reinserts retries into the live schedule this
+way), and
 re-solving an unchanged schedule returns a cached result.
 
 Long multi-round plans also drive the core as an event loop: the caller

@@ -599,8 +599,7 @@ class _Lane:
         self.schedule = schedule
         self.stream = schedule.stream
         self.plan = RefreshPlanState(scheduler=MirrorDownloadScheduler(
-            scenario.tsr, schedule=schedule,
-            channel_key=lambda hostname: ("dl", hostname)))
+            scenario.tsr, schedule=schedule))
         self.session = PlanFetchSession(network, schedule)
         #: Index-fetch key -> (client name, served serial).
         self.marks: dict[object, tuple[str, int]] = {}
@@ -902,7 +901,7 @@ class TraceReplay:
         repo_ids = list(event.tenants or self._tenants)
         report = RefreshOrchestrator(
             tsr, repo_ids, max_streams=self._max_streams, origin=start,
-            plan_state=lane.plan, advance_clock=False,
+            plan_state=lane.plan,
         ).run()
         self._recorder.round(report)
         for repo_id in repo_ids:

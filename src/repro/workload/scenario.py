@@ -688,11 +688,11 @@ def fleet_refresh(scenario: Scenario, clients: int = 8,
                   rng: random.Random | None = None) -> FleetRefreshReport:
     """Publish an update batch, refresh TSR, and drive a client fleet.
 
-    The flow the north star cares about: upstream releases land, the
-    (pipelined) refresh engine re-sanitizes them, and ``clients`` nodes
-    update their indexes and install from the refreshed repository.  The
-    report separates refresh latency from fan-out latency so benches can
-    show where pipelining moves the needle.  The fleet machinery itself
+    The flow the north star cares about: upstream releases land, a
+    refresh (overlapped unless ``pipelined=False``) re-sanitizes them,
+    and ``clients`` nodes update their indexes and install from the
+    refreshed repository.  The report separates refresh latency from
+    fan-out latency so benches can show where overlap moves the needle.  The fleet machinery itself
     — node construction (:class:`ClientFleet`) and the pull wave
     (:func:`run_pull_wave`) — is shared with the multi-round trace
     replay (:mod:`repro.workload.replay`), which composes many such

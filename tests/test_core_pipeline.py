@@ -1,12 +1,15 @@
-"""Tests for the pipelined refresh engine and its supporting layers:
-parallel-transfer accounting (simnet), per-mirror bandwidth (mirrors),
-the sharded package cache, and the fleet_refresh scenario."""
+"""Tests for the overlapped refresh (``refresh(pipelined=True)``, a
+one-tenant orchestrator round) and its supporting layers: the mirror
+download scheduler, parallel-transfer accounting (simnet), per-mirror
+bandwidth (mirrors), the sharded package cache, and the fleet_refresh
+scenario."""
 
 import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.index import RepositoryIndex
 from repro.core.cache import PackageCache
+from repro.core.pipeline import MirrorDownloadScheduler
 from repro.core.service import SEALED_STATE_PATH
 from repro.mirrors.builder import MirrorSpec
 from repro.mirrors.mirror import MirrorBehavior
@@ -275,14 +278,23 @@ class TestPipelineEquivalence:
 
 
 class TestPipelineSchedule:
-    def test_overlap_beats_sequential_wall_clock(self):
-        workload = generate_workload(scale=0.004, seed=5, with_content=True)
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_overlap_beats_sequential_wall_clock(self, seed):
+        workload = generate_workload(scale=0.004, seed=seed,
+                                     with_content=True)
         sequential = build_scenario(workload=workload, key_bits=1024,
                                     refresh=False, with_monitor=False)
         seq = sequential.tsr.refresh(sequential.repo_id)
         pipelined = build_scenario(workload=workload, key_bits=1024,
                                    refresh=False, with_monitor=False)
         pipe = pipelined.tsr.refresh(pipelined.repo_id, pipelined=True)
+
+        # Phased and overlapped refreshes publish the same signed index
+        # and reach the same verdicts; only the schedule differs.
+        assert (pipelined.tsr.get_index_bytes(pipelined.repo_id)
+                == sequential.tsr.get_index_bytes(sequential.repo_id))
+        assert dict(pipe.rejected) == dict(seq.rejected)
+        assert pipe.insecure_findings == seq.insecure_findings
 
         assert pipe.total_elapsed < seq.total_elapsed
         # Resource-seconds strictly exceed the wall-clock: overlap happened.
@@ -388,15 +400,17 @@ class TestPipelineFaultTolerance:
         scenario = build_scenario(packages=_mini_packages(),
                                   refresh=False, with_monitor=False)
         scenario.network.set_down("mirror-eu-2.example")
-        from repro.core.pipeline import RefreshPipeline
         tsr = scenario.tsr
         mirrors = tsr._policy_mirrors(scenario.repo_id)
         quorum = tsr._read_quorum(scenario.repo_id, mirrors)
-        pipeline = RefreshPipeline(tsr, scenario.repo_id, mirrors,
-                                   quorum["expected"])
         names = list(quorum["changed"])
-        fetched, durations, finishes, assignments = \
-            pipeline._download_pipelined(names)
+        scheduler = MirrorDownloadScheduler(tsr)
+        batch = scheduler.add_batch(names, quorum["expected"],
+                                    tsr.mirrors_by_rtt(mirrors))
+        scheduler.resolve()
+        fetched, durations, finishes, assignments = (
+            batch.fetched, batch.durations, batch.finishes,
+            batch.assignments)
         timeout = scenario.network.timeout
         assert set(fetched) == set(names)
         assert "mirror-eu-2.example" not in set(assignments.values())

@@ -86,6 +86,18 @@ class TestOrchestratedDifferential:
         orch = multi_tenant_refresh(scenario)
         assert scenario.clock.now() - before == pytest.approx(
             orch.wall_elapsed)
+        # The round ends with its last tenant: every shard read and write
+        # counts toward the wall of the tenant whose package it moves.
+        assert max(r.wall_elapsed for r in orch.reports.values()) \
+            == orch.wall_elapsed
+
+        single = build_scenario(packages=_mini_packages(), refresh=False,
+                                with_monitor=False)
+        before = single.clock.now()
+        orch = multi_tenant_refresh(single, repo_ids=[single.repo_id])
+        assert orch.reports[single.repo_id].wall_elapsed == orch.wall_elapsed
+        assert single.clock.now() - before == pytest.approx(
+            orch.wall_elapsed)
 
     def test_orchestrated_single_repo_matches_phased(self):
         """One tenant through the orchestrator is still verdict-identical."""

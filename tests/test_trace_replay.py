@@ -496,16 +496,14 @@ class TestPlanOrigin:
                                   refresh=False, with_monitor=False)
         plan = RefreshPlanState()
         first = RefreshOrchestrator(scenario.tsr, [scenario.repo_id],
-                                    origin=0.0, plan_state=plan,
-                                    advance_clock=False).run()
+                                    origin=0.0, plan_state=plan).run()
         assert plan.rounds == 1
         assert plan.enclave_free > 0.0
         publish_event(scenario, TraceEvent(at=0.0, kind="publish",
                                            fraction=0.4, seed=2), 2)
         scenario.sync_mirrors()
         second = RefreshOrchestrator(scenario.tsr, [scenario.repo_id],
-                                     origin=0.1, plan_state=plan,
-                                     advance_clock=False).run()
+                                     origin=0.1, plan_state=plan).run()
         assert plan.rounds == 2
         # Round 2's sanitize jobs queued behind round 1's enclave work.
         assert second.finished_at >= first.finished_at - 1e-9
