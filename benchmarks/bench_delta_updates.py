@@ -113,11 +113,12 @@ def test_delta_updates_ablation(benchmark, maybe_profile):
             report.installs,
         )
     stats = delta.delta_stats
+    log = tsr_scenario.tsr.publication_log
     table.note(f"steady-state uplink reduction: {reduction:.1f}x "
                f"(index diffs {stats['index_deltas']}, package patches "
                f"{stats['package_deltas']}, base reuses "
                f"{stats['base_reuses']}, server bytes saved "
-               f"{human_bytes(tsr_scenario.tsr.delta_bytes_saved)}); "
+               f"{human_bytes(log.delta_bytes_saved)}); "
                "installed bytes and staleness identical by construction")
     record_table(table)
 

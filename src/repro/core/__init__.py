@@ -10,6 +10,10 @@ A shielded proxy between package managers and community repositories:
   cache with sealed, monotonic-counter-protected freshness (section 5.5),
 * :mod:`repro.core.program` — the code that runs *inside* the enclave,
 * :mod:`repro.core.service` — the host-side service + network endpoint,
+* :mod:`repro.core.publications` — the publication log, the one read path
+  (time-stamped and delta serves) of the primary and of every replica,
+* :mod:`repro.core.replica` — read-only edge replicas that adopt the
+  primary's publications through verified sync,
 * :mod:`repro.core.orchestrator` — the overlapped refresh engine, for one
   tenant (``refresh(pipelined=True)``) or many (shared-enclave
   scheduling, cross-tenant dedupe, quorum/download interleaving),

@@ -123,12 +123,10 @@ class PackageCache:
         self._used = [0] * shards
         #: Paths evicted and not yet re-queried (re-download attribution).
         self._evicted_paths: set[str] = set()
-        #: Chunk-manifest traffic (kept out of :class:`ShardStats` — the
+        #: Chunk-manifest writes (kept out of :class:`ShardStats` — the
         #: shard counters feed the eviction experiments, and manifests
         #: are untracked metadata, not blob traffic).
         self.manifest_writes = 0
-        self.manifest_hits = 0
-        self.manifest_misses = 0
 
     @property
     def shard_budget_bytes(self) -> int | None:
@@ -390,13 +388,9 @@ class PackageCache:
     def get_chunk_manifest(self, sha256: str) -> bytes | None:
         index = self.content_shard_index(sha256)
         try:
-            manifest = self._shards[index].read_file(
-                self._manifest_path(sha256))
+            return self._shards[index].read_file(self._manifest_path(sha256))
         except FileSystemError:
-            self.manifest_misses += 1
             return None
-        self.manifest_hits += 1
-        return manifest
 
     def drop_chunk_manifest(self, sha256: str):
         """Forget a manifest whose base publication was pruned

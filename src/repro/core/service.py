@@ -19,6 +19,7 @@ from repro.core.cache import PackageCache
 from repro.core.freshness import FreshnessManager
 from repro.core.policy import SecurityPolicy
 from repro.core.program import TsrProgram
+from repro.core.publications import Publication, PublicationLog
 from repro.core.sanitizer import SanitizationRejected, SanitizationResult
 from repro.crypto.hashes import sha256_hex
 from repro.sgx.enclave import Enclave
@@ -137,31 +138,6 @@ class ResanitizeJob:
     blob: bytes
 
 
-@dataclass
-class Publication:
-    """One tenant repository's served state, frozen at a plan instant.
-
-    The multi-round trace replay (:mod:`repro.workload.replay`) measures
-    *staleness*: clients pulling at plan time T must see the newest signed
-    index whose refresh had **finished** by T — not whatever the enclave
-    happens to hold while a later round is still in flight.  Refresh
-    rounds therefore :meth:`~TrustedSoftwareRepository.record_publication`
-    their outputs with the round's completion offset, and time-stamped
-    client requests (``as_of``) are served from the publication log.
-    Blob maps share unchanged entries with the previous publication, so a
-    20-round log does not copy the repository 20 times.
-    """
-
-    available_at: float
-    serial: int
-    index_bytes: bytes
-    #: package name -> (size, sha256) pinned by the signed index.
-    entries: dict[str, tuple[int, str]]
-    #: package name -> sanitized blob (entries absent when the blob was
-    #: already evicted at capture time — those fail closed when served).
-    blobs: dict[str, bytes]
-
-
 @dataclass(frozen=True)
 class RepoConfig:
     """Resolved per-repository refresh configuration.
@@ -207,8 +183,10 @@ class TrustedSoftwareRepository:
         self.epc_model = epc_model or EpcModel()
         self.cache = cache or PackageCache()
         self._repo_configs: dict[str, RepoConfig] = {}
-        #: repo_id -> publications ordered by ``available_at`` (replay).
-        self._publications: dict[str, list[Publication]] = {}
+        #: This deployment's publications (multi-round replay) and the
+        #: read path over them; packages are served cache-first.
+        self.publication_log = PublicationLog(
+            self, package_bytes=self._publication_blob)
         #: Time-stamped serving: cache hits vs publication-copy fallbacks
         #: (a fallback is a serve the cache could not satisfy — evicted or
         #: already overwritten by a newer round).  Every fallback queues a
@@ -240,12 +218,6 @@ class TrustedSoftwareRepository:
         #: prune time (so post-construction depth changes are honoured);
         #: the newest publication is always kept.
         self.publication_retention: int | None = None
-        #: Full index pulls forced because the client's base publication
-        #: had been pruned from the bounded log (plus package full pulls
-        #: whose delta base manifest was pruned with its publication).
-        self.retention_full_pulls = 0
-        #: repo_id -> newest pruned publication serial.
-        self._pruned_through: dict[str, int] = {}
         #: Chunk-manifest shas dropped by retention pruning (distinguishes
         #: a pruned base from one this TSR never published).
         self._pruned_manifest_shas: set[str] = set()
@@ -253,17 +225,11 @@ class TrustedSoftwareRepository:
         #: against (the publication-log depth bound: clients further
         #: behind get a full pull).  ``0`` disables delta serving.
         self.delta_log_depth = delta_log_depth
-        #: Delta-serving accounting: envelopes served by kind, fallback
-        #: reasons, and the wire bytes deltas saved vs full responses.
-        self.delta_index_serves = 0
-        self.delta_index_unchanged = 0
-        self.delta_index_fallbacks: dict[str, int] = {}
-        self.delta_package_serves = 0
-        self.delta_package_fallbacks: dict[str, int] = {}
-        self.delta_bytes_saved = 0
         #: (repo_id, base_serial, target_serial) -> index delta envelope;
         #: (base_sha, target_sha) -> package delta envelope.  N clients at
-        #: the same base cost one diff computation per round, not N.
+        #: the same base, on either tier, cost one diff computation per
+        #: round, not N (replica logs share this deployment's memos,
+        #: parsed-index cache and chunk manifests).
         self._index_delta_memo: dict[tuple[str, int, int], bytes] = {}
         self._package_delta_memo: dict[tuple[str, str], bytes | None] = {}
         #: (repo_id, serial) -> parsed publication index (diffing needs
@@ -659,11 +625,13 @@ class TrustedSoftwareRepository:
         Captures the signed sanitized index plus the sanitized blobs it
         pins (sharing unchanged blob objects with the previous
         publication; reads bypass recency so snapshotting does not skew
-        eviction).  ``available_at`` is clamped monotonic: a round that
-        finished out of order can never publish *before* its predecessor.
-        No chunk manifest is built here: :meth:`chunk_manifest` builds a
-        base's manifest from these captured blobs on the first delta
-        request against it, so publications nobody diffs against cost no
+        eviction) and appends it to :attr:`publication_log`, which serves
+        it to clients and which edge replicas copy on sync.
+        ``available_at`` is clamped monotonic: a round that finished out
+        of order can never publish *before* its predecessor.  No chunk
+        manifest is built here: :meth:`chunk_manifest` builds a base's
+        manifest from these captured blobs on the first delta request
+        against it, so publications nobody diffs against cost no
         chunking.
 
         The log is bounded: once it exceeds ``publication_retention``
@@ -674,10 +642,10 @@ class TrustedSoftwareRepository:
         """
         from repro.archive.index import parse_index_cached
 
-        log = self._publications.setdefault(repo_id, [])
+        log = self.publication_log
         index_bytes = self._enclave.ecall("sanitized_index_bytes", repo_id)
         index = parse_index_cached(index_bytes)
-        previous = log[-1] if log else None
+        previous = log.newest(repo_id)
         blobs: dict[str, bytes] = {}
         for name, entry in index.entries.items():
             if previous is not None:
@@ -700,111 +668,56 @@ class TrustedSoftwareRepository:
                      for name, e in index.entries.items()},
             blobs=blobs,
         )
-        log.append(publication)
-        self._prune_publications(repo_id, log)
-        return publication
-
-    def _prune_publications(self, repo_id: str, log: list[Publication]):
-        """Enforce the retention bound on one repository's log."""
         retention = self.publication_retention
         if retention is None:
             retention = self.delta_log_depth + 1
-        if retention < 1:
-            retention = 1
-        while len(log) > retention:
-            dropped = log.pop(0)
-            if dropped.serial > self._pruned_through.get(repo_id, -1):
-                self._pruned_through[repo_id] = dropped.serial
-            self._publication_indexes.pop((repo_id, dropped.serial), None)
-            retained = {sha for publication in log
-                        for _, sha in publication.entries.values()}
-            for _, sha in dropped.entries.values():
-                if sha not in retained:
-                    self.cache.drop_chunk_manifest(sha)
-                    self._pruned_manifest_shas.add(sha)
-
-    def publication_at(self, repo_id: str,
-                       as_of: float) -> Publication | None:
-        """Newest recorded publication available at plan time ``as_of``."""
-        log = self._publications.get(repo_id, [])
-        best = None
-        for publication in log:
-            if publication.available_at <= as_of:
-                best = publication
-            else:
-                break
-        if best is None and log and repo_id in self._pruned_through:
-            # Every publication as old as ``as_of`` has been pruned: a
-            # real repository deleted those bytes, so laggards get the
-            # oldest copy that still exists.
-            return log[0]
-        return best
+        dropped = log.append(repo_id, publication, max(1, retention))
+        if dropped:
+            retained = {sha for kept in log.publications(repo_id)
+                        for _, sha in kept.entries.values()}
+            for old in dropped:
+                self._publication_indexes.pop((repo_id, old.serial), None)
+                for _, sha in old.entries.values():
+                    if sha not in retained:
+                        self.cache.drop_chunk_manifest(sha)
+                        self._pruned_manifest_shas.add(sha)
+        return publication
 
     def publications(self, repo_id: str) -> list[Publication]:
-        return list(self._publications.get(repo_id, []))
+        return self.publication_log.publications(repo_id)
 
     def index_bytes_at(self, repo_id: str, as_of: float) -> bytes:
-        publication = self.publication_at(repo_id, as_of)
-        if publication is None:
-            raise NetworkError(
-                f"repository {repo_id!r} has no published index at "
-                f"t={as_of:.3f}"
-            )
-        return publication.index_bytes
+        return self.publication_log.index_bytes_at(repo_id, as_of)
 
     def serve_package_at(self, repo_id: str, name: str,
                          as_of: float) -> bytes:
-        """Serve a sanitized package as of a plan instant.
-
-        Reads *through the disk cache* first — serving is the cache's hot
-        traffic, and its hit pattern under concurrent refresh churn is
-        what the LRU/LRU-2 ablation measures — and only falls back to the
-        publication's captured copy when the cached blob was evicted or
-        replaced by a later round (``serve_fallbacks`` counts these, and
-        each one queues a re-sanitize job the next refresh round pays for
-        on the enclave channel).  Either path is verified against the
-        publication's signed index, so the served bytes are identical
-        regardless of cache state.
-        """
-        publication = self.publication_at(repo_id, as_of)
-        if publication is None:
-            raise NetworkError(
-                f"repository {repo_id!r} has no publication at t={as_of:.3f}"
-            )
-        expected = publication.entries.get(name)
-        if expected is None:
-            raise NetworkError(
-                f"package {name!r} not in the t="
-                f"{publication.available_at:.3f} publication"
-            )
-        return self._publication_blob(repo_id, name, publication, expected,
-                                      at=as_of)
+        """Serve a sanitized package as of a plan instant (see
+        :meth:`_publication_blob` for where the bytes come from)."""
+        return self.publication_log.serve_package_at(repo_id, name, as_of)
 
     def _publication_blob(self, repo_id: str, name: str,
                           publication: Publication,
-                          expected: tuple[int, str],
-                          at: float | None = None) -> bytes:
-        """Cache-first publication serve (no clock advance: as_of-stamped
-        serves belong to a replay plan whose driver advances the scenario
-        clock exactly once, at the end — the transfer itself is accounted
-        on the plan schedule).  A fallback serve queues a re-sanitize job
-        stamped with the serve instant ``at`` (live serves use the clock).
+                          at: float | None) -> bytes:
+        """The primary's package byte source for publication serves.
+
+        Reads through the disk cache first: serving is the cache's hot
+        traffic, whose hit pattern under refresh churn the LRU/LRU-2
+        ablation measures.  When the cached blob was evicted or replaced
+        by a later round, serves the publication's captured copy and
+        queues a re-sanitize job stamped with the serve instant ``at``
+        (the clock for live serves) that the next refresh round pays for
+        on the enclave channel (``serve_fallbacks`` counts these).  Both
+        paths are checked against the signed index, so the bytes never
+        depend on cache state.  No clock advance: the replay plan
+        accounts the transfer on its schedule.
         """
+        size, sha = publication.entries[name]
         cached = self.cache.get_sanitized(repo_id, name)
-        if cached is not None and len(cached) == expected[0] \
-                and sha256_hex(cached) == expected[1]:
+        if cached is not None and len(cached) == size \
+                and sha256_hex(cached) == sha:
             self.serve_cache_hits += 1
             return cached
-        blob = publication.blobs.get(name)
-        if blob is None:
-            raise NetworkError(
-                f"package {name!r} not available from the t="
-                f"{publication.available_at:.3f} publication"
-            )
-        if len(blob) != expected[0] or sha256_hex(blob) != expected[1]:
-            raise NetworkError(
-                f"published package {name!r} does not match its signed index"
-            )
+        blob = publication.captured_blob(name)
         if at is None:
             at = self._network.clock.now()
         if not self.resanitize_serves:
@@ -829,12 +742,7 @@ class TrustedSoftwareRepository:
             return manifest
         from repro.core.delta import blob_manifest
         from repro.util.errors import DeltaError, PackagingError
-        blob = next((publication.blobs[name]
-                     for log in self._publications.values()
-                     for publication in log
-                     for name, (_, pinned) in publication.entries.items()
-                     if pinned == sha256 and name in publication.blobs),
-                    None)
+        blob = self.publication_log.blob_with_sha(sha256)
         if blob is None:
             return None
         try:
@@ -844,159 +752,27 @@ class TrustedSoftwareRepository:
         self.cache.put_chunk_manifest(sha256, manifest)
         return manifest
 
-    def _delta_target(self, repo_id: str,
-                      as_of: float | None) -> Publication | None:
-        """The publication a delta request resolves against.
-
-        Time-stamped requests see the newest publication at ``as_of``
-        (raising like the full path when none exists yet); live requests
-        see the newest publication overall, or ``None`` when the
-        repository has never recorded one (delta serving is publication-
-        backed — callers then fall back to the live enclave state).
-        """
-        if as_of is not None:
-            publication = self.publication_at(repo_id, as_of)
-            if publication is None:
-                raise NetworkError(
-                    f"repository {repo_id!r} has no publication at "
-                    f"t={as_of:.3f}"
-                )
-            return publication
-        log = self._publications.get(repo_id, [])
-        return log[-1] if log else None
-
-    def _publication_index(self, repo_id: str, position: int):
-        """Parsed index of one publication (cached by serial — stable
-        under retention pruning, unlike log positions; same-serial
-        publications carry byte-identical index bytes)."""
-        from repro.archive.index import parse_index_cached
-
-        publication = self._publications[repo_id][position]
-        key = (repo_id, publication.serial)
-        cached = self._publication_indexes.get(key)
-        if cached is None:
-            cached = parse_index_cached(publication.index_bytes)
-            self._publication_indexes[key] = cached
-        return cached
-
-    def _count_fallback(self, counters: dict[str, int], reason: str):
-        counters[reason] = counters.get(reason, 0) + 1
-
     def index_delta_at(self, repo_id: str, base_serial: int,
                        as_of: float | None = None) -> bytes:
-        """Serve a signed index diff from ``base_serial`` to the newest
-        publication at ``as_of`` (see :mod:`repro.core.delta` for the
-        envelope kinds and fallback rules)."""
-        from repro.core.delta import (
-            build_index_delta,
-            index_body_sha256,
-            index_full_envelope,
-            index_unchanged_envelope,
-        )
-
-        target = self._delta_target(repo_id, as_of)
-        if target is None:
-            blob = self._enclave.ecall("sanitized_index_bytes", repo_id)
-            self._count_fallback(self.delta_index_fallbacks, "no-publication")
-            return index_full_envelope("no-publication", blob)
-        if self.delta_log_depth <= 0:
-            self._count_fallback(self.delta_index_fallbacks, "disabled")
-            return index_full_envelope("disabled", target.index_bytes)
-        if target.serial == base_serial:
-            self.delta_index_unchanged += 1
-            envelope = index_unchanged_envelope(
-                base_serial, index_body_sha256(target.index_bytes))
-            self.delta_bytes_saved += max(
-                0, len(target.index_bytes) - len(envelope))
-            return envelope
-        log = self._publications[repo_id]
-        target_pos = next(i for i in range(len(log) - 1, -1, -1)
-                          if log[i] is target)
-        base_pos = next((i for i in range(target_pos, -1, -1)
-                         if log[i].serial == base_serial), None)
-        if base_pos is None:
-            pruned = self._pruned_through.get(repo_id)
-            if pruned is not None and base_serial <= pruned:
-                # The base aged out of the bounded publication log.  When
-                # even an unbounded log would have answered with a full
-                # pull (the hypothetical gap exceeds the depth bound),
-                # keep the historical "depth" reason; otherwise the
-                # retention knob itself forced the full pull.
-                self.retention_full_pulls += 1
-                reason = ("depth" if target_pos + 1 > self.delta_log_depth
-                          else "retention")
-            else:
-                reason = "unknown-base"
-            self._count_fallback(self.delta_index_fallbacks, reason)
-            return index_full_envelope(reason, target.index_bytes)
-        if target_pos - base_pos > self.delta_log_depth:
-            self._count_fallback(self.delta_index_fallbacks, "depth")
-            return index_full_envelope("depth", target.index_bytes)
-        memo_key = (repo_id, base_serial, target.serial)
-        envelope = self._index_delta_memo.get(memo_key)
-        if envelope is None:
-            envelope = build_index_delta(
-                self._publication_index(repo_id, base_pos),
-                self._publication_index(repo_id, target_pos),
-            )
-            self._index_delta_memo[memo_key] = envelope
-        if len(envelope) >= len(target.index_bytes):
-            self._count_fallback(self.delta_index_fallbacks, "not-smaller")
-            return index_full_envelope("not-smaller", target.index_bytes)
-        self.delta_index_serves += 1
-        self.delta_bytes_saved += len(target.index_bytes) - len(envelope)
-        return envelope
+        """Serve a signed index diff from the publication log; an untimed
+        request before the first publication gets the live enclave index
+        as a ``no-publication`` full envelope."""
+        log = self.publication_log
+        if as_of is None and log.newest(repo_id) is None:
+            return log.full_index("no-publication",
+                                  self.get_index_bytes(repo_id))
+        return log.index_delta_at(repo_id, base_serial, as_of)
 
     def package_delta_at(self, repo_id: str, name: str, base_sha256: str,
                          as_of: float | None = None) -> bytes:
-        """Serve one package as a chunk delta against the client's cached
-        base (identified by its SHA-256), or as a tagged full blob when no
-        usable delta exists."""
-        from repro.core.delta import build_package_delta, package_full_envelope
-        from repro.util.errors import DeltaError
-
-        target = self._delta_target(repo_id, as_of)
-        if target is None:
-            blob = self.serve_package(repo_id, name)
-            self._count_fallback(self.delta_package_fallbacks,
-                                 "no-publication")
-            return package_full_envelope("no-publication", blob)
-        expected = target.entries.get(name)
-        if expected is None:
-            raise NetworkError(
-                f"package {name!r} not in the t="
-                f"{target.available_at:.3f} publication"
-            )
-        blob = self._publication_blob(repo_id, name, target, expected,
-                                      at=as_of)
-        new_sha = expected[1]
-        if self.delta_log_depth <= 0:
-            self._count_fallback(self.delta_package_fallbacks, "disabled")
-            return package_full_envelope("disabled", blob)
-        if base_sha256 == new_sha:
-            self._count_fallback(self.delta_package_fallbacks, "same")
-            return package_full_envelope("same", blob)
-        manifest = self.chunk_manifest(base_sha256)
-        if manifest is None:
-            if base_sha256 in self._pruned_manifest_shas:
-                self.retention_full_pulls += 1
-            self._count_fallback(self.delta_package_fallbacks, "unknown-base")
-            return package_full_envelope("unknown-base", blob)
-        memo_key = (base_sha256, new_sha)
-        if memo_key in self._package_delta_memo:
-            envelope = self._package_delta_memo[memo_key]
-        else:
-            try:
-                envelope = build_package_delta(manifest, blob)
-            except DeltaError:
-                envelope = None
-            self._package_delta_memo[memo_key] = envelope
-        if envelope is None:
-            self._count_fallback(self.delta_package_fallbacks, "not-smaller")
-            return package_full_envelope("not-smaller", blob)
-        self.delta_package_serves += 1
-        self.delta_bytes_saved += len(blob) - len(envelope)
-        return envelope
+        """Serve a package chunk delta from the publication log; an untimed
+        request before the first publication gets the live cache blob as
+        a ``no-publication`` full envelope."""
+        log = self.publication_log
+        if as_of is None and log.newest(repo_id) is None:
+            return log.full_package("no-publication",
+                                    self.serve_package(repo_id, name))
+        return log.package_delta_at(repo_id, name, base_sha256, as_of)
 
     # -- restart & freshness ---------------------------------------------------------------------
 

@@ -763,9 +763,10 @@ class TraceReplay:
         """Quorum-check every replica's served index for this wave."""
         refused: set[str] = set()
         scenario = self._scenario
+        published = scenario.tsr.publication_log
         for replica in self._replicas:
             for repo_id in self._tenants:
-                if scenario.tsr.publication_at(repo_id, as_of) is None:
+                if published.publication_at(repo_id, as_of) is None:
                     continue  # nothing published yet: nothing to refuse
                 key = scenario.tenant_keys.get(repo_id,
                                                scenario.tsr_public_key)

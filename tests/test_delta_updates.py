@@ -246,9 +246,9 @@ class TestEndToEndEquivalence:
         assert delta_mgr.delta_stats.index_rejected == 0
         assert delta_mgr.delta_stats.package_rejected == 0
         # The server counted the same story, and deltas saved real bytes.
-        assert scenario.tsr.delta_index_serves == 2
-        assert scenario.tsr.delta_package_serves >= 1
-        assert scenario.tsr.delta_bytes_saved > 0
+        assert scenario.tsr.publication_log.delta_index_serves == 2
+        assert scenario.tsr.publication_log.delta_package_serves >= 1
+        assert scenario.tsr.publication_log.delta_bytes_saved > 0
 
     def test_current_client_gets_unchanged_envelope(self):
         scenario = _delta_scenario()
@@ -257,7 +257,7 @@ class TestEndToEndEquivalence:
         second = manager.update()  # no new publication in between
         assert second.to_bytes() == first.to_bytes()
         assert manager.delta_stats.index_unchanged == 1
-        assert scenario.tsr.delta_index_unchanged == 1
+        assert scenario.tsr.publication_log.delta_index_unchanged == 1
 
     def test_base_reuse_skips_the_wire_entirely(self):
         scenario = _delta_scenario()
@@ -323,13 +323,14 @@ class TestManifestsOnFirstRequest:
         for name in (built, untouched):
             base_sha = base.entries[name][1]
             assert base_sha not in pinned
-            before = tsr.retention_full_pulls
+            before = tsr.publication_log.retention_full_pulls
             kind, reason, _ = parse_package_delta_envelope(
                 tsr.package_delta_at(scenario.repo_id, name, base_sha))
             assert (kind, reason) == ("full", "unknown-base")
-            assert tsr.retention_full_pulls == before + 1
+            assert tsr.publication_log.retention_full_pulls == before + 1
             assert tsr.cache.get_chunk_manifest(base_sha) is None
-        assert tsr.delta_package_fallbacks.get("unknown-base") == 2
+        assert tsr.publication_log.delta_package_fallbacks.get(
+            "unknown-base") == 2
         assert tsr.cache.manifest_writes == 1
 
     def test_replica_builds_an_untouched_base_like_the_primary(self):
@@ -339,7 +340,8 @@ class TestManifestsOnFirstRequest:
         scenario.clock.advance(0.1)
         replica.sync_from_primary(at=scenario.clock.now())
         assert scenario.tsr.cache.manifest_writes == 0
-        served = replica.package_delta_at(scenario.repo_id, name, base_sha)
+        served = replica.publication_log.package_delta_at(
+            scenario.repo_id, name, base_sha)
         assert parse_package_delta_envelope(served)[0] == "delta"
         assert scenario.tsr.cache.manifest_writes == 1
         assert served == tsr.package_delta_at(scenario.repo_id, name,
@@ -464,7 +466,8 @@ class TestAdversarial:
             _publish_round(scenario, seed)
         index = manager.update()  # 3 publications behind, depth bound 1
         assert manager.delta_stats.index_full.get("depth") == 1
-        assert scenario.tsr.delta_index_fallbacks.get("depth") == 1
+        assert scenario.tsr.publication_log.delta_index_fallbacks.get(
+            "depth") == 1
         assert index.serial == RepositoryIndex.from_bytes(
             scenario.tsr.get_index_bytes(scenario.repo_id)).serial
 
@@ -477,7 +480,8 @@ class TestAdversarial:
         manager.update()
         assert manager.delta_stats.index_deltas == 0
         assert manager.delta_stats.index_full.get("disabled") == 1
-        assert scenario.tsr.delta_index_fallbacks.get("disabled") == 1
+        assert scenario.tsr.publication_log.delta_index_fallbacks.get(
+            "disabled") == 1
 
 
 # -- replay regression --------------------------------------------------------

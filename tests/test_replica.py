@@ -21,9 +21,16 @@ import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.index import RepositoryIndex
-from repro.core.delta import build_index_delta, parse_package_delta_envelope
+from repro.core.delta import (
+    build_index_delta,
+    index_body_sha256,
+    index_unchanged_envelope,
+    parse_index_delta_envelope,
+    parse_package_delta_envelope,
+)
 from repro.core.replica import ReplicaTSR, check_replica_freshness
-from repro.util.errors import RollbackError
+from repro.crypto.hashes import sha256_hex
+from repro.util.errors import ReproError, RollbackError
 from repro.workload.generator import Trace, TraceEvent, evolve_packages
 from repro.workload.replay import replay_trace
 from repro.workload.scenario import (
@@ -177,7 +184,8 @@ class TestFreshnessQuorum:
         as_of = replica.synced_through
         serial = check_replica_freshness(replica, scenario.repo_id, as_of,
                                          self._keys(scenario))
-        expected = scenario.tsr.publication_at(scenario.repo_id, as_of)
+        expected = scenario.tsr.publication_log.publication_at(
+            scenario.repo_id, as_of)
         assert serial == expected.serial
 
     def test_staleness_bound_refuses_a_lagging_replica(self):
@@ -189,7 +197,7 @@ class TestFreshnessQuorum:
 
     def test_unverifiable_served_index_is_refused(self):
         scenario, replica = self._synced_replica()
-        log = replica._publications[scenario.repo_id]
+        log = replica.publication_log._publications[scenario.repo_id]
         corrupt = bytearray(log[-1].index_bytes)
         corrupt[len(corrupt) // 2] ^= 0x01
         log[-1] = dataclasses.replace(log[-1], index_bytes=bytes(corrupt))
@@ -261,7 +269,7 @@ class TestAdversarialSync:
         heartbeat = scenario.clock.now() + 5.0
         replica.sync_from_primary(at=heartbeat)
         assert replica.synced_through == heartbeat
-        assert len(replica._publications[scenario.repo_id]) == 1
+        assert len(replica.publication_log.publications(scenario.repo_id)) == 1
         _publish_round(scenario, seed=1)
         assert scenario.clock.now() < heartbeat
 
@@ -270,14 +278,14 @@ class TestAdversarialSync:
         assert replica.sync_from_primary(at=scenario.clock.now()) == 1
         assert replica.sync_failures == 0
         assert replica.synced_through == heartbeat
-        assert replica._publications[scenario.repo_id] == \
+        assert replica.publication_log.publications(scenario.repo_id) == \
             scenario.tsr.publications(scenario.repo_id)
-        assert len(replica._publications[scenario.repo_id]) == 2
+        assert len(replica.publication_log.publications(scenario.repo_id)) == 2
 
     def test_tampered_sync_envelope_never_adopted(self):
         scenario, replica = self._scenario_and_replica()
         synced_through = replica.synced_through
-        adopted = list(replica._publications[scenario.repo_id])
+        adopted = list(replica.publication_log.publications(scenario.repo_id))
         _publish_round(scenario, seed=1)
 
         def corrupt(blob: bytes) -> bytes:
@@ -293,12 +301,13 @@ class TestAdversarialSync:
         # last verified state rather than serving unauthenticated bytes.
         assert replica.sync_failures == 1
         assert replica.synced_through == synced_through
-        assert replica._publications[scenario.repo_id] == adopted
+        assert replica.publication_log.publications(scenario.repo_id) == adopted
 
         # A clean retry catches up.
         replica.sync_from_primary(at=scenario.clock.now())
         assert replica.synced_through > synced_through
-        assert len(replica._publications[scenario.repo_id]) > len(adopted)
+        assert len(replica.publication_log.publications(scenario.repo_id)) \
+            > len(adopted)
 
     def test_rolled_back_sync_envelope_is_refused(self):
         scenario, replica = self._scenario_and_replica()
@@ -317,8 +326,66 @@ class TestAdversarialSync:
 
         assert replica.sync_failures == 1
         served = RepositoryIndex.from_bytes(
-            replica._newest_publication(scenario.repo_id).index_bytes)
+            replica.publication_log.newest(scenario.repo_id).index_bytes)
         assert served.serial == current.serial  # never went backwards
+
+    def _sync_through(self, scenario, replica, envelope):
+        """Sync at the current instant with the primary's answer replaced
+        by ``envelope``; returns the sync instant."""
+        original = _tamper(scenario, scenario.tsr.hostname,
+                           "get_index_delta", lambda blob: envelope)
+        now = scenario.clock.now()
+        replica.sync_from_primary(at=now)
+        scenario.network.host(scenario.tsr.hostname).handler = original
+        return now
+
+    def test_forged_unchanged_answer_adopts_nothing_newer(self):
+        scenario, replica = self._scenario_and_replica()
+        held = replica.publication_log.newest(scenario.repo_id)
+        _publish_round(scenario, seed=1)
+        assert scenario.tsr.publications(scenario.repo_id)[-1].serial == 2
+
+        # "You are current" for the index the replica already holds
+        # authenticates serial 1 and nothing newer: the primary's serial 2
+        # stays unadopted, and the freshness check sees the replay.
+        forged = index_unchanged_envelope(
+            held.serial, index_body_sha256(held.index_bytes))
+        now = self._sync_through(scenario, replica, forged)
+        assert replica.sync_failures == 0
+        assert replica.publication_log.newest(scenario.repo_id).serial == 1
+        with pytest.raises(RollbackError, match="replays serial"):
+            check_replica_freshness(replica, scenario.repo_id, now,
+                                    [scenario.tsr_public_key])
+
+    def test_unchanged_answer_naming_another_index_is_a_sync_failure(self):
+        scenario, replica = self._scenario_and_replica()
+        synced_through = replica.synced_through
+        _publish_round(scenario, seed=1)
+        newest = scenario.tsr.publications(scenario.repo_id)[-1]
+        forged = index_unchanged_envelope(
+            newest.serial, index_body_sha256(newest.index_bytes))
+        self._sync_through(scenario, replica, forged)
+        assert replica.sync_failures == 1
+        assert replica.synced_through == synced_through
+        assert replica.publication_log.newest(scenario.repo_id).serial == 1
+
+    def test_stale_genuine_delta_adopts_only_its_serial(self):
+        scenario, replica = self._scenario_and_replica()
+        _publish_round(scenario, seed=1)
+        first, second = (RepositoryIndex.from_bytes(p.index_bytes)
+                         for p in scenario.tsr.publications(scenario.repo_id))
+        stale = build_index_delta(first, second)
+        _publish_round(scenario, seed=2)
+        assert scenario.tsr.publications(scenario.repo_id)[-1].serial == 3
+
+        # A validly signed 1 -> 2 diff replayed while the primary is at 3
+        # authenticates serial 2: the replica adopts up to 2, never 3.
+        now = self._sync_through(scenario, replica, stale)
+        assert replica.sync_failures == 0
+        assert replica.publication_log.newest(scenario.repo_id).serial == 2
+        with pytest.raises(RollbackError, match="replays serial"):
+            check_replica_freshness(replica, scenario.repo_id, now,
+                                    [scenario.tsr_public_key])
 
 
 # -- adversarial: a tampering replica, recovered via origin pulls --------------
@@ -462,8 +529,139 @@ class TestResanitizeQueue:
             _publish_round(scenario, seed)
         log = tsr.publications(scenario.repo_id)
         assert len(log) <= 2  # newest + the floor the pruner keeps
-        pruned_serial = tsr._pruned_through[scenario.repo_id]
+        pruned_serial = tsr.publication_log.pruned_through[scenario.repo_id]
 
-        before = tsr.retention_full_pulls
+        before = tsr.publication_log.retention_full_pulls
         tsr.index_delta_at(scenario.repo_id, base_serial=pruned_serial)
-        assert tsr.retention_full_pulls == before + 1
+        assert tsr.publication_log.retention_full_pulls == before + 1
+
+
+# -- per-request differential: both tiers serve through one log ---------------
+
+
+def _mixed_packages():
+    """Incompressible payloads, whose package deltas engage, next to
+    compressible ones, whose small blobs make a delta not smaller."""
+    return _rand_packages(count=3) + [
+        ApkPackage(name=f"txt-{i:02d}", version="1.0-r0",
+                   files=[PackageFile(f"/usr/share/txt{i}",
+                                      f"line {i}\n".encode() * 300)])
+        for i in range(3)
+    ]
+
+
+def _answer(scenario, hostname, operation, payload):
+    """One request through a host's network handler: the payload bytes,
+    or the type of the library error it raised."""
+    try:
+        blob, _ = scenario.network.host(hostname).handler(operation, payload)
+    except ReproError as exc:
+        return type(exc)
+    return blob
+
+
+def _kind(operation, answer):
+    """An answer's envelope kind or fallback reason (or error name)."""
+    if isinstance(answer, type):
+        return answer.__name__
+    if operation == "get_index_delta":
+        envelope = parse_index_delta_envelope(answer)
+        return envelope.reason if envelope.kind == "full" else envelope.kind
+    if operation == "get_package_delta":
+        kind, reason, _ = parse_package_delta_envelope(answer)
+        return reason if kind == "full" else kind
+    return "bytes"
+
+
+class TestPerRequestDifferential:
+    """Every publication-backed request, asked of the primary and of a
+    replica synced to the same instant, gets the same answer."""
+
+    UNKNOWN_SHA = sha256_hex(b"never published")
+
+    def _requests(self, scenario, history):
+        """Requests at instants before, at and between publications (the
+        earliest is a pruned laggard once retention bites), against every
+        serial and package sha ever published plus unknown ones.  Each
+        package-delta base is tagged retained, pruned or random."""
+        repo_id = scenario.repo_id
+        retained = {sha for p in scenario.tsr.publications(repo_id)
+                    for _, sha in p.entries.values()}
+        stamps = [history[0].available_at - 0.05, scenario.clock.now()]
+        for older, newer in zip(history, history[1:]):
+            stamps += [older.available_at,
+                       (older.available_at + newer.available_at) / 2]
+        stamps.append(history[-1].available_at)
+        serials = sorted({p.serial for p in history}) + [10 ** 6]
+        names = sorted(scenario.population) + ["no-such-package"]
+        for as_of in stamps + [None]:
+            base = {"repo": repo_id, "as_of": as_of}
+            if as_of is not None:
+                yield "get_index", base, None
+                for name in names:
+                    yield "get_package", {**base, "name": name}, None
+            for serial in serials:
+                yield "get_index_delta", {**base, "base_serial": serial}, None
+            for name in names:
+                shas = {p.entries[name][1] for p in history
+                        if name in p.entries}
+                for sha in sorted(shas) + [self.UNKNOWN_SHA]:
+                    tag = ("random" if sha == self.UNKNOWN_SHA
+                           else "retained" if sha in retained else "pruned")
+                    yield ("get_package_delta",
+                           {**base, "name": name, "base_sha256": sha}, tag)
+
+    def _compare(self, scenario, replica, requests):
+        seen = set()
+        for operation, payload, tag in requests:
+            primary = _answer(scenario, scenario.tsr.hostname, operation,
+                              payload)
+            edge = _answer(scenario, replica.hostname, operation, payload)
+            assert edge == primary, (operation, payload)
+            seen.add((operation, _kind(operation, primary), tag))
+        return seen
+
+    def test_primary_and_replica_answer_every_request_identically(self):
+        scenario = build_scenario(packages=_mixed_packages(),
+                                  with_monitor=False)
+        tsr, repo_id = scenario.tsr, scenario.repo_id
+        tsr.delta_log_depth = 2
+        tsr.publication_retention = 3
+        tsr.record_publication(repo_id, scenario.clock.now())
+        replica = ReplicaTSR("edge-00.example", tsr, sync_cadence=1.0)
+        history = tsr.publications(repo_id)  # every publication, pruned too
+        seen = set()
+        for seed in range(6):
+            if seed:
+                _publish_round(scenario, seed=30 + seed)
+                history.append(tsr.publications(repo_id)[-1])
+            scenario.clock.advance(0.1)
+            replica.sync_from_primary(at=scenario.clock.now())
+            assert replica.sync_failures == 0
+            seen |= self._compare(scenario, replica,
+                                  self._requests(scenario, history))
+        assert len(history) > len(tsr.publications(repo_id))  # pruned
+
+        tsr.delta_log_depth = 0
+        disabled = self._compare(scenario, replica,
+                                 self._requests(scenario, history))
+
+        expected = {
+            ("get_index", "bytes", None),
+            ("get_index", "NetworkError", None),
+            ("get_package", "bytes", None),
+            ("get_package", "NetworkError", None),
+            ("get_index_delta", "same", None),
+            ("get_index_delta", "delta", None),
+            ("get_index_delta", "depth", None),
+            ("get_index_delta", "retention", None),
+            ("get_index_delta", "unknown-base", None),
+            ("get_package_delta", "delta", "retained"),
+            ("get_package_delta", "same", "retained"),
+            ("get_package_delta", "not-smaller", "retained"),
+            ("get_package_delta", "unknown-base", "random"),
+            ("get_package_delta", "unknown-base", "pruned"),
+        }
+        assert expected <= seen
+        assert {("get_index_delta", "disabled", None),
+                ("get_package_delta", "disabled", "retained")} <= disabled

@@ -346,9 +346,10 @@ class TestPublications:
         scenario = self._refreshed()
         tsr = scenario.tsr
         first = tsr.record_publication(scenario.repo_id, 1.0)
-        assert tsr.publication_at(scenario.repo_id, 0.5) is None
-        assert tsr.publication_at(scenario.repo_id, 1.0) is first
-        assert tsr.publication_at(scenario.repo_id, 9.0) is first
+        log = tsr.publication_log
+        assert log.publication_at(scenario.repo_id, 0.5) is None
+        assert log.publication_at(scenario.repo_id, 1.0) is first
+        assert log.publication_at(scenario.repo_id, 9.0) is first
         with pytest.raises(NetworkError):
             tsr.index_bytes_at(scenario.repo_id, 0.5)
         assert tsr.index_bytes_at(scenario.repo_id, 2.0) == \
@@ -383,7 +384,8 @@ class TestPublications:
         assert tsr.index_bytes_at(scenario.repo_id, 0.5) == old.index_bytes
         assert tsr.index_bytes_at(scenario.repo_id, 10.0) == \
             tsr.get_index_bytes(scenario.repo_id)
-        assert tsr.publication_at(scenario.repo_id, 10.0).serial > old.serial
+        assert tsr.publication_log.publication_at(
+            scenario.repo_id, 10.0).serial > old.serial
 
 
 # -- plan fetch session --------------------------------------------------------
