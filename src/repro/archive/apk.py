@@ -18,11 +18,11 @@ paper describes under Figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.archive.gz import gzip_compress_cached_with_cost, split_gzip_streams
 from repro.archive.tar import TarEntry, read_tar, write_tar
-from repro.crypto.hashes import sha256_bytes, sha256_hex
+from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.util.errors import IntegrityError, PackagingError, SignatureError
 
@@ -75,6 +75,21 @@ class ApkPackage:
 
     def file_map(self) -> dict[str, PackageFile]:
         return {f.path: f for f in self.files}
+
+    def copy(self) -> "ApkPackage":
+        """A copy with its own containers and :class:`PackageFile`
+        records; file contents (immutable bytes) are shared."""
+        return ApkPackage(
+            name=self.name,
+            version=self.version,
+            arch=self.arch,
+            description=self.description,
+            depends=list(self.depends),
+            scripts=dict(self.scripts),
+            files=[PackageFile(f.path, f.content, f.mode, f.ima_signature)
+                   for f in self.files],
+            config_signatures=dict(self.config_signatures),
+        )
 
     # -- serialization -----------------------------------------------------
 
@@ -178,9 +193,9 @@ class ApkPackage:
         config_signatures: dict[str, bytes] = {}
         for entry in control_entries:
             if entry.name == ".PKGINFO":
-                pkginfo = entry.data.decode()
+                pkginfo = entry.text()
             elif entry.name in SCRIPT_HOOKS:
-                scripts[entry.name] = entry.data.decode()
+                scripts[entry.name] = entry.text()
             elif entry.name.startswith(".config-sig"):
                 config_signatures[entry.name[len(".config-sig"):]] = entry.data
         if pkginfo is None:
@@ -227,6 +242,10 @@ class ParsedApk:
     control_gz: bytes
     data_gz: bytes
     datahash: str
+
+    def copy(self) -> "ParsedApk":
+        """A copy whose package the caller may mutate freely."""
+        return replace(self, package=self.package.copy())
 
     def verify(self, trusted_keys: list[RsaPublicKey]) -> RsaPublicKey:
         """Full chain check: signature over control, datahash over data.
@@ -291,10 +310,6 @@ def package_content_hash(blob: bytes) -> str:
     return sha256_hex(blob)
 
 
-def package_size(blob: bytes) -> int:
-    return len(blob)
-
-
 __all__ = [
     "ApkPackage",
     "PackageFile",
@@ -302,6 +317,4 @@ __all__ = [
     "SCRIPT_HOOKS",
     "SIGNATURE_PAX_KEY",
     "package_content_hash",
-    "package_size",
-    "sha256_bytes",
 ]

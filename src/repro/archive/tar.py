@@ -70,6 +70,10 @@ class TarEntry:
         """Attach an extended attribute (e.g. ``security.ima``)."""
         self.pax_headers[f"SCHILY.xattr.{name}"] = value
 
+    def text(self) -> str:
+        """The member's data decoded as UTF-8."""
+        return _utf8(self.data, f"tar member {self.name!r}")
+
 
 def _octal_field(value: int, width: int) -> bytes:
     """NUL-terminated zero-padded octal, the classic tar numeric encoding."""
@@ -136,13 +140,20 @@ def _decode_pax_records(data: bytes) -> dict[str, bytes]:
     records: dict[str, bytes] = {}
     offset = 0
     while offset < len(data):
-        space = data.index(b" ", offset)
-        length = int(data[offset:space].decode("ascii"))
-        record = data[offset + len(str(length)) + 1:offset + length]
+        space = data.find(b" ", offset)
+        if space < 0:
+            raise PackagingError("PAX record missing its length field")
+        length_field = data[offset:space]
+        if not length_field.isdigit():
+            raise PackagingError(f"malformed PAX record length {length_field!r}")
+        length = int(length_field)
+        if offset + length > len(data):
+            raise PackagingError("PAX record length exceeds the header")
+        record = data[space + 1:offset + length]
         if not record.endswith(b"\n"):
             raise PackagingError("PAX record missing trailing newline")
         key_bytes, _, value = record[:-1].partition(b"=")
-        records[key_bytes.decode("utf-8")] = value
+        records[_utf8(key_bytes, "PAX record key")] = value
         offset += length
     return records
 
@@ -179,6 +190,15 @@ def _parse_octal(raw: bytes, what: str) -> int:
         raise PackagingError(f"bad octal in tar {what}: {raw!r}") from None
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PackagingError(
+            f"{what} is not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
 def _parse_string(raw: bytes) -> str:
     return raw.rstrip(b"\x00").decode("utf-8")
 
@@ -207,19 +227,24 @@ def read_tar(data: bytes) -> list[TarEntry]:
         if typeflag == TYPE_PAX_HEADER:
             pending_pax = _decode_pax_records(body)
             continue
-        entry = TarEntry(
-            name=_parse_string(header[0:100]),
-            data=body if typeflag == TYPE_REGULAR else b"",
-            mode=_parse_octal(header[100:108], "mode"),
-            uid=_parse_octal(header[108:116], "uid"),
-            gid=_parse_octal(header[116:124], "gid"),
-            mtime=_parse_octal(header[136:148], "mtime"),
-            typeflag=typeflag,
-            linkname=_parse_string(header[157:257]),
-            uname=_parse_string(header[265:297]),
-            gname=_parse_string(header[297:329]),
-            pax_headers=pending_pax,
-        )
+        try:
+            entry = TarEntry(
+                name=_parse_string(header[0:100]),
+                data=body if typeflag == TYPE_REGULAR else b"",
+                mode=_parse_octal(header[100:108], "mode"),
+                uid=_parse_octal(header[108:116], "uid"),
+                gid=_parse_octal(header[116:124], "gid"),
+                mtime=_parse_octal(header[136:148], "mtime"),
+                typeflag=typeflag,
+                linkname=_parse_string(header[157:257]),
+                uname=_parse_string(header[265:297]),
+                gname=_parse_string(header[297:329]),
+                pax_headers=pending_pax,
+            )
+        except UnicodeDecodeError as exc:
+            raise PackagingError(
+                f"tar header string is not valid UTF-8 ({exc.reason})"
+            ) from exc
         pending_pax = {}
         entries.append(entry)
     else:

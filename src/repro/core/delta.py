@@ -299,6 +299,26 @@ def parse_package_delta_envelope(payload: bytes,
         "ascii", errors="replace"), rest
 
 
+#: Base blob SHA-256 -> chunk map of its data segment.  A fleet patches
+#: many clients from the same base, so each base is inflated and chunked
+#: once per process (bounded; cleared wholesale).  The key is computed
+#: here from the bytes themselves, and failures propagate uncached.
+_BASE_CHUNKS_MEMO: dict[str, dict[str, bytes]] = {}
+_BASE_CHUNKS_LIMIT = 512
+
+
+def _base_chunk_map(base_blob: bytes) -> dict[str, bytes]:
+    key = sha256_hex(base_blob)
+    chunks = _BASE_CHUNKS_MEMO.get(key)
+    if chunks is None:
+        _, base_data = split_gzip_streams(base_blob, expected=3)[2]
+        chunks = chunk_map(base_data)
+        if len(_BASE_CHUNKS_MEMO) >= _BASE_CHUNKS_LIMIT:
+            _BASE_CHUNKS_MEMO.clear()
+        _BASE_CHUNKS_MEMO[key] = chunks
+    return chunks
+
+
 def apply_package_delta(base_blob: bytes, payload: bytes) -> bytes:
     """Patch the client's cached base apk into the target apk.
 
@@ -317,12 +337,12 @@ def apply_package_delta(base_blob: bytes, payload: bytes) -> bytes:
         raise DeltaError(f"malformed pdelta header {header!r}") from exc
     try:
         inner = gzip_decompress(inner_gz)
-        _, base_data = split_gzip_streams(base_blob, expected=3)[2]
+        base_chunks = _base_chunk_map(base_blob)
     except PackagingError as exc:
         raise DeltaError(f"undecodable delta payload: {exc}") from exc
     sig_gz, offset = _read_sized(inner, b"S:", 0)
     control_gz, offset = _read_sized(inner, b"C:", offset)
-    data = apply_chunk_ops(decode_ops(inner[offset:]), chunk_map(base_data))
+    data = apply_chunk_ops(decode_ops(inner[offset:]), base_chunks)
     blob = sig_gz + control_gz + gzip_compress_cached(data)
     if len(blob) != new_size or sha256_hex(blob) != new_sha:
         raise DeltaError(

@@ -11,6 +11,15 @@ a real system (paper section 5.3).
 TSR transparency (paper section 4.3) shows up here as an interface: the
 package manager talks to any :class:`RepositoryClient`, and a TSR instance
 is just another repository.
+
+A simulated fleet runs many package managers in one process, all
+installing the same signed blobs.  The content work on that path runs
+once per distinct input: a verified blob is parsed once (keyed by the
+SHA-256 it just matched against the signed index), a hook script once
+(:class:`Interpreter`), and a delta base is chunked once
+(:func:`apply_package_delta`).  The memos cache parses, never verdicts:
+every install still checks size, hash, package signature under its own
+keyring, ``datahash`` and name.
 """
 
 from __future__ import annotations
@@ -52,6 +61,24 @@ from repro.util.errors import (
 #: one), so a tampering or rolled-back replica cannot answer its own
 #: recovery traffic.
 _RECOVERY_REASONS = frozenset({"rejected", "rollback-rejected"})
+
+
+#: Verified blob SHA-256 -> parsed apk (bounded; cleared wholesale).
+#: Only :meth:`PackageManager._download_verified` consults it, after the
+#: blob's size and hash matched the signed index entry, and each caller
+#: gets a private copy.  Parse failures are not cached.
+_PARSE_MEMO: dict[str, ParsedApk] = {}
+_PARSE_MEMO_LIMIT = 512
+
+
+def _parse_verified(digest: str, blob: bytes) -> ParsedApk:
+    parsed = _PARSE_MEMO.get(digest)
+    if parsed is None:
+        parsed = ApkPackage.parse(blob)
+        if len(_PARSE_MEMO) >= _PARSE_MEMO_LIMIT:
+            _PARSE_MEMO.clear()
+        _PARSE_MEMO[digest] = parsed
+    return parsed.copy()
 
 
 class RepositoryClient(Protocol):
@@ -167,8 +194,9 @@ class PackageManager:
         #: fails to verify.  Installed bytes are identical either way.
         self.delta_updates = delta_updates
         self.delta_stats = DeltaStats()
-        #: Last verified full blob per package name — the patch bases.
-        self._delta_bases: dict[str, bytes] = {}
+        #: Last verified full blob per package name — the patch bases —
+        #: with the SHA-256 the signed index pinned for it.
+        self._delta_bases: dict[str, tuple[bytes, str]] = {}
 
     @property
     def client(self) -> RepositoryClient:
@@ -344,14 +372,15 @@ class PackageManager:
             self._account_wire(stats, len(blob))
             return blob
         fetch_delta = getattr(self._client, "fetch_package_delta", None)
-        base = self._delta_bases.get(entry.name)
-        if fetch_delta is None or base is None:
+        cached = self._delta_bases.get(entry.name)
+        if fetch_delta is None or cached is None:
             return self._fetch_full(entry, stats, "no-base")
-        if sha256_hex(base) == entry.sha256:
+        base, base_sha256 = cached
+        if base_sha256 == entry.sha256:
             # The cached base *is* the pinned version: no transfer at all.
             self.delta_stats.base_reuses += 1
             return base
-        payload = fetch_delta(entry.name, sha256_hex(base))
+        payload = fetch_delta(entry.name, base_sha256)
         self._account_wire(stats, len(payload))
         try:
             kind, reason, rest = parse_package_delta_envelope(payload)
@@ -378,11 +407,12 @@ class PackageManager:
                 f"{entry.describe()}: size {len(blob)} != index size {entry.size} "
                 "(endless-data defence)"
             )
-        if sha256_hex(blob) != entry.sha256:
+        digest = sha256_hex(blob)
+        if digest != entry.sha256:
             raise IntegrityError(
                 f"{entry.describe()}: content hash does not match signed index"
             )
-        parsed = ApkPackage.parse(blob)
+        parsed = _parse_verified(digest, blob)
         parsed.verify(self.trusted_keys)
         if parsed.package.name != entry.name:
             raise IntegrityError(
@@ -393,7 +423,7 @@ class PackageManager:
             # Only fully verified blobs become patch bases, so a poisoned
             # delta can never linger: the next delta diffs against bytes
             # the signed index vouched for.
-            self._delta_bases[entry.name] = blob
+            self._delta_bases[entry.name] = (blob, digest)
         return parsed
 
     # -- install / upgrade / remove --------------------------------------------------------

@@ -66,6 +66,25 @@ class _Context:
     commands_run: int = 0
 
 
+#: Source text -> parsed AST.  Every node of a fleet runs the same hook
+#: scripts, so each distinct text is parsed once per process (bounded;
+#: cleared wholesale).  The AST is shared as is: it never leaves
+#: :meth:`Interpreter.run`, and no command mutates its arguments.  Parse
+#: failures propagate and are not cached.
+_AST_MEMO: dict[str, Script] = {}
+_AST_MEMO_LIMIT = 512
+
+
+def _parse_cached(source: str) -> Script:
+    script = _AST_MEMO.get(source)
+    if script is None:
+        script = parse_script(source)
+        if len(_AST_MEMO) >= _AST_MEMO_LIMIT:
+            _AST_MEMO.clear()
+        _AST_MEMO[source] = script
+    return script
+
+
 class Interpreter:
     """Executes the shell subset; raises :class:`ScriptError` on anything
     outside the supported command set (strict by design — TSR rejects what
@@ -76,7 +95,7 @@ class Interpreter:
 
     def run(self, script: Script | str) -> ExecutionResult:
         if isinstance(script, str):
-            script = parse_script(script)
+            script = _parse_cached(script)
         context = _Context(host=self._host)
         try:
             code = self._run_statements(script.statements, context)

@@ -67,8 +67,8 @@ def tokenize(text: str) -> list[Token]:
             flush()
             i += 1
         elif char == "#" and not current_started:
-            while i < len(text) and text[i] != "\n":
-                i += 1
+            newline = text.find("\n", i)
+            i = len(text) if newline < 0 else newline
         elif char == "\\":
             if i + 1 >= len(text):
                 raise ScriptError(f"dangling backslash at line {line}")

@@ -52,9 +52,9 @@ def parse_script(source: str) -> Script:
     """Parse shell source into a :class:`Script` AST."""
     shebang = None
     if source.startswith("#!"):
-        first_line, _, rest = source.partition("\n")
-        shebang = first_line
-        source = rest
+        # The tokenizer skips the line as a comment, so the lines after
+        # it keep their numbers.
+        shebang = source.partition("\n")[0]
     stream = _TokenStream(tokenize(source))
     statements = _parse_statements(stream, terminators=frozenset())
     if stream.peek() is not None:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.archive.apk import ApkPackage, PackageFile, package_content_hash
 from repro.archive.gz import gzip_compress, gzip_decompress, split_gzip_streams
 from repro.archive.index import IndexEntry, RepositoryIndex
+from repro.archive.tar import TarEntry, write_tar
+from repro.crypto.hashes import sha256_hex
 from repro.util.errors import IntegrityError, PackagingError, SignatureError
 
 
@@ -178,6 +180,34 @@ class TestApk:
         streams = [gz for gz, _ in split_gzip_streams(blob, expected=3)]
         with pytest.raises(PackagingError):
             ApkPackage.parse(streams[0] + streams[1])
+
+    @pytest.mark.parametrize("member, text", [
+        (".PKGINFO", b"pkgname = caf\xe9\n"),
+        (".post-install", b"#!/bin/sh\necho caf\xe9\n"),
+    ])
+    def test_parse_rejects_non_utf8_control_member(self, rsa_key, member,
+                                                   text):
+        data_gz = gzip_compress(write_tar([TarEntry(name="f", data=b"x")]))
+        pkginfo = (b"pkgname = cafe\npkgver = 1-r0\ndatahash = "
+                   + sha256_hex(data_gz).encode() + b"\n")
+        control = {".PKGINFO": pkginfo, ".post-install": b"true\n"}
+        control[member] = text if member != ".PKGINFO" else pkginfo + text
+        control_gz = gzip_compress(write_tar(
+            [TarEntry(name=name, data=data) for name, data in control.items()]))
+        signature_gz = gzip_compress(write_tar([TarEntry(
+            name=".SIGN.RSA.builder.rsa.pub", data=rsa_key.sign(control_gz))]))
+        with pytest.raises(PackagingError, match=member):
+            ApkPackage.parse(signature_gz + control_gz + data_gz)
+
+    def test_copy_owns_its_containers(self):
+        pkg = _sample_package()
+        clone = pkg.copy()
+        assert clone == pkg
+        clone.files[0].content = b"changed"
+        clone.files.append(PackageFile(path="/extra", content=b""))
+        clone.scripts.clear()
+        clone.depends.append("evil")
+        assert pkg == _sample_package()
 
 
 def _sample_index() -> RepositoryIndex:

@@ -173,3 +173,43 @@ class TestErrors:
         blob = write_tar([TarEntry(name="f", data=b"x")])
         with pytest.raises(PackagingError):
             read_tar(blob[:-1024])
+
+
+def _with_pax_body(body: bytes) -> bytes:
+    """A one-member archive whose 6-byte PAX body is replaced by ``body``
+    (the header checksum covers the header block only)."""
+    blob = write_tar([TarEntry(name="f", data=b"x", pax_headers={"k": b"v"})])
+    assert len(body) == 6 and blob.count(b"6 k=v\n") == 1
+    return blob.replace(b"6 k=v\n", body)
+
+
+class TestMalformedMetadata:
+    """Malformed member metadata is a :class:`PackagingError`, like every
+    other malformed archive, never a bare ``ValueError`` or
+    ``UnicodeDecodeError``."""
+
+    @pytest.mark.parametrize("body", [
+        b"zz k=v",      # non-numeric record length
+        b"6xk=v\n",     # no space after the length
+        b"9 k=v\n",     # length runs past the header
+        b"6 \xff=v\n",  # non-UTF-8 record key
+    ])
+    def test_bad_pax_record_rejected(self, body):
+        with pytest.raises(PackagingError):
+            read_tar(_with_pax_body(body))
+
+    def test_non_utf8_member_name_rejected(self):
+        buffer = io.BytesIO()
+        with tarfile.open(fileobj=buffer, mode="w", encoding="latin-1",
+                          format=tarfile.USTAR_FORMAT) as tf:
+            info = tarfile.TarInfo("caf\u00e9.txt")
+            info.size = 2
+            tf.addfile(info, io.BytesIO(b"hi"))
+        with pytest.raises(PackagingError, match="UTF-8"):
+            read_tar(buffer.getvalue())
+
+    def test_text_decodes_utf8_and_rejects_the_rest(self):
+        assert TarEntry(name="s", data="caf\u00e9".encode()).text() == \
+            "caf\u00e9"
+        with pytest.raises(PackagingError, match="'s'"):
+            TarEntry(name="s", data=b"caf\xe9").text()

@@ -3,15 +3,18 @@
 import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
+from repro.archive.gz import gzip_compress
 from repro.archive.index import RepositoryIndex
+from repro.archive.tar import TarEntry, write_tar
 from repro.core.client import deploy_policy_with_attestation
 from repro.core.service import SEALED_STATE_PATH
-from repro.crypto.rsa import RsaPublicKey
+from repro.crypto.hashes import sha256_hex
+from repro.crypto.rsa import RsaPublicKey, generate_keypair
 from repro.mirrors.mirror import MirrorBehavior
 from repro.mirrors.builder import MirrorSpec
 from repro.simnet.latency import Continent
 from repro.simnet.network import Host, Request
-from repro.util.errors import NetworkError, RollbackError
+from repro.util.errors import NetworkError, PackagingError, RollbackError
 from repro.workload.generator import generate_workload
 from repro.workload.scenario import build_scenario
 
@@ -81,6 +84,24 @@ class TestRefresh:
         report = scenario.tsr.refresh(scenario.repo_id)
         assert report.changed_packages == ["musl"]
         assert report.sanitized == 1
+
+    def test_undecodable_hook_aborts_refresh_with_packaging_error(self):
+        fresh = build_scenario(packages=_mini_packages()[:1], key_bits=1024)
+        builder = generate_keypair(1024, seed=0xCAFE)
+        data_gz = gzip_compress(write_tar([]))
+        pkginfo = ("pkgname = cafe\npkgver = 1-r0\n"
+                   f"datahash = {sha256_hex(data_gz)}\n").encode()
+        control_gz = gzip_compress(write_tar([
+            TarEntry(name=".PKGINFO", data=pkginfo),
+            TarEntry(name=".post-install", data=b"echo caf\xe9\n"),
+        ]))
+        signature_gz = gzip_compress(write_tar([TarEntry(
+            name=".SIGN.RSA.builder.rsa.pub", data=builder.sign(control_gz))]))
+        fresh.origin.publish_blob("cafe", "1-r0",
+                                  signature_gz + control_gz + data_gz)
+        fresh.sync_mirrors()
+        with pytest.raises(PackagingError, match="post-install"):
+            fresh.tsr.refresh(fresh.repo_id)
 
     def test_served_package_verifies_under_tsr_key(self, scenario):
         blob = scenario.tsr.serve_package(scenario.repo_id, "nginx")

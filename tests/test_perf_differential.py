@@ -23,6 +23,11 @@ pin:
   misses the memo and still fails the envelope's hash check.
 * **Chunker engines** — the vectorized steady-state gear scan vs the
   scalar rolling loop, on random, adversarial, and odd-parameter inputs.
+* **Client install memos** — a verified-blob parse hit is a private copy
+  that still faces each manager's own keyring and is never consulted for
+  bytes that miss the signed hash; script and chunk-map memos keep every
+  failure and tamper check; a multi-node install and delta upgrade with
+  live memos leaves the state of the same run with cold memos.
 """
 
 import random
@@ -47,11 +52,26 @@ from repro.core.delta import (
     apply_package_delta,
     blob_manifest,
     build_package_delta,
+    package_full_envelope,
 )
 from repro.crypto import rsa
 from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import generate_keypair
-from repro.util.errors import DeltaError, PackagingError
+from repro.ima.subsystem import ima_signature_for
+from repro.osim import pkgmgr as pkgmgr_module
+from repro.osim.fs import SimFileSystem
+from repro.osim.os import IntegrityEnforcedOS
+from repro.osim.pkgdb import DB_PATH
+from repro.osim.pkgmgr import InstallStats, PackageManager
+from repro.scripts import interpreter as interpreter_module
+from repro.scripts.interpreter import Interpreter
+from repro.util.errors import (
+    DeltaError,
+    IntegrityError,
+    PackagingError,
+    ScriptError,
+    SignatureError,
+)
 
 KEY = generate_keypair(bits=1024, seed=71)
 OTHER_KEY = generate_keypair(bits=1024, seed=72)
@@ -245,6 +265,22 @@ class TestCompressMemoEquivalence:
         assert gzip_decompress(cold) == self.DATA
 
 
+def _flip_first_literal(envelope: bytes) -> bytes:
+    """A ``pdelta`` envelope with one bit of its first literal flipped: it
+    still decodes, and only the final hash check can catch it."""
+    header, _, inner_gz = envelope.partition(b"\n")
+    inner = gzip_decompress(inner_gz)
+    ops_at = 0
+    for _ in ("signature", "control"):
+        newline = inner.index(b"\n", ops_at)
+        ops_at = newline + 1 + int(inner[ops_at + 2:newline])
+    ops = decode_ops(inner[ops_at:])
+    at = next(i for i, (kind, _) in enumerate(ops) if kind == "literal")
+    literal = ops[at][1]
+    ops[at] = ("literal", bytes([literal[0] ^ 0x01]) + literal[1:])
+    return header + b"\n" + gzip_compress(inner[:ops_at] + encode_ops(ops))
+
+
 class TestDeltaReconstructionThroughMemo:
     """Client-side delta reconstruction re-deflates the patched data tar
     through the compress memo that the target's build already filled."""
@@ -290,18 +326,7 @@ class TestDeltaReconstructionThroughMemo:
 
     def test_flipped_literal_byte_misses_memo_and_fails(self, monkeypatch):
         base, target, envelope = self._pair()
-        header, _, inner_gz = envelope.partition(b"\n")
-        inner = gzip_decompress(inner_gz)
-        ops_at = 0
-        for _ in ("signature", "control"):
-            newline = inner.index(b"\n", ops_at)
-            ops_at = newline + 1 + int(inner[ops_at + 2:newline])
-        ops = decode_ops(inner[ops_at:])
-        at = next(i for i, (kind, _) in enumerate(ops) if kind == "literal")
-        literal = ops[at][1]
-        ops[at] = ("literal", bytes([literal[0] ^ 0x01]) + literal[1:])
-        tampered = header + b"\n" + gzip_compress(inner[:ops_at]
-                                                  + encode_ops(ops))
+        tampered = _flip_first_literal(envelope)
         calls = self._count_deflates(monkeypatch)
         with pytest.raises(DeltaError):
             apply_package_delta(base, tampered)
@@ -403,3 +428,306 @@ class TestChunkerEngineDifferential:
         assert warm == cold
         warm.append((0, 0))  # callers get a copy, not the memo entry
         assert chunks.chunk_offsets(data) == cold
+
+
+# -- client install memos ------------------------------------------------------
+
+
+class _Repository:
+    """In-memory repository client serving full blobs and package deltas;
+    ``corrupt`` (if set) rewrites every delta envelope it serves."""
+
+    def __init__(self, index_key):
+        self._index_key = index_key
+        self._index = RepositoryIndex(serial=0)
+        self._blobs: dict[str, bytes] = {}
+        self._by_digest: dict[str, bytes] = {}
+        self.corrupt = None
+
+    def publish_blob(self, name: str, version: str, blob: bytes,
+                     depends=()):
+        self._blobs[name] = blob
+        self._by_digest[sha256_hex(blob)] = blob
+        self._index.add(IndexEntry(name=name, version=version,
+                                   size=len(blob), sha256=sha256_hex(blob),
+                                   depends=tuple(depends)))
+        self._index.serial += 1
+        self._index.sign(self._index_key)
+
+    def publish(self, package: ApkPackage) -> bytes:
+        blob = package.build(KEY)
+        self.publish_blob(package.name, package.version, blob,
+                          package.depends)
+        return blob
+
+    def serve_instead(self, name: str, blob: bytes):
+        """Answer downloads of ``name`` with ``blob`` (index unchanged)."""
+        self._blobs[name] = blob
+
+    def fetch_index(self) -> bytes:
+        return self._index.to_bytes()
+
+    def fetch_package(self, name: str) -> bytes:
+        return self._blobs[name]
+
+    def fetch_package_delta(self, name: str, base_sha256: str) -> bytes:
+        target = self._blobs[name]
+        base = self._by_digest.get(base_sha256)
+        envelope = None
+        if base is not None:
+            envelope = build_package_delta(blob_manifest(base), target)
+        if envelope is None:
+            return package_full_envelope("unknown-base", target)
+        return self.corrupt(envelope) if self.corrupt else envelope
+
+
+def _tool(version: str, payload: bytes, hook: str | None = None,
+          depends=()) -> ApkPackage:
+    files = [PackageFile("/usr/bin/tool", payload, mode=0o755,
+                         ima_signature=ima_signature_for(payload, KEY)),
+             PackageFile("/etc/tool.conf", b"level=" + version.encode())]
+    scripts = {".post-install": hook} if hook else {}
+    return ApkPackage(name="tool", version=version, files=files,
+                      scripts=scripts, depends=list(depends))
+
+
+def _node(name: str, repo: _Repository, trusted=None,
+          delta_updates: bool = False) -> PackageManager:
+    node = IntegrityEnforcedOS(name)
+    node.boot()
+    manager = PackageManager(node, repo,
+                             trusted_keys=trusted or [KEY.public_key],
+                             delta_updates=delta_updates)
+    manager.update()
+    return manager
+
+
+def _node_state(manager: PackageManager) -> dict:
+    """Every file's bytes, mode and xattrs (the package database too),
+    read without firing the IMA open hooks."""
+    fs = manager._node.fs
+    return {path: (fs._walk_to(path).content, fs.file_mode(path),
+                   fs.list_xattrs(path))
+            for path in fs.walk_files()}
+
+
+def _clear_client_memos():
+    pkgmgr_module._PARSE_MEMO.clear()
+    interpreter_module._AST_MEMO.clear()
+    delta_module._BASE_CHUNKS_MEMO.clear()
+
+
+class TestVerifiedParseMemo:
+    PAYLOAD = random.Random("parse-memo").randbytes(6000)
+
+    def test_hit_is_a_private_copy(self):
+        repo = _Repository(KEY)
+        blob = repo.publish(_tool("1.0-r0", self.PAYLOAD,
+                                  hook="mkdir -p /var/lib/tool\n"))
+        manager = _node("copy", repo)
+        entry = manager.index.get("tool")
+        first = manager._download_verified(entry, InstallStats())
+        assert pkgmgr_module._PARSE_MEMO[sha256_hex(blob)] is not None
+        first.package.files[0].content = b"poisoned"
+        first.package.files.append(PackageFile("/etc/injected", b"x"))
+        first.package.scripts[".post-install"] = "rm -rf /\n"
+        second = manager._download_verified(entry, InstallStats())
+        assert second.package == ApkPackage.parse(blob).package
+        manager.install("tool")
+        fs = manager._node.fs
+        assert fs._walk_to("/usr/bin/tool").content == self.PAYLOAD
+        assert not fs.exists("/etc/injected")
+        assert fs.isdir("/var/lib/tool")
+
+    def test_memo_hit_still_checks_this_managers_keyring(self):
+        """The blob is signed by KEY; the B manager trusts only OTHER_KEY
+        and must refuse it even though the A manager's install left its
+        parse in the memo."""
+        blob = _tool("1.0-r0", self.PAYLOAD).build(KEY)
+        repo_a, repo_b = _Repository(KEY), _Repository(OTHER_KEY)
+        for repo in (repo_a, repo_b):
+            repo.publish_blob("tool", "1.0-r0", blob)
+        manager_a = _node("trusts-a", repo_a, trusted=[KEY.public_key])
+        manager_a.install("tool")
+        assert sha256_hex(blob) in pkgmgr_module._PARSE_MEMO
+        manager_b = _node("trusts-b", repo_b, trusted=[OTHER_KEY.public_key])
+        with pytest.raises(SignatureError):
+            manager_b.install("tool")
+        assert manager_b._node.pkgdb.get("tool") is None
+
+    def test_altered_blob_fails_the_index_hash_before_any_lookup(
+            self, monkeypatch):
+        repo = _Repository(KEY)
+        blob = repo.publish(_tool("1.0-r0", self.PAYLOAD))
+        _node("warm", repo).install("tool")
+        assert sha256_hex(blob) in pkgmgr_module._PARSE_MEMO
+        altered = bytearray(blob)
+        altered[len(blob) // 2] ^= 0x01
+        repo.serve_instead("tool", bytes(altered))
+
+        lookups = []
+
+        class RecordingMemo(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(pkgmgr_module, "_PARSE_MEMO",
+                            RecordingMemo(pkgmgr_module._PARSE_MEMO))
+        manager = _node("victim", repo)
+        with pytest.raises(IntegrityError, match="content hash"):
+            manager.install("tool")
+        assert lookups == []
+
+    def test_parse_failure_is_not_cached(self):
+        repo = _Repository(KEY)
+        garbage = b"\x1f\x8b not an apk at all"
+        repo.publish_blob("tool", "1.0-r0", garbage)
+        manager = _node("garbage", repo)
+        for _ in range(2):
+            with pytest.raises(PackagingError):
+                manager.install("tool")
+        assert sha256_hex(garbage) not in pkgmgr_module._PARSE_MEMO
+
+
+class TestScriptAstMemo:
+    def test_parse_failure_raises_every_run_and_is_not_cached(self):
+        source = "#!/bin/sh\nif test -f /etc/motd\necho missing then\n"
+        for _ in range(2):
+            with pytest.raises(ScriptError):
+                Interpreter(SimFileSystem()).run(source)
+        assert source not in interpreter_module._AST_MEMO
+
+    def test_shared_ast_runs_independently_per_host(self):
+        source = ("#!/bin/sh\n"
+                  "if test -f /etc/flag; then echo flagged > /out\n"
+                  "else echo clean > /out; fi\n"
+                  "echo done\n")
+        flagged, clean = SimFileSystem(), SimFileSystem()
+        flagged.write_file("/etc/flag", b"")
+        first = Interpreter(flagged).run(source)
+        ast = interpreter_module._AST_MEMO[source]
+        second = Interpreter(clean).run(source)
+        assert interpreter_module._AST_MEMO[source] is ast
+        assert flagged.read_file("/out") == b"flagged\n"
+        assert clean.read_file("/out") == b"clean\n"
+        assert not clean.exists("/etc/flag")
+        assert first.stdout == second.stdout == "done\n"
+        again = Interpreter(flagged).run(source)
+        assert flagged.read_file("/out") == b"flagged\n"
+        assert again == first
+
+
+class TestBaseChunkMapMemo:
+    def _pair(self) -> tuple[bytes, bytes, bytes]:
+        payload = random.Random("chunk-map-memo").randbytes(24 * 1024)
+        base = _tool("1.0-r0", payload).build(KEY)
+        target = _tool("1.0-r1", payload[:7000] + b"patch"
+                       + payload[7000:]).build(KEY)
+        envelope = build_package_delta(blob_manifest(base), target)
+        assert envelope is not None
+        return base, target, envelope
+
+    def test_cold_and_warm_reconstruction_byte_identical(self):
+        base, target, envelope = self._pair()
+        delta_module._BASE_CHUNKS_MEMO.clear()
+        cold = apply_package_delta(base, envelope)
+        assert sha256_hex(base) in delta_module._BASE_CHUNKS_MEMO
+        warm = apply_package_delta(base, envelope)
+        assert cold == warm == target
+
+    def test_tampered_delta_after_warm_hit_still_fails(self):
+        base, target, envelope = self._pair()
+        assert apply_package_delta(base, envelope) == target
+        with pytest.raises(DeltaError):
+            apply_package_delta(base, _flip_first_literal(envelope))
+        assert apply_package_delta(base, envelope) == target
+
+    def test_manager_recovers_through_a_full_pull(self):
+        payload = random.Random("chunk-map-recovery").randbytes(24 * 1024)
+        repo = _Repository(KEY)
+        repo.publish(_tool("1.0-r0", payload))
+        honest = _node("honest", repo, delta_updates=True)
+        victim = _node("victim", repo, delta_updates=True)
+        honest.install("tool")
+        victim.install("tool")
+        repo.publish(_tool("1.0-r1", payload[:9000] + b"fix"
+                           + payload[9000:]))
+        honest.update()
+        honest.upgrade_all()  # fills the memo with the shared base
+        assert honest.delta_stats.package_deltas == 1
+        repo.corrupt = _flip_first_literal
+        victim.update()
+        victim.upgrade_all()
+        assert victim.delta_stats.package_rejected == 1
+        assert victim.delta_stats.package_full == {"no-base": 1,
+                                                   "rejected": 1}
+        assert _node_state(victim) == _node_state(honest)
+
+
+class TestClientMemoDifferential:
+    """A catalog installed and upgraded on several nodes with the client
+    memos live must leave exactly the state of installs that each start
+    from empty memos."""
+
+    NODES = 4
+
+    def _catalog(self, version: int) -> list[ApkPackage]:
+        rng = random.Random(f"fleet-catalog-{version // 2}")
+        packages = []
+        for i in range(4):
+            payload = rng.randbytes(12_000)
+            if version:
+                payload = payload[:4000] + b"r%d" % version + payload[4000:]
+            files = [PackageFile(f"/usr/bin/app{i}", payload, mode=0o755,
+                                 ima_signature=ima_signature_for(payload,
+                                                                 KEY)),
+                     PackageFile(f"/etc/app{i}.conf", b"v%d\n" % version)]
+            scripts = {".post-install":
+                       f"#!/bin/sh\naddgroup -S grp{i}\n"
+                       f"adduser -S -G grp{i} svc{i}\n"
+                       f"mkdir -p /var/lib/app{i}\n",
+                       ".post-upgrade":
+                       f"#!/bin/sh\necho upgraded >> /var/lib/app{i}/log\n"}
+            depends = [f"app-{i - 1}"] if i else []
+            packages.append(ApkPackage(name=f"app-{i}",
+                                       version=f"1.{version}-r0",
+                                       files=files, scripts=scripts,
+                                       depends=depends))
+        return packages
+
+    def _fleet(self, cold: bool) -> list[dict]:
+        _clear_client_memos()
+        repo = _Repository(KEY)
+        for package in self._catalog(0):
+            repo.publish(package)
+        managers = [_node(f"node{i}", repo, delta_updates=True)
+                    for i in range(self.NODES)]
+        for manager in managers:
+            for name in ("app-3", "app-1"):
+                if cold:
+                    _clear_client_memos()
+                manager.install(name)
+        for package in self._catalog(1):
+            repo.publish(package)
+        for manager in managers:
+            manager.update()
+            for entry in manager.available_upgrades():
+                if cold:
+                    _clear_client_memos()
+                manager.install(entry.name)
+        assert all(m.delta_stats.package_deltas == 4 for m in managers)
+        return [_node_state(manager) for manager in managers]
+
+    def test_live_memos_leave_the_cold_state(self):
+        warm = self._fleet(cold=False)
+        # Live memos: one parse per distinct blob, one chunk map per base.
+        assert len(pkgmgr_module._PARSE_MEMO) == 8
+        assert len(delta_module._BASE_CHUNKS_MEMO) == 4
+        assert len(interpreter_module._AST_MEMO) == 8
+        cold = self._fleet(cold=True)
+        assert warm == cold
+        for state in warm:
+            assert state[DB_PATH] == warm[0][DB_PATH]
+            assert state["/usr/bin/app2"][2]["security.ima"]
+            assert b"svc3" in state["/etc/passwd"][0]

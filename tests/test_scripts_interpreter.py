@@ -46,6 +46,10 @@ class TestBasics:
         with pytest.raises(ScriptError):
             sh.run("curl http://evil\n")
 
+    def test_error_line_counts_the_shebang(self, sh):
+        with pytest.raises(ScriptError, match="'foo' at line 3"):
+            sh.run("#!/bin/sh\necho hi\nfoo bar\n")
+
 
 class TestConditionals:
     def test_and_short_circuit(self, sh, host):

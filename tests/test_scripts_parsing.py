@@ -78,6 +78,10 @@ class TestParser:
         script = parse_script("#!/bin/sh\ntrue\n")
         assert script.shebang == "#!/bin/sh"
 
+    def test_lines_after_shebang_keep_their_numbers(self):
+        script = parse_script("#!/bin/sh\ntrue\nmkdir /x\n")
+        assert [cmd.line for cmd in script.iter_commands()] == [2, 3]
+
     def test_and_or_chain(self):
         script = parse_script("test -f /f && echo yes || echo no\n")
         stmt = script.statements[0]
