@@ -9,12 +9,27 @@ within one chunk of an insert/delete/replace edit and everything after
 the edit dedupes against the old version again.
 
 The boundary test is a gear hash (FastCDC's primitive): a 256-entry
-random table, ``h = (h << 1 + GEAR[byte]) mod 2^64``, cut where the low
-``AVG_BITS`` bits are zero.  The left-shift ages bytes out of the hash
-after 64 positions, which is exactly what makes the cut points local (and
-the chunking self-synchronizing).  The gear table is derived from SHA-256
-so every honest party — the TSR building deltas and thousands of clients
-applying them — chunks identically without shipping the table.
+random table, ``h = (h << 1) + GEAR[byte] mod 2^64``, restarted at
+``h = 0`` a chunk's ``MIN_CHUNK`` bytes in and cut where the low
+``AVG_BITS`` bits are zero.  The left-shift ages a byte out of those low
+bits after ``AVG_BITS`` positions, which is exactly what makes the cut
+points local (and the chunking self-synchronizing).  The gear table is
+derived from SHA-256 so every honest party — the TSR building deltas and
+thousands of clients applying them — chunks identically without shipping
+the table.
+
+Because only the low bits are tested, a scan that has consumed at least
+``AVG_BITS`` bytes tests ``L(i) = sum_{k<AVG_BITS} g[i-k] << k (mod
+2^AVG_BITS)`` at position ``i``, with ``g[j] = GEAR[data[j]] & _MASK`` —
+a value of ``i`` alone, not of where the scan started.  That sum is a
+convolution, so :func:`_cut_candidates` finds every position where it is
+zero with one big-integer multiplication: ``g`` packed one value per
+``_LANE``-byte lane, times a kernel whose lag-``k`` term moves a lane
+``k`` lanes up and doubles it ``k`` times.  No lane's sum reaches
+``2^(8*_LANE)``, so no carry crosses lanes and every lane of the product
+holds its own ``L(i)`` exactly.  Each chunk then replays only the first
+``AVG_BITS - 1`` positions, where its window is still filling, and takes
+the first tabulated candidate after them.
 
 Chunks are identified by the first 16 hex digits of their SHA-256.  The
 truncation is safe because delta application always ends with a full-blob
@@ -25,13 +40,10 @@ check and falls back to a full pull, never wrong accepted bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.crypto.hashes import sha256_bytes, sha256_hex
 from repro.util.errors import DeltaError
-
-try:  # optional exact fast path; the scalar scan is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
 
 #: Bytes below which no boundary is considered (also skips hashing work).
 MIN_CHUNK = 512
@@ -43,7 +55,6 @@ MAX_CHUNK = 4096
 AVG_BITS = 10
 
 _MASK = (1 << AVG_BITS) - 1
-_HASH_MOD = (1 << 64) - 1
 
 #: Hex digits of SHA-256 kept as a chunk identifier.
 CHUNK_ID_HEX = 16
@@ -53,15 +64,21 @@ _GEAR = tuple(
     for i in range(256)
 )
 
-_GEAR_NP = None if _np is None else _np.array(_GEAR, dtype=_np.uint64)
-
-#: Blobs below this length chunk faster with the plain scalar scan.
-_NUMPY_THRESHOLD = 8192
+# The scan packs g = GEAR & _MASK as a low byte and a high byte per lane
+# and finds zero lanes through their low byte, hence 8 <= AVG_BITS <= 16.
+assert 8 <= AVG_BITS <= 16
+#: Bytes per scan lane: a lane's window sum stays below 2^(2*AVG_BITS).
+_LANE = (2 * AVG_BITS + 7) // 8
+#: ``bytes.translate`` tables: low byte and high bits of GEAR[b] & _MASK.
+_G_LOW = bytes(g & 0xFF for g in _GEAR)
+_G_HIGH = bytes((g & _MASK) >> 8 for g in _GEAR)
+#: Lag k of the window sum: k lanes up (8*_LANE*k bits), doubled k times.
+_KERNEL = sum(1 << ((8 * _LANE + 1) * k) for k in range(AVG_BITS))
 
 #: Chunk boundaries are a pure function of content: refresh rounds and
 #: replay modes re-manifest the same blob versions over and over, so the
 #: offsets are memoized by content digest (bounded; cleared wholesale).
-_OFFSETS_MEMO: dict[tuple, list[tuple[int, int]]] = {}
+_OFFSETS_MEMO: dict[bytes, list[tuple[int, int]]] = {}
 _OFFSETS_LIMIT = 512
 
 
@@ -71,105 +88,68 @@ def clear_chunk_memo() -> None:
     _OFFSETS_MEMO.clear()
 
 
-def chunk_offsets(data: bytes, min_size: int = MIN_CHUNK,
-                  max_size: int = MAX_CHUNK,
-                  mask: int = _MASK) -> list[tuple[int, int]]:
+def chunk_offsets(data: bytes) -> list[tuple[int, int]]:
     """Cut ``data`` into content-defined ``(start, end)`` ranges.
 
     Deterministic, order-preserving, and exhaustive: the ranges tile the
-    input exactly.  Every chunk is within ``[min_size, max_size]`` except
-    a final (or sole) chunk shorter than ``min_size``.
+    input exactly.  Every chunk is within ``[MIN_CHUNK, MAX_CHUNK]``
+    except a final (or sole) chunk shorter than ``MIN_CHUNK``.
     """
-    if min_size < 1 or max_size < min_size:
-        raise ValueError(f"bad chunk bounds: min={min_size} max={max_size}")
-    key = (sha256_bytes(data), len(data), min_size, max_size, mask)
+    key = sha256_bytes(data)
     hit = _OFFSETS_MEMO.get(key)
     if hit is not None:
         return list(hit)
-    if _GEAR_NP is not None and len(data) >= _NUMPY_THRESHOLD:
-        offsets = _chunk_offsets_vector(data, min_size, max_size, mask)
-    else:
-        offsets = _chunk_offsets_scalar(data, min_size, max_size, mask)
+    candidates = _cut_candidates(data)
+    warm = AVG_BITS - 1
+    offsets: list[tuple[int, int]] = []
+    n = len(data)
+    start = 0
+    while start < n:
+        end = min(start + MAX_CHUNK, n)
+        pos = start + MIN_CHUNK
+        if pos >= end:
+            offsets.append((start, end))
+            break
+        boundary = end
+        # The window is still filling for the first ``warm`` positions:
+        # replay the recurrence there (its low bits are all it tests).
+        h = 0
+        for i in range(pos, min(pos + warm, end)):
+            h = ((h << 1) + _GEAR[data[i]]) & _MASK
+            if h == 0:
+                boundary = i + 1
+                break
+        else:  # window full from pos + warm on: first tabulated cut
+            j = bisect_left(candidates, pos + warm)
+            if j < len(candidates) and candidates[j] < end:
+                boundary = candidates[j] + 1
+        offsets.append((start, boundary))
+        start = boundary
     if len(_OFFSETS_MEMO) >= _OFFSETS_LIMIT:
         _OFFSETS_MEMO.clear()
     _OFFSETS_MEMO[key] = offsets
     return list(offsets)
 
 
-def _chunk_offsets_scalar(data: bytes, min_size: int, max_size: int,
-                          mask: int) -> list[tuple[int, int]]:
-    offsets: list[tuple[int, int]] = []
+def _cut_candidates(data: bytes) -> list[int]:
+    """Ascending positions ``i`` of ``data`` where ``L(i)`` is zero (see
+    the module docstring); below ``AVG_BITS - 1`` the window is partial
+    and the positions are never consulted."""
     n = len(data)
-    start = 0
-    while start < n:
-        end = min(start + max_size, n)
-        pos = start + min_size
-        if pos >= end:
-            offsets.append((start, end))
-            break
-        boundary = end
-        h = 0
-        for i in range(pos, end):
-            h = ((h << 1) + _GEAR[data[i]]) & _HASH_MOD
-            if h & mask == 0:
-                boundary = i + 1
-                break
-        offsets.append((start, boundary))
-        start = boundary
-    return offsets
-
-
-def _chunk_offsets_vector(data: bytes, min_size: int, max_size: int,
-                          mask: int) -> list[tuple[int, int]]:
-    """Exact vectorized gear scan — bit-identical to the scalar loop.
-
-    The left-shift recurrence forgets bytes after 64 positions, so once a
-    scan has accumulated 64 bytes its hash equals the *steady-state*
-    value ``H[i] = sum_{k=0}^{63} GEAR[data[i-k]] << k (mod 2^64)``,
-    which depends only on ``i`` — not on where the scan started.  ``H``
-    is computed once for the whole blob (64 vectorized shifted adds;
-    uint64 wraparound is the mod), and every position where it fires is
-    tabulated.  Each chunk then replays only its first 63 positions —
-    where the window is still filling and the scalar recurrence genuinely
-    differs — and takes the next tabulated candidate beyond them.
-    """
-    n = len(data)
-    g = _GEAR_NP[_np.frombuffer(data, dtype=_np.uint8)]
-    # Window-doubling: H_{2w}(i) = H_w(i) + (H_w(i-w) << w), six passes
-    # to the 64-byte window.  Entries below index 63 are partial and
-    # never consulted (every query position is >= min_size + 63 >= 64).
-    steady = g.copy()
-    w = 1
-    while w < 64:
-        steady[w:] += steady[:n - w] << _np.uint64(w)
-        w *= 2
-    cand = _np.nonzero((steady & _np.uint64(mask)) == 0)[0]
-    searchsorted = _np.searchsorted
-    offsets: list[tuple[int, int]] = []
-    start = 0
-    while start < n:
-        end = min(start + max_size, n)
-        pos = start + min_size
-        if pos >= end:
-            offsets.append((start, end))
-            break
-        boundary = end
-        h = 0
-        found = False
-        warm_end = min(pos + 63, end)
-        for i in range(pos, warm_end):
-            h = ((h << 1) + _GEAR[data[i]]) & _HASH_MOD
-            if h & mask == 0:
-                boundary = i + 1
-                found = True
-                break
-        if not found and warm_end < end:
-            j = int(searchsorted(cand, warm_end))
-            if j < cand.size and cand[j] < end:
-                boundary = int(cand[j]) + 1
-        offsets.append((start, boundary))
-        start = boundary
-    return offsets
+    lanes = bytearray(_LANE * n)
+    lanes[0::_LANE] = data.translate(_G_LOW)
+    lanes[1::_LANE] = data.translate(_G_HIGH)
+    window = int.from_bytes(lanes, "little") * _KERNEL
+    product = window.to_bytes(_LANE * (n + AVG_BITS), "little")
+    low = product[0:_LANE * n:_LANE]
+    high_mask = _MASK >> 8
+    candidates = []
+    i = low.find(0)
+    while i >= 0:
+        if product[_LANE * i + 1] & high_mask == 0:
+            candidates.append(i)
+        i = low.find(0, i + 1)
+    return candidates
 
 
 def chunk_id(chunk: bytes) -> str:

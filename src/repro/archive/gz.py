@@ -62,13 +62,16 @@ def clear_compress_memo() -> None:
 
 
 def gzip_decompress(data: bytes) -> bytes:
-    """Decompress a single gzip stream; rejects trailing garbage."""
+    """Decompress a single gzip stream; rejects a stream cut short of its
+    CRC32/ISIZE trailer and trailing garbage."""
     decompressor = zlib.decompressobj(wbits=31)
     try:
         out = decompressor.decompress(data)
         out += decompressor.flush()
     except zlib.error as exc:
         raise PackagingError(f"corrupt gzip stream: {exc}") from exc
+    if not decompressor.eof:
+        raise PackagingError("truncated gzip stream")
     if decompressor.unused_data:
         raise PackagingError("trailing data after gzip stream")
     return out

@@ -145,14 +145,18 @@ class RepositoryIndex:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "RepositoryIndex":
-        text = blob.decode()
-        lines = text.splitlines()
-        if len(lines) < 2 or not lines[0].startswith("sig:"):
-            raise PackagingError("malformed index: missing signature header")
-        signature = bytes.fromhex(lines[0][len("sig:"):])
-        if not lines[1].startswith("serial:"):
-            raise PackagingError("malformed index: missing serial")
-        serial = int(lines[1][len("serial:"):])
+        """Parse the wire format; any malformation raises
+        :class:`PackagingError`."""
+        try:  # UnicodeDecodeError, fromhex and int all raise ValueError
+            lines = blob.decode().splitlines()
+            if len(lines) < 2 or not lines[0].startswith("sig:"):
+                raise PackagingError("malformed index: missing signature header")
+            signature = bytes.fromhex(lines[0][len("sig:"):])
+            if not lines[1].startswith("serial:"):
+                raise PackagingError("malformed index: missing serial")
+            serial = int(lines[1][len("serial:"):])
+        except ValueError as exc:
+            raise PackagingError(f"malformed index header: {exc}") from exc
         index = cls(serial=serial)
         for line in lines[2:]:
             if not line.strip():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.archive.apk import ApkPackage, PackageFile, package_content_hash
 from repro.archive.gz import gzip_compress, gzip_decompress, split_gzip_streams
-from repro.archive.index import IndexEntry, RepositoryIndex
+from repro.archive.index import IndexEntry, RepositoryIndex, parse_index_cached
 from repro.archive.tar import TarEntry, write_tar
 from repro.crypto.hashes import sha256_hex
 from repro.util.errors import IntegrityError, PackagingError, SignatureError
@@ -73,6 +73,17 @@ class TestGzip:
         parts[corrupt] = bytes(member)
         with pytest.raises(PackagingError):
             split_gzip_streams(b"".join(parts), expected=3)
+
+    @pytest.mark.parametrize("cut", ["trailer", "mid-body", "header"])
+    def test_decompress_rejects_truncation(self, cut):
+        """A stream cut short is malformed even when the bytes it did
+        carry inflate: the CRC32/ISIZE trailer was never checked."""
+        blob = gzip_compress(bytes(range(256)) * 100)
+        keep = {"trailer": len(blob) - 8,  # body complete, no trailer
+                "mid-body": len(blob) // 2,
+                "header": 10}[cut]         # the fixed header alone
+        with pytest.raises(PackagingError, match="truncated"):
+            gzip_decompress(blob[:keep])
 
     def test_decompress_rejects_trailing_garbage(self):
         with pytest.raises(PackagingError):
@@ -274,3 +285,17 @@ class TestRepositoryIndex:
             RepositoryIndex.from_bytes(b"garbage")
         with pytest.raises(PackagingError):
             RepositoryIndex.from_bytes(b"sig:00\nnot-serial\n")
+
+    @pytest.mark.parametrize("blob", [
+        b"sig:00\nserial:1\n\xff\n",
+        b"sig:zz\nserial:1\n",
+        b"sig:0\nserial:1\n",
+        b"sig:00\nserial:x1\n",
+    ], ids=["not-utf8", "non-hex-signature", "odd-length-signature",
+            "non-numeric-serial"])
+    def test_malformed_header_bytes_raise_packaging_error(self, blob):
+        """Every malformation is a :class:`PackagingError` (a
+        ``ReproError``), never a bare ``UnicodeDecodeError`` or
+        ``ValueError`` that callers catching library errors would miss."""
+        with pytest.raises(PackagingError):
+            parse_index_cached(blob)

@@ -11,13 +11,20 @@ randomized inputs (fixed seeds — failures reproduce):
 * **Re-chunk stability** — a one-byte edit re-synchronizes within a
   bounded window, so the diff ships a small literal instead of rewriting
   every chunk (the property that makes deltas small at all).
+
+Underneath all three, the library's one-multiply boundary scan must cut
+exactly where the byte-at-a-time gear loop (``tests/reference_chunker.py``)
+cuts; the oracle differential pins that over random, periodic and
+window-edge inputs.
 """
 
 import random
 
 import pytest
 
+from repro.archive import chunks
 from repro.archive.chunks import (
+    AVG_BITS,
     MAX_CHUNK,
     MIN_CHUNK,
     apply_chunk_ops,
@@ -30,6 +37,8 @@ from repro.archive.chunks import (
     encode_ops,
 )
 from repro.util.errors import DeltaError
+
+from reference_chunker import GEAR, reference_chunk_offsets
 
 
 def _random_bytes(rng: random.Random, size: int) -> bytes:
@@ -83,11 +92,63 @@ class TestChunkOffsets:
         survived = set(chunk_ids(data)) & set(chunk_ids(shifted))
         assert len(survived) >= len(chunk_ids(data)) - 3
 
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            chunk_offsets(b"x" * 100, min_size=0)
-        with pytest.raises(ValueError):
-            chunk_offsets(b"x" * 100, min_size=64, max_size=32)
+
+def _cut_past_min(t: int) -> bytes:
+    """A blob whose first chunk is cut ``t`` positions past ``MIN_CHUNK``
+    (seeded search against the oracle; a hit takes ~2^AVG_BITS tries)."""
+    rng = random.Random(f"cut:{t}")
+    for _ in range(1 << (AVG_BITS + 4)):
+        data = rng.randbytes(MIN_CHUNK + 2 * AVG_BITS)
+        if reference_chunk_offsets(data)[0][1] == MIN_CHUNK + t + 1:
+            return data
+    raise AssertionError(f"no seeded blob cuts {t} past MIN_CHUNK")
+
+
+def _oracle_cases() -> list[bytes]:
+    rng = random.Random(41)
+    probe = rng.randbytes(30_000)
+    cases = [
+        rng.randbytes(40_000),                    # generic random blob
+        bytes(64_000),                            # zero run (no cuts)
+        b"\x00\xff" * 32_000,                     # two-byte period
+        rng.randbytes(1_000) * 48,                # long repeated period
+        rng.randbytes(8192),
+        rng.randbytes(8193),
+        probe + probe[:500] + probe,              # repeats realign cuts
+    ]
+    cases += [rng.randbytes(rng.randrange(20_000)) for _ in range(200)]
+    for _ in range(200):
+        period = rng.randbytes(rng.randrange(1, 64))
+        cases.append(period * (rng.randrange(20_000) // len(period)))
+    cases += [rng.randbytes(size)
+              for size in range(MIN_CHUNK, MIN_CHUNK + 2 * AVG_BITS + 1)]
+    # A cut at every position of the replayed window and at the first
+    # position the candidate table answers.  Offset 0 tests
+    # GEAR[b] & MASK alone, which is never zero for this table.
+    cases += [_cut_past_min(t) for t in range(1, AVG_BITS)]
+    return cases
+
+
+class TestScanMatchesOracle:
+    def test_offsets_match_scalar_loop(self):
+        """The one-multiply scan cuts exactly where the byte-at-a-time
+        loop (``tests/reference_chunker.py``) cuts, memo cleared so every
+        call scans."""
+        assert chunks._GEAR == GEAR
+        hash_cuts = set()
+        for number, data in enumerate(_oracle_cases()):
+            chunks.clear_chunk_memo()
+            expected = reference_chunk_offsets(data)
+            assert chunk_offsets(data) == expected, (number, len(data))
+            hash_cuts.update(end - start - MIN_CHUNK - 1
+                             for start, end in expected
+                             if end < len(data) and end - start < MAX_CHUNK)
+        warm = AVG_BITS - 1
+        # Both branches of the walk ran: cuts the scalar replay found
+        # (past-MIN offsets 0..warm-1) and cuts from the candidate table
+        # (offset warm is its first position).
+        assert hash_cuts & set(range(warm))
+        assert warm in hash_cuts
 
 
 class TestDiffPatchRoundTrip:

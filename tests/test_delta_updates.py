@@ -457,6 +457,20 @@ class TestAdversarial:
         record = manager._node.pkgdb.get(name)
         assert record.content_hash == entry.sha256  # full-pull bytes won
 
+    @pytest.mark.parametrize("cut", [4, 8])
+    def test_trailer_stripped_package_delta_is_malformed(self, cut,
+                                                         rsa_key):
+        """An envelope whose inner gzip lost its CRC32/ISIZE trailer
+        still inflates to the right bytes, but it is malformed, so the
+        client must take the full-pull fallback rather than accept it."""
+        rng = random.Random("pkg-size")
+        blob_v1, blob_v2 = _random_package_pair(rng, rsa_key)
+        envelope = build_package_delta(blob_manifest(blob_v1), blob_v2)
+        assert envelope is not None
+        assert apply_package_delta(blob_v1, envelope) == blob_v2
+        with pytest.raises(DeltaError):
+            apply_package_delta(blob_v1, envelope[:-cut])
+
     def test_client_beyond_log_depth_falls_back_cleanly(self):
         scenario = _delta_scenario()
         scenario.tsr.delta_log_depth = 1

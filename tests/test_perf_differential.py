@@ -1,7 +1,7 @@
 """Differential suites pinning the host-time fast paths byte-identical.
 
-The raw-speed pass (memoized crypto, incremental repack, vectorized
-chunker) is only admissible if every fast path is *indistinguishable*
+The raw-speed pass (memoized crypto, incremental repack, chunk offsets
+memo) is only admissible if every fast path is *indistinguishable*
 from the cold path it replaces.  These tests are the
 pin:
 
@@ -21,8 +21,9 @@ pin:
   re-deflates through the compress memo: cold and warm reconstructions
   are byte-identical, a warm one deflates nothing, and a tampered literal
   misses the memo and still fails the envelope's hash check.
-* **Chunker engines** — the vectorized steady-state gear scan vs the
-  scalar rolling loop, on random, adversarial, and odd-parameter inputs.
+* **Chunk offsets memo** — a memo hit equals the cold scan and hands
+  out a private copy (the scan itself is pinned against the scalar
+  oracle in ``tests/test_chunks.py``).
 * **Client install memos** — a verified-blob parse hit is a private copy
   that still faces each manager's own keyring and is never consulted for
   bytes that miss the signed hash; script and chunk-map memos keep every
@@ -379,46 +380,6 @@ class TestIndexParseMemo:
 
 
 class TestChunkerEngineDifferential:
-    def _cases(self):
-        rng = random.Random(41)
-        cases = [
-            rng.randbytes(40_000),                    # generic random blob
-            bytes(64_000),                            # zero run (no cuts)
-            b"\x00\xff" * 32_000,                     # two-byte period
-            rng.randbytes(1_000) * 48,                # long repeated period
-            rng.randbytes(chunks._NUMPY_THRESHOLD),   # exactly at threshold
-            rng.randbytes(chunks._NUMPY_THRESHOLD + 1),
-        ]
-        # Blobs stitched so boundary candidates crowd the warm window.
-        probe = rng.randbytes(30_000)
-        cases.append(probe + probe[:500] + probe)
-        return cases
-
-    @pytest.mark.skipif(chunks._np is None, reason="numpy unavailable")
-    def test_vector_matches_scalar(self):
-        for data in self._cases():
-            scalar = chunks._chunk_offsets_scalar(
-                data, chunks.MIN_CHUNK, chunks.MAX_CHUNK, chunks._MASK)
-            vector = chunks._chunk_offsets_vector(
-                data, chunks.MIN_CHUNK, chunks.MAX_CHUNK, chunks._MASK)
-            assert vector == scalar
-
-    @pytest.mark.skipif(chunks._np is None, reason="numpy unavailable")
-    def test_vector_matches_scalar_odd_params(self):
-        rng = random.Random(43)
-        data = rng.randbytes(50_000)
-        for min_size, max_size, mask in (
-                (1, 17, 0x3),          # tiny windows, dense cuts
-                (64, 65, 0xff),        # max barely above min
-                (100, 10_000, 0x1),    # near-every-byte boundary fire
-                (512, 4096, (1 << 13) - 1),  # sparse cuts, long chunks
-                (2000, 3000, 0x7ff)):
-            scalar = chunks._chunk_offsets_scalar(
-                data, min_size, max_size, mask)
-            vector = chunks._chunk_offsets_vector(
-                data, min_size, max_size, mask)
-            assert vector == scalar, (min_size, max_size, mask)
-
     def test_offsets_memo_transparent(self):
         rng = random.Random(47)
         data = rng.randbytes(20_000)
