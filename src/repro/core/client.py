@@ -4,15 +4,12 @@
 talks directly to a mirror (the baseline setup) — package managers cannot
 tell them apart, which is the paper's transparency claim (section 4.3).
 
-Both clients run their transfers on the shared event-driven engine: single
-fetches go through :meth:`Network.call`, batch fetches
-(:meth:`fetch_packages`, :meth:`fetch_index_and_packages`) fan out over the
-incremental :class:`repro.simnet.schedule.ParallelTransferSchedule` solver
-via :meth:`Network.gather_scheduled`, and a
-:class:`~repro.simnet.network.ScheduledFetchSession` — when attached —
-routes every fetch onto a fleet-wide schedule so tens of thousands of
-clients share the repository's uplink instead of serializing on the clock,
-each capped by its own NIC downlink when the host declares one.
+Clients fetch one request at a time, as an ordinary package manager does:
+through :meth:`Network.call`, which advances the clock by the transfer, or
+— when a :class:`~repro.simnet.network.PlanFetchSession` is attached — as
+one channel of the session's schedule, so tens of thousands of clients
+share the repository's uplink instead of serializing on the clock, each
+capped by its own NIC downlink when the host declares one.
 """
 
 from __future__ import annotations
@@ -20,28 +17,23 @@ from __future__ import annotations
 from repro.crypto.rsa import RsaPublicKey
 from repro.sgx.enclave import EnclaveQuote
 from repro.sgx.platform import AttestationService
-from repro.simnet.network import (
-    Network,
-    Request,
-    Response,
-    ScheduledFetchSession,
-)
-from repro.util.errors import AttestationError, NetworkError
+from repro.simnet.network import Network, PlanFetchSession, Request
+from repro.util.errors import AttestationError
 
 
 class _ScheduledClientBase:
-    """Shared client surface: session routing + scheduled batch fetches.
+    """Shared client surface: one fetch path, routed through the session.
 
     Subclasses only define how requests are built (``_index_request`` /
-    ``_package_request``); every fetch path lives here so the TSR and
-    mirror clients cannot diverge.
+    ``_package_request``); every fetch goes through :meth:`_fetch`, so the
+    TSR and mirror clients cannot diverge.
     """
 
     _network: Network
     _src: str
 
     def __init__(self, network: Network, src_host: str,
-                 session: ScheduledFetchSession | None = None):
+                 session: PlanFetchSession | None = None):
         self._network = network
         self._src = src_host
         self._session = session
@@ -52,8 +44,8 @@ class _ScheduledClientBase:
     def _package_request(self, name: str) -> Request:
         raise NotImplementedError
 
-    def use_session(self, session: ScheduledFetchSession | None):
-        """Attach (or detach) a fleet-wide scheduled fetch session."""
+    def use_session(self, session: PlanFetchSession | None):
+        """Attach (or detach) a fleet-wide fetch session."""
         self._session = session
 
     def _fetch(self, request: Request) -> bytes:
@@ -61,87 +53,11 @@ class _ScheduledClientBase:
             return self._session.fetch(self._src, request, channel=self._src)
         return self._network.call(self._src, request).payload
 
-    def _gather(self, requests: list[Request],
-                channels: list) -> list[object]:
-        """Batch the requests over the given schedule channels.
-
-        Returns one entry per request: the response payload, or the
-        :class:`NetworkError` it failed with — callers decide which
-        failures are fatal.  Advances the clock by the schedule makespan.
-        With a session attached, requests instead serialize on the
-        client's single fleet channel (``channels`` is ignored — a fleet
-        client models one connection) and the session accounts the time.
-        """
-        if self._session is not None:
-            results: list[object] = []
-            for request in requests:
-                try:
-                    results.append(self._session.fetch(self._src, request,
-                                                       channel=self._src))
-                except NetworkError as exc:
-                    results.append(exc)
-            return results
-        responses = self._network.gather_scheduled(
-            self._src, requests, channels=channels, advance="max"
-        )
-        return [response.payload if isinstance(response, Response)
-                else response for response in responses]
-
-    @staticmethod
-    def _check_connections(connections: int):
-        if connections < 1:
-            raise ValueError("connections must be >= 1")
-
     def fetch_index(self) -> bytes:
         return self._fetch(self._index_request())
 
     def fetch_package(self, name: str) -> bytes:
         return self._fetch(self._package_request(name))
-
-    def fetch_packages(self, names: list[str],
-                       connections: int = 1) -> dict[str, bytes]:
-        """Fetch many packages over one schedule (concurrent connections).
-
-        Raises the first :class:`NetworkError` if any fetch failed.  With
-        a fleet session attached the fetches serialize on the client's
-        one connection instead (``connections`` has no effect).
-        """
-        self._check_connections(connections)
-        payloads = self._gather(
-            [self._package_request(name) for name in names],
-            [i % connections for i in range(len(names))],
-        )
-        for payload in payloads:
-            if isinstance(payload, NetworkError):
-                raise payload
-        return dict(zip(names, payloads))
-
-    def fetch_index_and_packages(self, names: list[str],
-                                 connections: int = 1,
-                                 ) -> tuple[bytes, dict[str, bytes]]:
-        """Overlapped mode: the index downloads on its own channel,
-        concurrently with *optimistic* fetches of the named packages
-        (callers verify the blobs against the fresh index once it lands —
-        sizes and hashes are pinned there, so optimism is safe).
-
-        A failed index fetch raises; a failed package fetch (e.g. a name
-        the repository rejected, unknowable before the index arrives) is
-        simply omitted from the returned dict and left to the caller to
-        resolve against the fresh index.  With a fleet session attached
-        everything serializes on the client's one connection instead
-        (``connections`` has no effect, and the index is not overlapped).
-        """
-        self._check_connections(connections)
-        requests = [self._index_request()]
-        requests += [self._package_request(name) for name in names]
-        channels = ["index"] + [i % connections for i in range(len(names))]
-        payloads = self._gather(requests, channels)
-        if isinstance(payloads[0], NetworkError):
-            raise payloads[0]
-        blobs = {name: payload
-                 for name, payload in zip(names, payloads[1:])
-                 if not isinstance(payload, NetworkError)}
-        return payloads[0], blobs
 
 
 class TsrRepositoryClient(_ScheduledClientBase):
@@ -158,7 +74,7 @@ class TsrRepositoryClient(_ScheduledClientBase):
 
     def __init__(self, network: Network, src_host: str, tsr_host: str,
                  repo_id: str,
-                 session: ScheduledFetchSession | None = None,
+                 session: PlanFetchSession | None = None,
                  as_of: float | None = None,
                  replica_host: str | None = None):
         super().__init__(network, src_host, session=session)
@@ -236,7 +152,7 @@ class MirrorRepositoryClient(_ScheduledClientBase):
     """Direct-to-mirror client: the conventional (baseline) configuration."""
 
     def __init__(self, network: Network, src_host: str, mirror_host: str,
-                 session: ScheduledFetchSession | None = None):
+                 session: PlanFetchSession | None = None):
         super().__init__(network, src_host, session=session)
         self._mirror = mirror_host
 

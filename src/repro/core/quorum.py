@@ -6,15 +6,20 @@ contacts additional mirrors until some index value is reported by f+1
 mirrors.  Packages themselves may then come from any single mirror because
 the quorum-validated index pins their sizes and hashes.
 
-Transfer accounting runs on the shared event-driven engine
-(:meth:`Network.gather_scheduled` over the incremental
-:class:`repro.simnet.schedule.ParallelTransferSchedule` solver): the
-first wave's concurrent index downloads share the TSR host's downlink with
-exact max-min accounting — the same model overlapped refresh downloads
-use — and extension reads compose onto the same timeline via
-``start_at``, the way the overlapped refresh
-(:mod:`repro.core.orchestrator`) interleaves quorum and download phases
-on one schedule.
+:class:`QuorumReader` is the one blocking quorum loop: the phased
+refresh (:meth:`TrustedSoftwareRepository._read_quorum`) runs it and
+hands its :attr:`QuorumResult.responses` to the enclave, which counts
+them again and decides.  The host only decides when to stop adding
+mirrors, with the same check the enclave applies
+(:func:`validate_signed_index`).  The overlapped refresh
+(:mod:`repro.core.orchestrator`) widens on its plan schedule instead,
+interleaved with downloads.
+
+Transfer accounting runs on the shared event-driven engine: each wave is
+one :meth:`Network.gather`, whose concurrent index downloads share the
+TSR host's downlink with exact max-min accounting — the same model
+overlapped refresh downloads use — and the clock advances by the wave's
+slowest answer before the next wave is sent.
 """
 
 from __future__ import annotations
@@ -91,6 +96,9 @@ class QuorumResult:
     elapsed: float
     #: Mirrors whose answers were invalid or divergent (Byzantine evidence).
     dissenting_mirrors: list[str] = field(default_factory=list)
+    #: Every (hostname, payload) answer, in the order the mirrors were
+    #: contacted — what the phased refresh passes to the enclave.
+    responses: list[tuple[str, object]] = field(default_factory=list)
 
 
 class QuorumReader:
@@ -127,47 +135,32 @@ class QuorumReader:
         votes: dict[str, list[str]] = {}          # body hash -> mirror names
         indexes: dict[str, RepositoryIndex] = {}  # body hash -> parsed index
         dissenting: list[str] = []
-        contacted = 0
-        cursor = 0
-        # Offset of the read's frontier on the shared schedule timeline:
-        # each wave starts when the previous one resolved, so extension
-        # reads land after the responses that triggered them.
-        frontier = 0.0
+        responses: list[tuple[str, object]] = []
 
         def tally(batch: list[MirrorPolicyEntry]):
-            nonlocal contacted, frontier
-            requests = [Request(m.hostname, "get_index") for m in batch]
-            responses = self._network.gather_scheduled(
-                self._src, requests, start_at=frontier, advance="none"
-            )
-            contacted += len(batch)
-            finishes: list[float] = []
-            for mirror, response in zip(batch, responses):
-                if isinstance(response, NetworkError):
+            answers = self._network.gather(
+                self._src, [Request(m.hostname, "get_index") for m in batch])
+            for mirror, answer in zip(batch, answers):
+                if isinstance(answer, NetworkError):
                     dissenting.append(mirror.hostname)
                     continue
-                finishes.append(response.elapsed)
-                index = self._validate(response.payload)
+                responses.append((mirror.hostname, answer.payload))
+                index = self._validate(answer.payload)
                 if index is None:
                     dissenting.append(mirror.hostname)
                     continue
                 votes.setdefault(index.body_hash(), []).append(mirror.hostname)
                 indexes.setdefault(index.body_hash(), index)
-            advanced = (max(finishes) if finishes
-                        else frontier + self._network.timeout)
-            self._network.clock.advance(advanced - frontier)
-            frontier = advanced
 
         # First wave: the fastest f+1 mirrors, contacted concurrently.
-        first_wave = ordered[:needed]
-        cursor = len(first_wave)
-        tally(first_wave)
+        cursor = needed
+        tally(ordered[:cursor])
         # Extend one mirror at a time until some value reaches f+1 votes.
         while not any(len(v) >= needed for v in votes.values()):
             if cursor >= len(ordered):
                 raise QuorumError(
                     f"no index value reached {needed} matching responses "
-                    f"({contacted} mirrors contacted, "
+                    f"({cursor} mirrors contacted, "
                     f"{len(dissenting)} invalid/unreachable)"
                 )
             tally([ordered[cursor]])
@@ -182,9 +175,10 @@ class QuorumReader:
         return QuorumResult(
             index=indexes[winning_hash],
             agreeing_mirrors=agreeing,
-            contacted=contacted,
+            contacted=cursor,
             elapsed=self._network.clock.now() - start,
             dissenting_mirrors=dissenting,
+            responses=responses,
         )
 
     def _validate(self, payload: object) -> RepositoryIndex | None:

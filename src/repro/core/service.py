@@ -20,6 +20,7 @@ from repro.core.freshness import FreshnessManager
 from repro.core.policy import SecurityPolicy
 from repro.core.program import TsrProgram
 from repro.core.publications import Publication, PublicationLog
+from repro.core.quorum import QuorumReader
 from repro.core.sanitizer import SanitizationRejected, SanitizationResult
 from repro.crypto.hashes import sha256_hex
 from repro.sgx.enclave import Enclave
@@ -31,7 +32,7 @@ from repro.simnet.latency import (
 )
 from repro.simnet.network import Host, Network, Request
 from repro.tpm.device import Tpm
-from repro.util.errors import NetworkError, PolicyError, QuorumError, RollbackError
+from repro.util.errors import NetworkError, RollbackError
 
 SEALED_STATE_PATH = "/var/lib/tsr/state.sealed"
 
@@ -327,7 +328,7 @@ class TrustedSoftwareRepository:
 
         policy_mirrors = self._policy_mirrors(repo_id)
         quorum_start = self._network.clock.now()
-        quorum = self._read_quorum(repo_id, policy_mirrors)
+        quorum = self._read_quorum(repo_id)
         quorum_elapsed = self._network.clock.now() - quorum_start
 
         download_elapsed = 0.0
@@ -458,38 +459,16 @@ class TrustedSoftwareRepository:
                                                          m["continent"]),
         )
 
-    def _read_quorum(self, repo_id: str, mirrors: list[dict]) -> dict:
-        """Contact the fastest f+1 mirrors, widening until the enclave
-        accepts a quorum (section 4.5)."""
-        config = self.repo_config(repo_id)
-        if list(mirrors) == list(config.mirrors):
-            ordered = list(config.ordered_mirrors)
-        else:  # caller supplied a custom mirror set (tests)
-            ordered = self.mirrors_by_rtt(mirrors)
-        needed = (len(ordered) - 1) // 2 + 1
-        responses: list[tuple[str, bytes]] = []
-        cursor = needed
-        batch = ordered[:needed]
-        responses.extend(self._gather_indexes(batch))
-        while True:
-            try:
-                return self._enclave.ecall("evaluate_quorum", repo_id,
-                                           responses)
-            except QuorumError:
-                if cursor >= len(ordered):
-                    raise
-                responses.extend(self._gather_indexes([ordered[cursor]]))
-                cursor += 1
-
-    def _gather_indexes(self, mirrors: list[dict]) -> list[tuple[str, bytes]]:
-        requests = [Request(m["hostname"], "get_index") for m in mirrors]
-        responses = self._network.gather(self.hostname, requests)
-        collected = []
-        for mirror, response in zip(mirrors, responses):
-            if isinstance(response, NetworkError):
-                continue
-            collected.append((mirror["hostname"], response.payload))
-        return collected
+    def _read_quorum(self, repo_id: str) -> dict:
+        """Read the upstream index from the fastest f+1 policy mirrors,
+        widening one mirror at a time until f+1 signed answers agree
+        (section 4.5), then let the enclave count those answers and
+        decide."""
+        policy = self.repo_config(repo_id).policy
+        read = QuorumReader(self._network, self.hostname, policy.mirrors,
+                            policy.signers_keys).read_index()
+        return self._enclave.ecall("evaluate_quorum", repo_id,
+                                   read.responses)
 
     def _download_package(self, mirrors: list[dict], name: str,
                           expected: dict) -> bytes:

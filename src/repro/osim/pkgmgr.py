@@ -84,12 +84,12 @@ def _parse_verified(digest: str, blob: bytes) -> ParsedApk:
 class RepositoryClient(Protocol):
     """Anything a package manager can download from.
 
-    Clients may additionally offer the scheduled batch surface
-    (``fetch_packages`` / ``fetch_index_and_packages``, as the clients in
-    :mod:`repro.core.client` do); :meth:`PackageManager.install_batch`
-    detects and uses it to overlap the index refresh with package
-    downloads on one transfer schedule, and falls back to serial fetches
-    otherwise.
+    The manager fetches one request at a time, as from an ordinary
+    mirror.  Clients may additionally offer the delta surface
+    (``fetch_index_delta`` / ``fetch_package_delta``) and the recovery
+    surface (``fetch_index_origin`` / ``fetch_package_origin``), as the
+    TSR client in :mod:`repro.core.client` does; the manager detects
+    them and falls back to full pulls otherwise.
     """
 
     def fetch_index(self) -> bytes: ...
@@ -185,9 +185,6 @@ class PackageManager:
         self.trusted_keys = list(trusted_keys)
         self._index: RepositoryIndex | None = None
         self._interpreter = Interpreter(node.fs)
-        #: Blobs downloaded ahead of time by :meth:`install_batch`;
-        #: consumed (and verified) by ``_download_verified``.
-        self._prefetched: dict[str, bytes] = {}
         #: Delta updates: fetch index diffs and chunked package patches
         #: against locally cached bases when the client supports it,
         #: falling back to full pulls whenever a delta is unavailable or
@@ -396,11 +393,7 @@ class PackageManager:
         return blob
 
     def _download_verified(self, entry: IndexEntry, stats: InstallStats) -> ParsedApk:
-        blob = self._prefetched.pop(entry.name, None)
-        if blob is None:
-            blob = self._fetch_blob(entry, stats)
-        else:
-            self._account_wire(stats, len(blob))  # prefetched over the wire
+        blob = self._fetch_blob(entry, stats)
         stats.bytes_downloaded += len(blob)
         if len(blob) != entry.size:
             raise IntegrityError(
@@ -439,57 +432,6 @@ class PackageManager:
                 self._upgrade_one(entry, stats)
             else:
                 self._install_one(entry, stats)
-        return stats
-
-    def install_batch(self, names: list[str], connections: int = 1,
-                      stats: InstallStats | None = None) -> InstallStats:
-        """Install several packages with overlapped index + downloads.
-
-        Refreshes the metadata index concurrently with optimistic downloads
-        of the named packages (one transfer schedule — safe, because every
-        blob is verified against the fresh index before use), resolves the
-        dependency closures against that index, fetches any missing
-        dependencies in a second scheduled wave, and installs everything
-        from the prefetched pool.  Produces the same installed state as
-        ``update()`` followed by serial ``install()`` calls; only the
-        transfer schedule differs.
-        """
-        stats = stats if stats is not None else InstallStats()
-        if not names:
-            return stats
-        fetch_bundle = getattr(self._client, "fetch_index_and_packages", None)
-        if fetch_bundle is not None:
-            index_blob, blobs = fetch_bundle(list(names),
-                                             connections=connections)
-        else:
-            index_blob, blobs = self._client.fetch_index(), {}
-        self._authenticate_index(index_blob)
-
-        needed: list[str] = []
-        for name in names:
-            for entry in self.resolve_install_order(name):
-                if entry.name in needed:
-                    continue
-                installed = self._node.pkgdb.get(entry.name)
-                if installed is not None and installed.version == entry.version:
-                    continue
-                needed.append(entry.name)
-        missing = [name for name in needed if name not in blobs]
-        if missing:
-            fetch_many = getattr(self._client, "fetch_packages", None)
-            if fetch_many is not None:
-                blobs.update(fetch_many(missing, connections=connections))
-            else:
-                blobs.update({name: self._client.fetch_package(name)
-                              for name in missing})
-        self._prefetched.update(
-            {name: blobs[name] for name in needed if name in blobs}
-        )
-        try:
-            for name in names:
-                self.install(name, stats)
-        finally:
-            self._prefetched.clear()
         return stats
 
     def upgrade_all(self) -> InstallStats:

@@ -2,7 +2,10 @@
 
 Versions look like ``1.2.3-r4``: a dotted numeric core plus a package
 release number.  Comparison is numeric segment-by-segment, with shorter
-cores padded (``1.2 < 1.2.1``) and the release number as tiebreaker.
+cores padded with zeros (``1.2 < 1.2.1``, ``1.2 == 1.2.0``) and the
+release number as tiebreaker.  Parsing drops trailing zero segments, so
+the padding rule is plain tuple order, consistent with ``==`` and
+``hash``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ class Version:
             raise PackageManagerError(f"unparseable version: {text!r}")
         core, letter, release = match.groups()
         self.text = text.strip()
-        self._core = tuple(int(part) for part in core.split("."))
+        parts = [int(part) for part in core.split(".")]
+        while parts and parts[-1] == 0:
+            parts.pop()
+        self._core = tuple(parts)
         self._letter = letter or ""
         self._release = int(release) if release is not None else 0
 
@@ -40,14 +46,7 @@ class Version:
     def __lt__(self, other) -> bool:
         if not isinstance(other, Version):
             return NotImplemented
-        # Pad cores to equal length so 1.2 < 1.2.1.
-        mine, theirs = list(self._core), list(other._core)
-        width = max(len(mine), len(theirs))
-        mine += [0] * (width - len(mine))
-        theirs += [0] * (width - len(theirs))
-        return (mine, self._letter, self._release) < (
-            theirs, other._letter, other._release
-        )
+        return self._key() < other._key()
 
     def __hash__(self) -> int:
         return hash(self._key())

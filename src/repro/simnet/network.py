@@ -2,9 +2,11 @@
 
 Hosts register a handler; callers issue requests that advance the shared
 :class:`SimClock` by RTT plus payload transfer plus handler processing time.
-``gather`` models concurrent fan-out (the quorum reader contacts several
-mirrors at once): the clock advances to the *slowest completed* request, but
-each response records its individual completion offset.
+:meth:`Network.gather` models one concurrent fan-out wave (the quorum
+reader contacts several mirrors at once): each request gets its own
+channel, the clock advances to the *slowest completed* request, and each
+response records its individual completion offset.  It has no options;
+a caller with several waves calls it once per wave.
 
 Parallel-transfer accounting: :meth:`Network.probe` resolves a request
 without touching the clock, and the incremental solver in
@@ -15,12 +17,13 @@ channel's capacity layer (a client NIC), and all active streams share a
 common link capacity max-min fairly.  The schedule is the *single* transfer
 engine, and every schedule runs on one :class:`~repro.simnet.schedule.
 ScheduleStream` core that begins at the schedule's start time:
-:meth:`Network.gather` (and its composable form,
-:meth:`Network.gather_scheduled`) is built on it, as are the overlapped
-refresh's downloads (:mod:`repro.core.pipeline`), the quorum reader
-(:mod:`repro.core.quorum`), the client fleet
-(:class:`ScheduledFetchSession`), and trace replay's multi-wave pulls
-(:class:`PlanFetchSession`).
+:meth:`Network.gather` is built on it, as are the overlapped refresh's
+downloads (:mod:`repro.core.pipeline`), the quorum reader
+(:mod:`repro.core.quorum`, one ``gather`` per wave) and every client
+fetch session.  There is one fetch session, :class:`PlanFetchSession`:
+trace replay drives it wave by wave on a plan-wide schedule, and
+:class:`ScheduledFetchSession` is the same session with one wave on a
+private schedule (the client fleet of ``fleet_refresh``).
 
 Failure injection: hosts can be taken down (requests fail after a timeout)
 and pairs of hosts can be partitioned — the paper's adversary "prevents
@@ -195,55 +198,36 @@ class Network:
         self.clock.advance(offset)
         return Response(payload=payload, size_bytes=size, elapsed=offset)
 
-    def gather_scheduled(self, src_name: str, requests: list[Request],
-                         *, start_at: float = 0.0,
-                         channels: list | None = None,
-                         advance: str = "none",
-                         ) -> list[Response | NetworkError]:
-        """Issue requests concurrently over a :class:`ParallelTransferSchedule`.
+    def gather(self, src_name: str, requests: list[Request],
+               ) -> list[Response | NetworkError]:
+        """Issue requests concurrently, each on its own channel.
 
-        Returns one entry per request: a :class:`Response` (its ``elapsed``
-        is the *absolute* completion offset on the schedule timeline, i.e.
-        ``>= start_at``) or the :class:`NetworkError` the request failed
-        with.  Payload phases of all successful requests share the source
-        host's ``downlink_bandwidth`` max-min fairly — the exact fluid-flow
-        accounting overlapped refresh downloads use, replacing the old
-        closed-form shared-downlink bound.
-
-        ``channels`` optionally assigns each request to a schedule channel;
-        requests on the same channel serialize (one connection), distinct
-        channels run concurrently.  By default every request gets its own
-        channel (independent connections).  ``start_at`` offsets the whole
-        batch, so successive waves (e.g. quorum extension reads) compose on
-        one timeline.  ``advance="max"`` moves the clock by the slowest
-        successful completion relative to ``start_at`` (or by the timeout if
-        every request failed); ``advance="none"`` leaves the clock to the
-        caller.
+        Returns one entry per request: a :class:`Response` (its
+        ``elapsed`` is the completion offset from the call) or the
+        :class:`NetworkError` the request failed with.  The requests run
+        on a fresh :class:`ParallelTransferSchedule` whose payload phases
+        share the source host's ``downlink_bandwidth`` max-min fairly.
+        The clock advances by the slowest *successful* completion —
+        timeouts do not stall the caller, because the quorum logic
+        proceeds as soon as it has enough answers — or by the timeout if
+        every request failed.  An empty list returns ``[]`` and costs
+        nothing.
         """
-        if advance not in ("max", "none"):
-            raise ValueError(f"unsupported advance mode: {advance}")
         src = self.host(src_name)
         if not requests:
-            # Nothing was asked for: no transfers, no timeout — distinct
-            # from "every request failed", which does burn the timeout.
             return []
-        if channels is None:
-            channels = list(range(len(requests)))
-        elif len(channels) != len(requests):
-            raise ValueError("channels must parallel requests")
         schedule = ParallelTransferSchedule(
-            downlink_bandwidth=src.downlink_bandwidth, start_time=start_at
-        )
+            downlink_bandwidth=src.downlink_bandwidth)
         probes: list[TransferProbe | None] = [None] * len(requests)
         results: list[Response | NetworkError] = [None] * len(requests)
-        for i, (request, channel) in enumerate(zip(requests, channels)):
+        for i, request in enumerate(requests):
             try:
                 probe = self.probe(src_name, request)
             except NetworkError as exc:
                 results[i] = exc
                 continue
             probes[i] = probe
-            schedule.enqueue(channel, i, probe.setup, probe.size_bytes,
+            schedule.enqueue(i, i, probe.setup, probe.size_bytes,
                              probe.bandwidth)
         timings = schedule.solve()
         finishes: list[float] = []
@@ -255,155 +239,27 @@ class Network:
                                   size_bytes=probe.size_bytes,
                                   elapsed=finish)
             finishes.append(finish)
-        if advance == "max":
-            self.clock.advance(max(finishes) - start_at if finishes
-                               else self.timeout)
+        self.clock.advance(max(finishes) if finishes else self.timeout)
         return results
-
-    def gather(self, src_name: str, requests: list[Request],
-               advance: str = "max") -> list[Response | NetworkError]:
-        """Issue requests concurrently (thin wrapper over the schedule).
-
-        Returns one entry per request: a :class:`Response` or the
-        :class:`NetworkError` the request failed with.  The clock advances by
-        the slowest *successful* completion (``advance="max"``) — timeouts do
-        not stall the caller because the quorum logic proceeds as soon as it
-        has enough answers — or by the timeout if every request failed.
-        """
-        return self.gather_scheduled(src_name, requests, advance=advance)
-
-
-class ScheduledFetchSession:
-    """Many clients' fetches as concurrent channels on one shared schedule.
-
-    Drives fleet-scale concurrency: each client is a channel (its requests
-    serialize, as over one connection), different clients' payload phases
-    run concurrently and share ``shared_bandwidth`` — typically the serving
-    host's uplink — max-min fairly.  :meth:`fetch` resolves the handler
-    immediately (payloads are exact) and defers all time accounting to one
-    :meth:`solve` call, so a thousands-of-node fleet costs a single event
-    simulation instead of per-client clock serialization.
-
-    Per-client NICs are layered onto the schedule: when the fetching host
-    declares a ``downlink_bandwidth``, its channel is capped at that rate,
-    so a stream runs at ``min(peer bandwidth, client NIC, fair share of
-    the shared link)``.
-
-    Failed fetches charge the network timeout to their channel (the client
-    waited for it) and re-raise.
-
-    ``start_time`` is fixed at construction, where the session's
-    schedule begins: :meth:`solve` (and the accessors built on it,
-    :meth:`channel_finish` / :attr:`makespan`) resolve there, so a
-    session placed mid-timeline cannot silently resolve at offset 0.0.
-    """
-
-    def __init__(self, network: Network,
-                 shared_bandwidth: float | None = None,
-                 start_time: float = 0.0):
-        self._network = network
-        self._schedule = ParallelTransferSchedule(
-            downlink_bandwidth=shared_bandwidth, start_time=start_time
-        )
-        self._start_time = start_time
-        self._sequence = 0
-        self._channel_items: dict[object, list[object]] = {}
-        self._timings: dict[object, TransferTiming] | None = None
-        self._channel_bytes: dict[object, int] = {}
-        self._total_bytes = 0
-
-    @property
-    def start_time(self) -> float:
-        """The timeline offset this session's schedule begins at."""
-        return self._start_time
-
-    def fetch(self, src_name: str, request: Request,
-              channel: object = None) -> object:
-        """Resolve one request now; account its transfer at solve time."""
-        if self._timings is not None:
-            raise NetworkError("session already solved")
-        channel = src_name if channel is None else channel
-        key = (channel, self._sequence)
-        self._sequence += 1
-        try:
-            nic = self._network.host(src_name).downlink_bandwidth
-        except NetworkError:
-            nic = None  # unknown src: let probe() report it below
-        if nic is not None:
-            self._schedule.limit_channel(channel, nic)
-        try:
-            probe = self._network.probe(src_name, request)
-        except NetworkError:
-            # The client burned the timeout waiting before giving up.
-            self._schedule.enqueue(channel, key, self._network.timeout, 0, 1.0)
-            self._channel_items.setdefault(channel, []).append(key)
-            raise
-        self._schedule.enqueue(channel, key, probe.setup, probe.size_bytes,
-                               probe.bandwidth)
-        self._channel_items.setdefault(channel, []).append(key)
-        self._channel_bytes[channel] = \
-            self._channel_bytes.get(channel, 0) + probe.size_bytes
-        self._total_bytes += probe.size_bytes
-        return probe.payload
-
-    def wire_bytes(self, channel: object) -> int:
-        """Payload bytes fetched on one channel so far (failures cost 0)."""
-        return self._channel_bytes.get(channel, 0)
-
-    @property
-    def total_wire_bytes(self) -> int:
-        """Payload bytes fetched across every channel so far."""
-        return self._total_bytes
-
-    def solve(self, start_time: float | None = None,
-              ) -> dict[object, TransferTiming]:
-        """Run the event simulation once; repeat calls return the result.
-
-        The session solves at the ``start_time`` it was built with; asking
-        for a *different* offset raises instead of silently returning
-        timings from the wrong origin.
-        """
-        if start_time is not None and start_time != self._start_time:
-            raise NetworkError(
-                f"session starts at start_time={self._start_time}; "
-                f"cannot solve at {start_time}"
-            )
-        if self._timings is None:
-            self._timings = self._schedule.solve()
-        return self._timings
-
-    def channel_finish(self, channel: object) -> float:
-        """Completion offset of a channel's last transfer.
-
-        An idle channel reports the session's start time (it finished the
-        moment it began).
-        """
-        timings = self.solve()
-        items = self._channel_items.get(channel, [])
-        return max((timings[key].finish for key in items),
-                   default=self._start_time)
-
-    @property
-    def makespan(self) -> float:
-        """Completion offset of the slowest channel."""
-        timings = self.solve()
-        return max((t.finish for t in timings.values()),
-                   default=self._start_time)
 
 
 class PlanFetchSession:
-    """Multi-wave client fetches over an externally owned schedule.
+    """Client fetches as channels of a transfer schedule, wave by wave.
 
-    Where :class:`ScheduledFetchSession` models *one* fan-out wave on its
-    own private schedule (solve once, then read timings), this session
-    composes client pulls onto a plan-wide
-    :class:`ParallelTransferSchedule` shared with other traffic — a
+    Each client is a channel: its requests serialize, as over one
+    connection, while different clients' payload phases run concurrently
+    and share the schedule's link max-min fairly.  :meth:`fetch` resolves
+    the handler immediately (payloads are exact) and leaves the timing to
+    the schedule, so a thousands-of-node fleet costs one event simulation
+    instead of per-client clock serialization.
+
+    The schedule may be plan-wide, shared with other traffic — a
     multi-round refresh plan's mirror downloads and quorum reads — and
-    supports *successive waves at increasing start offsets* on the same
-    persistent per-client channels.  The schedule's owner drives its
-    :attr:`~ParallelTransferSchedule.stream`: it advances the frontier
-    to each wave instant and reads the final timings of the keys
-    :meth:`last_key` reports.
+    the session supports *successive waves at increasing start offsets*
+    on the same persistent per-client channels.  The schedule's owner
+    drives its :attr:`~ParallelTransferSchedule.stream`: it advances the
+    frontier to each wave instant and reads the final timings of the
+    keys :meth:`last_key` reports.
 
     :meth:`begin_wave` pins the wave instant: the first fetch of each
     channel in the wave carries a setup gap of ``max(0, wave_at -
@@ -412,9 +268,11 @@ class PlanFetchSession:
     finish is exact, and a never-seen channel has been free since time 0.
     :meth:`retire_client` drops a rotated-out client's residue entirely.
 
-    Per-client NIC downlinks layer onto the schedule exactly as in the
-    single-wave session (``min(peer bandwidth, NIC, fair share)``), and a
-    failed fetch charges the network timeout to its channel and re-raises.
+    Per-client NICs are layered onto the schedule: when the fetching host
+    declares a ``downlink_bandwidth``, its channel is capped at that rate,
+    so a stream runs at ``min(peer bandwidth, client NIC, fair share of
+    the link)``.  A failed fetch charges the network timeout to its
+    channel (the client waited for it) and re-raises.
     """
 
     def __init__(self, network: Network, schedule: ParallelTransferSchedule):
@@ -512,3 +370,60 @@ class PlanFetchSession:
     def last_key(self, channel: object) -> object | None:
         """Schedule key of the channel's most recent fetch (None if idle)."""
         return self._last_keys.get(channel)
+
+
+class ScheduledFetchSession(PlanFetchSession):
+    """One fan-out wave on a private schedule: solve once, read timings.
+
+    A :class:`PlanFetchSession` with a single wave, opened at
+    ``start_time`` on its own :class:`ParallelTransferSchedule`, whose
+    link is ``shared_bandwidth`` — typically the serving host's uplink.
+    :meth:`solve` runs the event simulation once (the accessors
+    :meth:`channel_finish` and :attr:`makespan` solve on first use), and
+    a solved session takes no more fetches.  A channel's first fetch
+    carries the wave gap ``start_time``, so its setup phase ends at
+    ``start_time + setup``, as on a schedule that begins there.
+    """
+
+    def __init__(self, network: Network,
+                 shared_bandwidth: float | None = None,
+                 start_time: float = 0.0):
+        super().__init__(network, ParallelTransferSchedule(
+            downlink_bandwidth=shared_bandwidth))
+        self._start_time = start_time
+        self._timings: dict[object, TransferTiming] | None = None
+        self.begin_wave(start_time)
+
+    @property
+    def start_time(self) -> float:
+        """The timeline offset this session's wave begins at."""
+        return self._start_time
+
+    def fetch(self, src_name: str, request: Request,
+              channel: object = None) -> object:
+        """Resolve one request now; account its transfer at solve time."""
+        if self._timings is not None:
+            raise NetworkError("session already solved")
+        return super().fetch(src_name, request, channel)
+
+    def solve(self) -> dict[object, TransferTiming]:
+        """Run the event simulation once; repeat calls return the result."""
+        if self._timings is None:
+            self._timings = self._schedule.solve()
+        return self._timings
+
+    def channel_finish(self, channel: object) -> float:
+        """Completion offset of a channel's last transfer.
+
+        An idle channel reports the session's start time (it finished the
+        moment it began).
+        """
+        timings = self.solve()
+        key = self.last_key(channel)
+        return self._start_time if key is None else timings[key].finish
+
+    @property
+    def makespan(self) -> float:
+        """Completion offset of the slowest channel."""
+        return max((t.finish for t in self.solve().values()),
+                   default=self._start_time)

@@ -1,7 +1,7 @@
 """The transfer-schedule solver: incremental max-min fluid-flow accounting.
 
 Every concurrent transfer in the system — quorum reads, overlapped
-refresh downloads, client batch fetches, and the fleet fan-out — runs on
+refresh downloads, client fetch sessions, and the fleet fan-out — runs on
 :class:`ParallelTransferSchedule`.  Each *channel* (one connection)
 processes its queue in order: a per-item setup phase (RTT + upload +
 processing, no downlink use) followed by a payload phase whose rate is

@@ -14,8 +14,12 @@ from repro.core.client import (
 from repro.osim.pkgmgr import InstallStats
 from repro.sgx.platform import AttestationService
 from repro.simnet.latency import Continent
-from repro.simnet.network import Host
-from repro.util.errors import AttestationError
+from repro.simnet.network import Host, ScheduledFetchSession
+from repro.util.errors import (
+    AttestationError,
+    NetworkError,
+    PackageManagerError,
+)
 from repro.workload.scenario import build_scenario
 
 
@@ -68,64 +72,113 @@ def _dep_packages():
     ]
 
 
+_DEP_NAMES = ("musl", "zlib", "busybox")
+
+
+def _fetch_all(client) -> list[bytes]:
+    return [client.fetch_index()] + [client.fetch_package(name)
+                                     for name in _DEP_NAMES]
+
+
 class TestScheduledClientFetch:
-    """Batch fetches and the overlapped index+package install path."""
+    """Clients fetching through a fetch session, and the serial installs
+    a session-attached package manager must reproduce."""
 
     @pytest.fixture()
     def dep_scenario(self):
         return build_scenario(packages=_dep_packages(), key_bits=1024,
                               with_monitor=False)
 
-    def test_fetch_packages_matches_serial_payloads(self, dep_scenario):
+    def test_session_fetch_matches_serial_payloads(self, dep_scenario):
         scenario = dep_scenario
-        scenario.network.add_host(Host("batch-host", Continent.EUROPE))
-        client = TsrRepositoryClient(scenario.network, "batch-host",
+        for name in ("serial-host", "session-host"):
+            scenario.network.add_host(Host(name, Continent.EUROPE))
+        serial = TsrRepositoryClient(scenario.network, "serial-host",
                                      scenario.tsr.hostname, scenario.repo_id)
-        serial = {name: client.fetch_package(name)
-                  for name in ("musl", "zlib")}
-        batch = client.fetch_packages(["musl", "zlib"], connections=2)
-        assert batch == serial
+        scheduled = TsrRepositoryClient(
+            scenario.network, "session-host", scenario.tsr.hostname,
+            scenario.repo_id, session=ScheduledFetchSession(scenario.network))
+        assert _fetch_all(scheduled) == _fetch_all(serial)
 
-    def test_batch_fetch_advances_clock_less_than_serial(self, dep_scenario):
+    def test_mirror_session_fetch_matches_serial_payloads(self,
+                                                          dep_scenario):
         scenario = dep_scenario
-        scenario.network.add_host(Host("t-serial", Continent.EUROPE))
-        scenario.network.add_host(Host("t-batch", Continent.EUROPE))
-        client_a = TsrRepositoryClient(scenario.network, "t-serial",
-                                       scenario.tsr.hostname,
-                                       scenario.repo_id)
+        mirror = next(iter(scenario.mirrors))
+        for name in ("serial-host", "session-host"):
+            scenario.network.add_host(Host(name, Continent.EUROPE))
+        serial = MirrorRepositoryClient(scenario.network, "serial-host",
+                                        mirror)
+        scheduled = MirrorRepositoryClient(
+            scenario.network, "session-host", mirror,
+            session=ScheduledFetchSession(scenario.network))
+        assert _fetch_all(scheduled) == _fetch_all(serial)
+
+    def test_clients_on_one_session_overlap(self, dep_scenario):
+        """Three clients on one uncapped session run side by side: the
+        wave ends with its slowest client, well before the same fetches
+        issued one after another on the clock."""
+        scenario = dep_scenario
+        hosts = [f"fleet-{i}" for i in range(3)]
+        for name in hosts:
+            scenario.network.add_host(Host(name, Continent.EUROPE))
         before = scenario.clock.now()
-        for name in ("musl", "zlib", "busybox"):
-            client_a.fetch_package(name)
+        for name in hosts:
+            _fetch_all(TsrRepositoryClient(scenario.network, name,
+                                           scenario.tsr.hostname,
+                                           scenario.repo_id))
         serial_elapsed = scenario.clock.now() - before
-        client_b = TsrRepositoryClient(scenario.network, "t-batch",
-                                       scenario.tsr.hostname,
-                                       scenario.repo_id)
+        session = ScheduledFetchSession(scenario.network)
+        for name in hosts:
+            _fetch_all(TsrRepositoryClient(scenario.network, name,
+                                           scenario.tsr.hostname,
+                                           scenario.repo_id,
+                                           session=session))
+        finishes = [session.channel_finish(name) for name in hosts]
+        assert min(finishes) > 0.0
+        assert session.makespan == max(finishes)
+        assert session.makespan < serial_elapsed / 2
+
+    def test_session_fetch_of_unserved_name_fails_like_serial(
+            self, dep_scenario):
+        scenario = dep_scenario
+        for name in ("serial-host", "session-host"):
+            scenario.network.add_host(Host(name, Continent.EUROPE))
+        serial = TsrRepositoryClient(scenario.network, "serial-host",
+                                     scenario.tsr.hostname, scenario.repo_id)
+        session = ScheduledFetchSession(scenario.network)
+        scheduled = TsrRepositoryClient(
+            scenario.network, "session-host", scenario.tsr.hostname,
+            scenario.repo_id, session=session)
+        with pytest.raises(NetworkError) as serial_error:
+            serial.fetch_package("no-such-package")
+        with pytest.raises(NetworkError) as session_error:
+            scheduled.fetch_package("no-such-package")
+        assert str(session_error.value) == str(serial_error.value)
+        # The client waited out the timeout on its channel.
+        assert session.channel_finish("session-host") \
+            == scenario.network.timeout
+
+    def test_detached_client_fetches_on_the_clock(self, dep_scenario):
+        scenario = dep_scenario
+        scenario.network.add_host(Host("detach-host", Continent.EUROPE))
+        session = ScheduledFetchSession(scenario.network)
+        client = TsrRepositoryClient(scenario.network, "detach-host",
+                                     scenario.tsr.hostname, scenario.repo_id,
+                                     session=session)
+        client.fetch_index()
+        key = session.last_key("detach-host")
+        client.use_session(None)
         before = scenario.clock.now()
-        client_b.fetch_packages(["musl", "zlib", "busybox"], connections=3)
-        batch_elapsed = scenario.clock.now() - before
-        assert batch_elapsed < serial_elapsed
+        blob = client.fetch_package("musl")
+        elapsed = scenario.clock.now() - before
+        probe = scenario.network.probe(
+            "detach-host", client._package_request("musl"))
+        assert blob == probe.payload
+        assert elapsed >= probe.setup
+        assert session.last_key("detach-host") == key
 
-    def test_fetch_index_and_packages_overlaps(self, dep_scenario):
-        scenario = dep_scenario
-        scenario.network.add_host(Host("ov-host", Continent.EUROPE))
-        client = TsrRepositoryClient(scenario.network, "ov-host",
-                                     scenario.tsr.hostname, scenario.repo_id)
-        index_blob, blobs = client.fetch_index_and_packages(
-            ["musl", "zlib"], connections=2)
-        index = RepositoryIndex.from_bytes(index_blob)
-        assert index.verify(scenario.tsr_public_key)
-        assert set(blobs) == {"musl", "zlib"}
-        assert blobs["musl"] == client.fetch_package("musl")
-
-    def test_connections_validated(self, dep_scenario):
-        scenario = dep_scenario
-        scenario.network.add_host(Host("val-host", Continent.EUROPE))
-        client = TsrRepositoryClient(scenario.network, "val-host",
-                                     scenario.tsr.hostname, scenario.repo_id)
-        with pytest.raises(ValueError):
-            client.fetch_packages(["musl"], connections=0)
-
-    def test_install_batch_equivalent_to_serial_installs(self, dep_scenario):
+    def test_session_install_equivalent_to_serial_install(self,
+                                                          dep_scenario):
         scenario = dep_scenario
         node_a, manager_a = scenario.new_node("serial-node")
         manager_a.update()
@@ -133,11 +186,17 @@ class TestScheduledClientFetch:
         manager_a.install("zlib", stats_a)   # pulls musl via the closure
         manager_a.install("busybox", stats_a)
 
-        node_b, manager_b = scenario.new_node("batch-node")
-        stats_b = manager_b.install_batch(["zlib", "busybox"], connections=2)
+        session = ScheduledFetchSession(scenario.network)
+        node_b, manager_b = scenario.new_node("session-node",
+                                              session=session)
+        manager_b.update()
+        stats_b = InstallStats()
+        manager_b.install("zlib", stats_b)
+        manager_b.install("busybox", stats_b)
 
         assert stats_b.packages == stats_a.packages == 3
         assert stats_b.bytes_downloaded == stats_a.bytes_downloaded
+        assert session.makespan > 0.0
         assert ({p.name for p in node_b.pkgdb.all()}
                 == {p.name for p in node_a.pkgdb.all()})
         for pkg in node_a.pkgdb.all():
@@ -145,52 +204,30 @@ class TestScheduledClientFetch:
             assert other is not None
             assert other.content_hash == pkg.content_hash
 
-    def test_install_batch_faster_than_serial_path(self, dep_scenario):
-        scenario = dep_scenario
-        node_a, manager_a = scenario.new_node("slow-node")
-        before = scenario.clock.now()
-        manager_a.update()
-        manager_a.install("zlib")
-        manager_a.install("busybox")
-        serial_elapsed = scenario.clock.now() - before
-
-        node_b, manager_b = scenario.new_node("fast-node")
-        before = scenario.clock.now()
-        manager_b.install_batch(["zlib", "busybox"], connections=4)
-        batch_elapsed = scenario.clock.now() - before
-        assert batch_elapsed < serial_elapsed
-
-    def test_empty_batch_is_free(self, dep_scenario):
-        scenario = dep_scenario
-        scenario.network.add_host(Host("empty-host", Continent.EUROPE))
-        client = TsrRepositoryClient(scenario.network, "empty-host",
-                                     scenario.tsr.hostname, scenario.repo_id)
-        before = scenario.clock.now()
-        assert client.fetch_packages([]) == {}
-        assert scenario.clock.now() == before  # no phantom timeout
-
-    def test_install_batch_rejected_name_matches_serial_error(self,
-                                                              dep_scenario):
-        """A name the repository does not serve must fail exactly like the
-        serial path (PackageManagerError at resolution, after the fresh
-        index arrived) — not abort the optimistic wave with a transport
-        error."""
-        from repro.util.errors import PackageManagerError
+    def test_install_of_unserved_name_keeps_manager_usable(self,
+                                                           dep_scenario):
+        """A name the repository does not serve fails at resolution,
+        after the fresh index arrived; the manager then installs a
+        served name as usual."""
         scenario = dep_scenario
         node, manager = scenario.new_node("reject-node")
+        manager.update()
         with pytest.raises(PackageManagerError):
-            manager.install_batch(["musl", "no-such-package"])
-        # The index still landed and valid prefetches are not lost state:
-        # a follow-up batch of the good names succeeds.
-        stats = manager.install_batch(["musl"])
+            manager.install("no-such-package")
+        assert node.pkgdb.get("musl") is None
+        stats = manager.install("musl")
         assert stats.packages == 1
+        assert node.pkgdb.get("musl") is not None
 
-    def test_install_batch_works_against_mirror_client(self, dep_scenario):
+    def test_install_through_mirror_pulls_dependency_closure(self,
+                                                             dep_scenario):
         scenario = dep_scenario
         node, manager = scenario.new_node("mirror-node", use_tsr=False)
-        stats = manager.install_batch(["zlib"], connections=2)
+        manager.update()
+        stats = manager.install("zlib")
         assert stats.packages == 2  # musl came along via the closure
         assert node.pkgdb.get("musl") is not None
+        assert node.pkgdb.get("zlib") is not None
 
 
 class TestAttestedOnboarding:

@@ -266,7 +266,7 @@ class TestPipelineEquivalence:
         quorum_blob = None
         tsr = scenario.tsr
         mirrors = tsr._policy_mirrors(scenario.repo_id)
-        quorum = tsr._read_quorum(scenario.repo_id, mirrors)
+        quorum = tsr._read_quorum(scenario.repo_id)
         blob = tsr._download_package(mirrors, "nginx",
                                      quorum["expected"]["nginx"])
         with pytest.raises(PolicyError):
@@ -402,7 +402,7 @@ class TestPipelineFaultTolerance:
         scenario.network.set_down("mirror-eu-2.example")
         tsr = scenario.tsr
         mirrors = tsr._policy_mirrors(scenario.repo_id)
-        quorum = tsr._read_quorum(scenario.repo_id, mirrors)
+        quorum = tsr._read_quorum(scenario.repo_id)
         names = list(quorum["changed"])
         scheduler = MirrorDownloadScheduler(tsr)
         batch = scheduler.add_batch(names, quorum["expected"],

@@ -13,6 +13,7 @@ from repro.mirrors.repository import OriginalRepository
 from repro.simnet.latency import Continent
 from repro.simnet.network import Host, Network, Request
 from repro.util.errors import QuorumError
+from repro.workload.scenario import DEFAULT_MIRROR_SPECS, build_scenario
 
 
 @pytest.fixture()
@@ -290,3 +291,44 @@ class TestValidateSignedIndex:
 
     def test_no_policy_keys_accepts_nothing(self, origin):
         assert validate_signed_index(origin.index_bytes(), []) is None
+
+
+def _frozen_fastest_scenario():
+    """The default three-mirror scenario with its fastest mirror
+    (``mirror-eu-1``) frozen at serial 1 and one more release published,
+    so the first wave disagrees and the quorum must widen."""
+    specs = (MirrorSpec("mirror-eu-1.example", Continent.EUROPE,
+                        behavior=MirrorBehavior.FREEZE, pinned_serial=1),
+             *DEFAULT_MIRROR_SPECS[1:])
+    scenario = build_scenario(
+        packages=[ApkPackage(name="musl", version="1.1.24-r2",
+                             files=[PackageFile("/lib/ld-musl.so",
+                                                b"\x7fELF musl")])],
+        mirror_specs=specs, refresh=False, with_monitor=False)
+    scenario.origin.publish(ApkPackage(
+        name="zlib", version="1.2.11-r3",
+        files=[PackageFile("/lib/libz.so", b"\x7fELF zlib")]))
+    scenario.sync_mirrors()
+    return scenario
+
+
+class TestPhasedQuorumIsTheReader:
+    def test_phased_refresh_times_and_answers_match_quorum_reader(self):
+        """The phased refresh's quorum read is :class:`QuorumReader`: the
+        same widening, the same answers in contact order, and the same
+        simulated seconds, bit for bit."""
+        refreshed = _frozen_fastest_scenario()
+        report = refreshed.tsr.refresh(refreshed.repo_id)
+
+        read_only = _frozen_fastest_scenario()
+        read = QuorumReader(read_only.network, read_only.tsr.hostname,
+                            read_only.policy.mirrors,
+                            read_only.policy.signers_keys).read_index()
+
+        assert read.contacted == 3
+        assert report.serial == read.index.serial == 2
+        assert report.quorum_elapsed == read.elapsed
+        assert [host for host, _ in read.responses] == [
+            "mirror-eu-1.example", "mirror-eu-2.example",
+            "mirror-na-1.example"]
+        assert read.dissenting_mirrors == ["mirror-eu-1.example"]

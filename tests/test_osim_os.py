@@ -1,6 +1,10 @@
 """Tests for the OS: measured boot, versions, the package database."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ima.subsystem import AppraisalMode, replay_measurement_list
 from repro.osim.fs import SimFileSystem
@@ -35,6 +39,39 @@ class TestVersion:
 
     def test_hashable(self):
         assert len({Version("1.0-r0"), Version("1.0-r0")}) == 1
+
+    def test_trailing_zero_segments_are_padding(self):
+        # Shorter cores are zero-padded, so 1.2 and 1.2.0 are one version:
+        # equal, equal hashes, and neither newer than the other.
+        assert Version("1.2") == Version("1.2.0")
+        assert hash(Version("1.2")) == hash(Version("1.2.0"))
+        assert not is_newer("1.2", "1.2.0")
+        assert not is_newer("1.2.0", "1.2")
+        assert Version("1.2.0") < Version("1.2a")
+        assert Version("0") == Version("0.0-r0")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.lists(st.sampled_from([0, 1, 2, 10]), min_size=1, max_size=4),
+        st.sampled_from(["", "a"]),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+    ), min_size=2, max_size=2), st.integers(min_value=1, max_value=2))
+    def test_total_order_consistent_with_eq_and_hash(self, specs, zeros):
+        """Exactly one of <, == and > holds between any two versions,
+        both ways round, and equal versions hash equal.  The first
+        version also meets itself padded with ``zeros`` zero segments."""
+        texts = [".".join(map(str, core)) + letter
+                 + ("" if release is None else f"-r{release}")
+                 for core, letter, release in specs]
+        core, letter, release = specs[0]
+        texts.append(".".join(map(str, core + [0] * zeros)) + letter
+                     + ("" if release is None else f"-r{release}"))
+        versions = [Version(text) for text in texts]
+        for x, y in itertools.permutations(versions, 2):
+            assert [x < y, x == y, x > y].count(True) == 1
+            assert (x < y) == (y > x)
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 class TestBoot:

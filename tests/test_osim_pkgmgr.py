@@ -226,6 +226,26 @@ class TestUpgrade:
         pm.install("musl")
         assert pm.available_upgrades() == []
 
+    def test_padded_version_is_not_an_upgrade(self, rsa_key):
+        """An index pinning ``1.2.0`` offers nothing to a ``1.2`` install,
+        and ``1.2.1`` still is an upgrade."""
+        repo = MemoryRepository(rsa_key)
+        repo.publish(ApkPackage(name="tool", version="1.2",
+                                files=[PackageFile("/usr/bin/tool", b"v")]))
+        node = IntegrityEnforcedOS("pad-node")
+        node.boot()
+        manager = PackageManager(node, repo, trusted_keys=[rsa_key.public_key])
+        manager.update()
+        manager.install("tool")
+        repo.publish(ApkPackage(name="tool", version="1.2.0",
+                                files=[PackageFile("/usr/bin/tool", b"v")]))
+        manager.update()
+        assert manager.available_upgrades() == []
+        repo.publish(ApkPackage(name="tool", version="1.2.1",
+                                files=[PackageFile("/usr/bin/tool", b"w")]))
+        manager.update()
+        assert [e.version for e in manager.available_upgrades()] == ["1.2.1"]
+
     def test_tampered_db_triggers_upgrade(self, pm, node):
         """The Fig. 11 methodology: fake an outdated version in the DB."""
         pm.install("musl")

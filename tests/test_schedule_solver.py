@@ -420,12 +420,45 @@ class TestSessionStartTime:
             100.0 + 0.0264 + 10.0)
         assert session.channel_finish("idle") == pytest.approx(100.0)
 
-    def test_resolve_at_other_offset_rejected(self):
+    @pytest.mark.parametrize("start_time", [0.0, 7.25, 1e6 / 3])
+    def test_one_wave_session_matches_schedule_starting_there(self,
+                                                              start_time):
+        """A session is one wave of a plan session: each channel's first
+        fetch carries the wave gap ``start_time``.  Its timings equal, bit
+        for bit, those of a schedule whose stream begins at
+        ``start_time`` and serves the same transfers."""
         net = _fleet_network()
-        net.add_host(Host("c1.eu", Continent.EUROPE))
-        session = ScheduledFetchSession(net, start_time=5.0)
-        session.fetch("c1.eu", Request("tsr.eu", "get", size_bytes=0))
-        session.solve()
-        session.solve(start_time=5.0)  # same offset: cached result is fine
-        with pytest.raises(NetworkError):
-            session.solve(start_time=0.0)
+        net.add_host(Host("down.eu", Continent.EUROPE,
+                          handler=lambda op, payload: (b"", 0)))
+        net.set_down("down.eu")
+        nics = {"c0.eu": None, "c1.eu": 20.0, "c2.eu": 45.0, "c3.eu": None}
+        for name, nic in nics.items():
+            net.add_host(Host(name, Continent.EUROPE,
+                              downlink_bandwidth=nic))
+        session = ScheduledFetchSession(net, shared_bandwidth=100.0,
+                                        start_time=start_time)
+        schedule = ParallelTransferSchedule(downlink_bandwidth=100.0,
+                                            start_time=start_time)
+        for name, nic in nics.items():
+            if nic is not None:
+                schedule.limit_channel(name, nic)
+        for step, (name, target) in enumerate([
+                ("c0.eu", "tsr.eu"), ("c1.eu", "down.eu"),
+                ("c1.eu", "tsr.eu"), ("c2.eu", "tsr.eu"),
+                ("c3.eu", "tsr.eu"), ("c0.eu", "tsr.eu")]):
+            request = Request(target, "get", size_bytes=0)
+            if target == "down.eu":
+                with pytest.raises(NetworkError):
+                    session.fetch(name, request)
+                schedule.enqueue(name, step, net.timeout, 0, 1.0)
+                continue
+            session.fetch(name, request)
+            probe = net.probe(name, request)
+            schedule.enqueue(name, step, probe.setup, probe.size_bytes,
+                             probe.bandwidth)
+        timings = schedule.solve()
+        last = {"c0.eu": 5, "c1.eu": 2, "c2.eu": 3, "c3.eu": 4}
+        for name, step in last.items():
+            assert session.channel_finish(name) == timings[step].finish
+        assert session.makespan == max(t.finish for t in timings.values())
+        assert session.channel_finish("idle") == start_time

@@ -318,6 +318,11 @@ def _sized_network(downlink: float | None) -> Network:
 class TestGatherScheduled:
     """The schedule-backed gather: exact max-min downlink accounting."""
 
+    def test_empty_wave_costs_nothing(self):
+        net = _sized_network(100.0)
+        assert net.gather("dst.eu", []) == []
+        assert net.clock.now() == 0.0
+
     def test_no_downlink_matches_solo_timings(self):
         net = _sized_network(None)
         requests = [Request("m1.eu", "get", size_bytes=0),
@@ -344,26 +349,6 @@ class TestGatherScheduled:
         closed_form = rtt + 5.0 + 20.0
         assert net.clock.now() < closed_form
 
-    def test_same_channel_serializes_requests(self):
-        net = _sized_network(None)
-        requests = [Request("m1.eu", "get", size_bytes=0),
-                    Request("m1.eu", "get", size_bytes=0)]
-        responses = net.gather_scheduled(
-            "dst.eu", requests, channels=["c", "c"], advance="max"
-        )
-        rtt = 0.0264
-        assert responses[0].elapsed == pytest.approx(rtt + 10.0)
-        # The second request waits for the first, then pays its own setup.
-        assert responses[1].elapsed == pytest.approx(2 * (rtt + 10.0))
-
-    def test_start_at_offsets_the_wave(self):
-        net = _sized_network(None)
-        responses = net.gather_scheduled(
-            "dst.eu", [Request("m1.eu", "get", size_bytes=0)], start_at=100.0
-        )
-        assert responses[0].elapsed == pytest.approx(100.0 + 0.0264 + 10.0)
-        assert net.clock.now() == 0.0  # advance="none" by default
-
     def test_partitioned_host_fails_without_stalling_others(self):
         net = _sized_network(None)
         net.partition("dst.eu", "m2.eu")
@@ -372,12 +357,6 @@ class TestGatherScheduled:
         assert isinstance(responses[0], Response)
         assert isinstance(responses[1], NetworkError)
         assert net.clock.now() == pytest.approx(responses[0].elapsed)
-
-    def test_channels_length_validated(self):
-        net = _sized_network(None)
-        with pytest.raises(ValueError):
-            net.gather_scheduled("dst.eu", [Request("m1.eu", "get")],
-                                 channels=["a", "b"])
 
 
 class TestScheduledFetchSession:
