@@ -7,9 +7,10 @@ crypto dependency:
 * RSA key generation (Miller-Rabin), signing and verification using
   PKCS#1 v1.5 with SHA-256 — matching Alpine's 256-byte ``.rsa.pub``
   signatures the paper relies on,
-* private-key modular exponentiation on OpenSSL's Montgomery kernel from
-  the libcrypto ``hashlib`` already links (:mod:`repro.crypto.bignum`,
-  with built-in ``pow`` as the fallback),
+* modular exponentiation on OpenSSL's Montgomery kernels from the
+  libcrypto ``hashlib`` already links (:mod:`repro.crypto.bignum`, with
+  built-in ``pow`` as the fallback): constant-time for private-key
+  operations, variable-time for the public-exponent verification,
 * PEM-style serialization so policies can embed keys as in Listing 1,
 * a minimal certificate chain for mirror endpoint authentication.
 """

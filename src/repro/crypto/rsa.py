@@ -2,11 +2,13 @@
 
 This mirrors what Alpine Linux's ``abuild-sign`` produces: RSA keys whose
 SHA-256 PKCS#1 v1.5 signatures are ``modulus_size`` bytes long (256 bytes for
-RSA-2048).  Signing uses the CRT optimization, and its two half-size
-private exponentiations run on OpenSSL's constant-time Montgomery kernel
-(:func:`repro.crypto.bignum.powmod`, bit-identical to ``pow``);
-verification is a single public-exponent exponentiation (e = 65537), cheap
-enough for built-in ``pow``.
+RSA-2048).  Signing uses the CRT optimization, and both of its half-size
+private exponentiations run in one call to OpenSSL's constant-time kernel
+(:func:`repro.crypto.bignum.powmod2`).  Verification is a single
+public-exponent exponentiation (e = 65537) on OpenSSL's variable-time
+kernel (:func:`repro.crypto.bignum.powmod_public`), which is safe because
+the exponent, modulus and signature are all public.  Both return exactly
+what built-in ``pow`` returns.
 
 Keys serialize to a PEM-like container (see :mod:`repro.crypto.pem`) so that
 security policies can embed them exactly as the paper's Listing 1 shows.
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.crypto.bignum import powmod
+from repro.crypto.bignum import powmod2, powmod_public
 from repro.crypto.hashes import SHA256_DIGEST_SIZE, sha256_bytes
 from repro.crypto.pem import pem_decode, pem_encode
 from repro.crypto.primes import generate_prime
@@ -112,7 +114,7 @@ class RsaPublicKey:
         s = _os2ip(signature)
         if s >= self.n:
             return False
-        em = _i2osp(pow(s, self.e, self.n), self.size_bytes)
+        em = _i2osp(powmod_public(s, self.e, self.n), self.size_bytes)
         try:
             expected = _emsa_pkcs1_v15(message, self.size_bytes)
         except SignatureError:
@@ -178,8 +180,7 @@ class RsaPrivateKey:
         m = _os2ip(em)
         # CRT: two half-size exponentiations instead of one full-size.
         dp, dq, q_inv = self._crt_params()
-        m1 = powmod(m, dp, self.p)
-        m2 = powmod(m, dq, self.q)
+        m1, m2 = powmod2(m, dp, self.p, dq, self.q)
         h = (q_inv * (m1 - m2)) % self.p
         s = m2 + h * self.q
         signature = _i2osp(s, self.size_bytes)

@@ -43,7 +43,7 @@ from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import RsaPublicKey
 from repro.osim.os import IntegrityEnforcedOS
 from repro.osim.pkgdb import InstalledPackage
-from repro.osim.version import is_newer
+from repro.osim.version import Version, is_newer
 from repro.scripts.interpreter import Interpreter
 from repro.util.errors import (
     DeltaError,
@@ -427,7 +427,7 @@ class PackageManager:
         for entry in self.resolve_install_order(name):
             installed = self._node.pkgdb.get(entry.name)
             if installed is not None:
-                if installed.version == entry.version:
+                if Version(installed.version) == Version(entry.version):
                     continue
                 self._upgrade_one(entry, stats)
             else:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import bignum, rsa
-from repro.crypto.bignum import powmod
+from repro.crypto.bignum import powmod, powmod2, powmod_public
 from repro.crypto.certs import CertificateAuthority, Certificate, verify_chain
 from repro.crypto.hashes import hmac_sha256, sha256_bytes, sha256_hex
 from repro.crypto.pem import pem_decode, pem_encode
@@ -186,24 +186,58 @@ class TestRsa:
         )
 
     def test_self_check_catches_a_faulty_kernel(self, rsa_key, monkeypatch):
+        for faulted in (0, 1):
+            def faulty(base, exponent1, modulus1, exponent2, modulus2):
+                halves = list(bignum.powmod2(base, exponent1, modulus1,
+                                             exponent2, modulus2))
+                modulus = (modulus1, modulus2)[faulted]
+                halves[faulted] = (halves[faulted] + 1) % modulus
+                return tuple(halves)
+
+            monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
+            monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
+            monkeypatch.setattr(rsa, "powmod2", faulty)
+            with pytest.raises(
+                    SignatureError,
+                    match="self-check of freshly produced signature failed"):
+                rsa_key.sign(b"faulted CRT half")
+
+    def test_faulty_public_kernel_fails_closed(self, rsa_key, monkeypatch):
+        """A wrong ``s^e mod n`` rejects a genuine signature, and signing
+        refuses because its self-check cannot verify."""
+        genuine = rsa_key.sign(b"genuine")
         monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
         monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
         monkeypatch.setattr(
-            rsa, "powmod",
-            lambda base, exp, mod: (bignum.powmod(base, exp, mod) + 1) % mod)
+            rsa, "powmod_public",
+            lambda base, exp, mod: (bignum.powmod_public(base, exp, mod) + 1)
+            % mod)
+        assert not rsa_key.public_key.verify(b"genuine", genuine)
         with pytest.raises(SignatureError,
                            match="self-check of freshly produced signature failed"):
-            rsa_key.sign(b"faulted CRT half")
+            rsa_key.sign(b"faulted public kernel")
 
 
-def _same_as_pow(base, exponent, modulus):
+def _same_as_pow(base, exponent, modulus, function=powmod):
     try:
         expected = pow(base, exponent, modulus)
     except ValueError:  # negative exponent without an inverse
         with pytest.raises(ValueError):
-            powmod(base, exponent, modulus)
+            function(base, exponent, modulus)
     else:
-        assert powmod(base, exponent, modulus) == expected
+        assert function(base, exponent, modulus) == expected
+
+
+def _pair_same_as_pow(base, exponent1, modulus1, exponent2, modulus2):
+    try:
+        expected = (pow(base, exponent1, modulus1),
+                    pow(base, exponent2, modulus2))
+    except ValueError:  # negative exponent without an inverse
+        with pytest.raises(ValueError):
+            powmod2(base, exponent1, modulus1, exponent2, modulus2)
+    else:
+        assert powmod2(base, exponent1, modulus1,
+                       exponent2, modulus2) == expected
 
 
 class TestBignum:
@@ -231,6 +265,101 @@ class TestBignum:
                      -rng.randrange(1, modulus * modulus + 2)]
             for i, exponent in enumerate(exponents):
                 _same_as_pow(bases[(i + shift) % 5], exponent, modulus)
+
+    @pytest.mark.parametrize("half_bits", [256, 512, 768, 1024, 1536, 2048])
+    def test_pair_matches_pow_on_seeded_operands(self, half_bits):
+        """Full-width operands are the ones OpenSSL's AVX-512 IFMA branch
+        takes at 1024 bits; a base one word short sends it down the
+        generic branch."""
+        rng = random.Random(half_bits)
+
+        def full_width():
+            return rng.getrandbits(half_bits) | 1 << (half_bits - 1)
+
+        m1, m2 = full_width() | 1, full_width() | 1
+        short = rng.getrandbits(half_bits // 3) | 1 << (half_bits // 3 - 1) | 1
+        cases = [
+            (rng.randrange(1 << (half_bits - 1), min(m1, m2)),
+             full_width(), m1, full_width(), m2),
+            (rng.getrandbits(half_bits - 64), full_width(), m1,
+             full_width(), m2),
+            (0, full_width(), m1, full_width(), m2),
+            (m1, full_width(), m1, full_width(), m2),
+            (m1 + rng.randrange(m1 * m2), full_width(), m1,
+             full_width(), m2),
+            (-rng.randrange(1, m1 * m2), full_width(), m1,
+             full_width(), m2),
+            (rng.randrange(m1), 0, m1, 1, m2),
+            (rng.randrange(m1), 1, m1, 0, m2),
+            (rng.randrange(m1 * short), full_width(), m1,
+             rng.getrandbits(half_bits // 3), short),
+            (rng.randrange(m1 * short), rng.getrandbits(half_bits // 3),
+             short, rng.getrandbits(half_bits + 67), m1),
+        ]
+        for case in cases:
+            _pair_same_as_pow(*case)
+
+    def test_pair_falls_back_to_pow_per_slot(self):
+        """An even modulus, a modulus of 1 or 2, or a negative exponent in
+        either slot gives ``pow``'s answer, or its ``ValueError``."""
+        rng = random.Random(7)
+        odd = rng.getrandbits(512) | 1 << 511 | 1
+        kernel = (rng.getrandbits(512), odd)
+        fallbacks = [(rng.getrandbits(512), odd - 1), (5, 1), (5, 2),
+                     (-1, odd), (-3, odd - 1), (-1, 1)]
+        for base in (rng.randrange(odd), 0, 2, -rng.randrange(odd)):
+            for fallback in fallbacks:
+                for slots in (fallback + kernel, kernel + fallback,
+                              fallback + fallback):
+                    _pair_same_as_pow(base, *slots)
+
+    def test_public_kernel_matches_pow_on_small_operands_exhaustively(self):
+        for modulus in range(1, 34):
+            for exponent in (-2, -1, 0, 1, 2, 3, 7, 64):
+                for base in range(-40, 41):
+                    _same_as_pow(base, exponent, modulus, powmod_public)
+
+    @pytest.mark.parametrize("bits", [512, 1024, 2048, 3072, 4096])
+    def test_public_kernel_matches_pow_on_seeded_operands(self, bits):
+        rng = random.Random(bits)
+        odd = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        for shift, modulus in enumerate((odd, odd - 1)):
+            bases = [rng.randrange(modulus), 0, modulus + 5,
+                     -rng.randrange(1, modulus)]
+            for exponent in (0, 1, 3, 65537, rng.getrandbits(17)):
+                for base in bases:
+                    _same_as_pow(base, exponent, modulus, powmod_public)
+            _same_as_pow(bases[shift], rng.getrandbits(bits), modulus,
+                         powmod_public)
+
+    def test_missing_symbols_fall_back_to_pow(self, monkeypatch):
+        rng = random.Random(5)
+        m1, m2 = (rng.getrandbits(1024) | 1 << 1023 | 1 for _ in range(2))
+        base, e1, e2 = (rng.getrandbits(1024) for _ in range(3))
+        expected = (pow(base, e1, m1), pow(base, e2, m2))
+        monkeypatch.setattr(bignum, "_LIB", None)
+        assert powmod2(base, e1, m1, e2, m2) == expected
+        assert powmod_public(base, 65537, m1) == pow(base, 65537, m1)
+
+    def test_pair_without_x2_is_two_powmod_calls(self, monkeypatch):
+        rng = random.Random(6)
+        m1, m2 = (rng.getrandbits(1024) | 1 << 1023 | 1 for _ in range(2))
+        base, e1, e2 = (rng.getrandbits(1024) for _ in range(3))
+        expected = (pow(base, e1, m1), pow(base, e2, m2))
+        calls = []
+
+        def counting_powmod(base, exponent, modulus):
+            calls.append(modulus)
+            return powmod(base, exponent, modulus)
+
+        monkeypatch.setattr(bignum, "powmod", counting_powmod)
+        assert powmod2(base, e1, m1, e2, m2) == expected
+        if bignum._EXP_X2 is not None:
+            assert calls == []  # one x2 call, no powmod
+        calls.clear()
+        monkeypatch.setattr(bignum, "_EXP_X2", None)
+        assert powmod2(base, e1, m1, e2, m2) == expected
+        assert calls == [m1, m2]
 
 
 class TestPem:

@@ -7,6 +7,7 @@ from repro.archive.index import IndexEntry, RepositoryIndex
 from repro.crypto.hashes import sha256_hex
 from repro.ima.subsystem import AppraisalMode, ima_signature_for
 from repro.osim.os import IntegrityEnforcedOS
+from repro.osim.pkgdb import DB_PATH
 from repro.osim.pkgmgr import PackageManager
 from repro.util.errors import (
     IntegrityError,
@@ -226,9 +227,9 @@ class TestUpgrade:
         pm.install("musl")
         assert pm.available_upgrades() == []
 
-    def test_padded_version_is_not_an_upgrade(self, rsa_key):
-        """An index pinning ``1.2.0`` offers nothing to a ``1.2`` install,
-        and ``1.2.1`` still is an upgrade."""
+    @staticmethod
+    def _tool_1_2_with_index_at_1_2_0(rsa_key):
+        """A node with ``tool 1.2`` installed whose index now pins ``1.2.0``."""
         repo = MemoryRepository(rsa_key)
         repo.publish(ApkPackage(name="tool", version="1.2",
                                 files=[PackageFile("/usr/bin/tool", b"v")]))
@@ -240,11 +241,26 @@ class TestUpgrade:
         repo.publish(ApkPackage(name="tool", version="1.2.0",
                                 files=[PackageFile("/usr/bin/tool", b"v")]))
         manager.update()
+        return repo, node, manager
+
+    def test_padded_version_is_not_an_upgrade(self, rsa_key):
+        """An index pinning ``1.2.0`` offers nothing to a ``1.2`` install,
+        and ``1.2.1`` still is an upgrade."""
+        repo, _, manager = self._tool_1_2_with_index_at_1_2_0(rsa_key)
         assert manager.available_upgrades() == []
         repo.publish(ApkPackage(name="tool", version="1.2.1",
                                 files=[PackageFile("/usr/bin/tool", b"w")]))
         manager.update()
         assert [e.version for e in manager.available_upgrades()] == ["1.2.1"]
+
+    def test_padded_version_install_is_a_no_op(self, rsa_key):
+        """Installing ``tool`` again when the index pins ``1.2.0`` over an
+        installed ``1.2`` re-runs nothing: the versions are equal."""
+        _, node, manager = self._tool_1_2_with_index_at_1_2_0(rsa_key)
+        database = node.fs.read_file(DB_PATH)
+        assert manager.install("tool").operations == []
+        assert node.fs.read_file(DB_PATH) == database
+        assert node.pkgdb.get("tool").version == "1.2"
 
     def test_tampered_db_triggers_upgrade(self, pm, node):
         """The Fig. 11 methodology: fake an outdated version in the DB."""
