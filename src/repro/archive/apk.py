@@ -242,10 +242,26 @@ class ParsedApk:
     control_gz: bytes
     data_gz: bytes
     datahash: str
+    #: ``[data_gz, sha256_hex(data_gz)]`` once computed, shared by every
+    #: :meth:`copy`: a parse memo entry hashes its data segment once.
+    _data_sha256: list = field(default_factory=lambda: [None, None],
+                               repr=False, compare=False)
 
     def copy(self) -> "ParsedApk":
         """A copy whose package the caller may mutate freely."""
         return replace(self, package=self.package.copy())
+
+    def _data_digest(self) -> str:
+        """SHA-256 of :attr:`data_gz`, reused only while it is the exact
+        ``bytes`` object the digest was computed from."""
+        data_gz = self.data_gz
+        holder = self._data_sha256
+        if holder[0] is data_gz:
+            return holder[1]
+        digest = sha256_hex(data_gz)
+        if type(data_gz) is bytes:
+            holder[:] = [data_gz, digest]
+        return digest
 
     def verify(self, trusted_keys: list[RsaPublicKey]) -> RsaPublicKey:
         """Full chain check: signature over control, datahash over data.
@@ -274,7 +290,7 @@ class ParsedApk:
                 f"package {self.package.full_name}: control segment signature "
                 "did not verify under any trusted key"
             )
-        actual = sha256_hex(self.data_gz)
+        actual = self._data_digest()
         if actual != self.datahash:
             raise IntegrityError(
                 f"package {self.package.full_name}: datahash mismatch "

@@ -246,8 +246,7 @@ def decode_ops(blob: bytes) -> list[tuple[str, object]]:
             return ops
         if line.startswith(b"R:"):
             ref = line[2:].decode("ascii", errors="replace")
-            if len(ref) != CHUNK_ID_HEX or any(
-                    c not in "0123456789abcdef" for c in ref):
+            if len(ref) != CHUNK_ID_HEX or ref.strip("0123456789abcdef"):
                 raise DeltaError(f"malformed chunk reference {ref!r}")
             ops.append(("copy", ref))
         elif line.startswith(b"L:"):

@@ -242,7 +242,7 @@ def parse_manifest(manifest: bytes) -> list[str]:
     ids = manifest[len(MANIFEST_HEADER):].decode("ascii",
                                                  errors="replace").split()
     for cid in ids:
-        if len(cid) != 16 or any(c not in "0123456789abcdef" for c in cid):
+        if len(cid) != 16 or cid.strip("0123456789abcdef"):
             raise DeltaError(f"malformed chunk id {cid!r}")
     return ids
 

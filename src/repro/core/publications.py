@@ -25,7 +25,7 @@ manifests and the set of manifest shas retention pruned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.archive.index import parse_index_cached
 from repro.core.delta import (
@@ -64,9 +64,19 @@ class Publication:
     #: package name -> sanitized blob (entries absent when the blob was
     #: already evicted at capture time — those fail closed when served).
     blobs: dict[str, bytes]
+    #: package name -> the ``(blob, size, sha256)`` that
+    #: :meth:`captured_blob` last found matching, so a repeat serve
+    #: re-checks the pair without re-hashing the blob.
+    _checked: dict[str, tuple[bytes, int, str]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def captured_blob(self, name: str) -> bytes:
-        """The captured copy of ``name``, checked against its signed pin."""
+        """The captured copy of ``name``, checked against its signed pin.
+
+        The blob is hashed again whenever it is not the exact ``bytes``
+        object last checked or its pin changed; a mutable blob is hashed
+        on every serve.
+        """
         blob = self.blobs.get(name)
         if blob is None:
             raise NetworkError(
@@ -74,10 +84,16 @@ class Publication:
                 f"{self.available_at:.3f} publication"
             )
         size, sha = self.entries[name]
+        checked = self._checked.get(name)
+        if checked is not None and checked[0] is blob \
+                and checked[1] == size and checked[2] == sha:
+            return blob
         if len(blob) != size or sha256_hex(blob) != sha:
             raise NetworkError(
                 f"published package {name!r} does not match its signed index"
             )
+        if type(blob) is bytes:
+            self._checked[name] = (blob, size, sha)
         return blob
 
 

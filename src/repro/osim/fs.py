@@ -48,6 +48,10 @@ def normalize(path: str) -> str:
     """Normalize to an absolute path with no trailing slash (except root)."""
     if not path.startswith("/"):
         raise FileSystemError(f"path must be absolute: {path!r}")
+    if "//" not in path and "/." not in path \
+            and (not path.endswith("/") or path == "/"):
+        # No empty, "." or ".." segment: already normal.
+        return path
     parts: list[str] = []
     for part in path.split("/"):
         if part in ("", "."):

@@ -17,8 +17,14 @@ installing the same signed blobs.  The content work on that path runs
 once per distinct input: a verified blob is parsed once (keyed by the
 SHA-256 it just matched against the signed index), a hook script once
 (:class:`Interpreter`), and a delta base is chunked once
-(:func:`apply_package_delta`).  The memos cache parses, never verdicts:
-every install still checks size, hash, package signature under its own
+(:func:`apply_package_delta`).  Bookkeeping runs once too.  Each party
+hashes a blob once: this manager takes a delta reconstruction's digest
+from the envelope :func:`apply_package_delta` just proved and a reused
+base's from the verified base, and a :class:`ParsedApk` hashes its data
+segment once for all its copies.  The installed-package database parses
+once per write (:class:`~repro.osim.pkgdb.PackageDatabase`).  The memos
+cache parses and digests of immutable bytes, never verdicts: every
+install still checks size, hash, package signature under its own
 keyring, ``datahash`` and name.
 """
 
@@ -357,50 +363,58 @@ class PackageManager:
         stats.bytes_on_wire += size
         self.delta_stats.package_wire_bytes += size
 
-    def _fetch_blob(self, entry: IndexEntry, stats: InstallStats) -> bytes:
+    def _fetch_blob(self, entry: IndexEntry,
+                    stats: InstallStats) -> tuple[bytes, str | None]:
         """Fetch one package's bytes, via the delta path when possible.
 
-        Whatever this returns is verified against the signed index by the
-        caller, so a reconstructed blob is accepted iff a full pull of
-        the same bytes would be.
+        Returns the blob and, when this manager already knows it, the
+        blob's SHA-256: the target digest a delta reconstruction was just
+        proved to hash to, or the digest stored with a verified base.  A
+        full pull returns ``None`` and is hashed by the caller.  Either
+        way the caller checks the digest against the signed index, so a
+        reconstructed blob is accepted iff a full pull of the same bytes
+        would be.
         """
         if not self.delta_updates:
             blob = self._client.fetch_package(entry.name)
             self._account_wire(stats, len(blob))
-            return blob
+            return blob, None
         fetch_delta = getattr(self._client, "fetch_package_delta", None)
         cached = self._delta_bases.get(entry.name)
         if fetch_delta is None or cached is None:
-            return self._fetch_full(entry, stats, "no-base")
+            return self._fetch_full(entry, stats, "no-base"), None
         base, base_sha256 = cached
         if base_sha256 == entry.sha256:
             # The cached base *is* the pinned version: no transfer at all.
             self.delta_stats.base_reuses += 1
-            return base
+            return base, base_sha256
         payload = fetch_delta(entry.name, base_sha256)
         self._account_wire(stats, len(payload))
         try:
-            kind, reason, rest = parse_package_delta_envelope(payload)
+            kind, header, rest = parse_package_delta_envelope(payload)
             if kind == "full":
                 DeltaStats._bump(self.delta_stats.package_full,
-                                 reason or "server")
-                return rest
+                                 header or "server")
+                return rest, None
             blob = apply_package_delta(base, payload)
         except (DeltaError, PackagingError):
             self.delta_stats.package_rejected += 1
-            return self._fetch_full(entry, stats, "rejected")
+            return self._fetch_full(entry, stats, "rejected"), None
         self.delta_stats.package_deltas += 1
-        return blob
+        # ``apply_package_delta`` raised unless the rebuilt bytes hash to
+        # the ``<sha256>:<size>`` target this header declares.
+        return blob, header.partition(":")[0]
 
     def _download_verified(self, entry: IndexEntry, stats: InstallStats) -> ParsedApk:
-        blob = self._fetch_blob(entry, stats)
+        blob, digest = self._fetch_blob(entry, stats)
         stats.bytes_downloaded += len(blob)
         if len(blob) != entry.size:
             raise IntegrityError(
                 f"{entry.describe()}: size {len(blob)} != index size {entry.size} "
                 "(endless-data defence)"
             )
-        digest = sha256_hex(blob)
+        if digest is None or type(blob) is not bytes:
+            digest = sha256_hex(blob)
         if digest != entry.sha256:
             raise IntegrityError(
                 f"{entry.describe()}: content hash does not match signed index"
@@ -412,6 +426,14 @@ class PackageManager:
                 f"index entry {entry.name!r} delivered package "
                 f"{parsed.package.name!r}"
             )
+        for pkg_file in parsed.package.files:
+            if "\n" in pkg_file.path:
+                # The installed-package database is line-based: such a
+                # path could forge or hide a record there.
+                raise PackageManagerError(
+                    f"{entry.describe()}: file path {pkg_file.path!r} "
+                    "contains a newline"
+                )
         if self.delta_updates:
             # Only fully verified blobs become patch bases, so a poisoned
             # delta can never linger: the next delta diffs against bytes
@@ -452,7 +474,7 @@ class PackageManager:
         if entry is not None:
             try:
                 scripts = self._download_verified(entry, InstallStats()).package.scripts
-            except (IntegrityError, SignatureError):
+            except (IntegrityError, PackageManagerError, SignatureError):
                 scripts = {}
         self._run_script(scripts, ".pre-deinstall", stats)
         for path in installed.files:

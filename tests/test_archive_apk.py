@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.archive import apk as apk_module
 from repro.archive.apk import ApkPackage, PackageFile, package_content_hash
 from repro.archive.gz import gzip_compress, gzip_decompress, split_gzip_streams
 from repro.archive.index import IndexEntry, RepositoryIndex, parse_index_cached
@@ -145,6 +146,40 @@ class TestApk:
         parsed = ApkPackage.parse(tampered)
         with pytest.raises(IntegrityError):
             parsed.verify([rsa_key.public_key])
+
+    @pytest.mark.parametrize("via_copy", [False, True])
+    def test_verify_rehashes_a_swapped_data_segment(self, rsa_key,
+                                                     via_copy):
+        """After a passing verify, same-length tampered data is still
+        caught: the stored digest belongs to the old ``bytes`` object."""
+        parsed = ApkPackage.parse(_sample_package().build(rsa_key))
+        parsed.verify([rsa_key.public_key])
+        target = parsed.copy() if via_copy else parsed
+        data = target.data_gz
+        target.data_gz = data[:-9] + bytes([data[-9] ^ 0x01]) + data[-8:]
+        with pytest.raises(IntegrityError, match="datahash mismatch"):
+            target.verify([rsa_key.public_key])
+        # A mutable stand-in with the right bytes passes, and is hashed
+        # afresh on every call.
+        target.data_gz = bytearray(data)
+        target.verify([rsa_key.public_key])
+        target.data_gz[-9] ^= 0x01
+        with pytest.raises(IntegrityError, match="datahash mismatch"):
+            target.verify([rsa_key.public_key])
+
+    def test_copies_of_one_parse_hash_the_data_segment_once(
+            self, rsa_key, monkeypatch):
+        hashed = []
+
+        def counting(data):
+            hashed.append(data)
+            return sha256_hex(data)
+
+        parsed = ApkPackage.parse(_sample_package().build(rsa_key))
+        monkeypatch.setattr(apk_module, "sha256_hex", counting)
+        for copy in (parsed, parsed.copy(), parsed.copy().copy()):
+            copy.verify([rsa_key.public_key])
+        assert hashed == [parsed.data_gz]
 
     def test_verify_detects_tampered_control_segment(self, rsa_key):
         blob = _sample_package().build(rsa_key)

@@ -245,6 +245,17 @@ class TestWireEncoding:
             with pytest.raises(DeltaError):
                 decode_ops(bad)
 
+    @pytest.mark.parametrize("ref", [
+        b"0123456789ABCDEF",           # uppercase hex
+        b"01234567x9abcdef",           # one non-hex character mid-id
+        b"0123456789abcd\xc3\xa9",     # non-ASCII: decodes to U+FFFD
+    ])
+    def test_decode_rejects_non_lowercase_hex_ids(self, ref):
+        good = b"R:0123456789abcdef\nE:\n"
+        assert decode_ops(good) == [("copy", "0123456789abcdef")]
+        with pytest.raises(DeltaError):
+            decode_ops(b"R:" + ref + b"\nE:\n")
+
     def test_apply_rejects_unknown_chunk(self):
         ops = [("copy", "0" * 16)]
         with pytest.raises(DeltaError):

@@ -27,17 +27,19 @@ import pytest
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.index import IndexEntry, RepositoryIndex
 from repro.core.delta import (
+    MANIFEST_HEADER,
     apply_index_delta,
     apply_package_delta,
     blob_manifest,
     build_index_delta,
     build_package_delta,
     parse_index_delta_envelope,
+    parse_manifest,
     parse_package_delta_envelope,
 )
 from repro.core.replica import ReplicaTSR
 from repro.crypto.hashes import sha256_hex
-from repro.util.errors import DeltaError, RollbackError
+from repro.util.errors import DeltaError, IntegrityError, RollbackError
 from repro.workload.generator import evolve_packages, generate_trace
 from repro.workload.replay import replay_trace
 from repro.workload.scenario import build_scenario
@@ -171,6 +173,17 @@ class TestPackageDeltaDifferential:
                     is not None:
                 produced += 1
         assert produced >= 30
+
+    @pytest.mark.parametrize("cid", [
+        b"0123456789ABCDEF",           # uppercase hex
+        b"01234567x9abcdef",           # one non-hex character mid-id
+        b"0123456789abcd\xc3\xa9",     # non-ASCII: decodes to U+FFFD
+    ])
+    def test_manifest_rejects_non_lowercase_hex_ids(self, cid):
+        good = MANIFEST_HEADER + b"0123456789abcdef\n"
+        assert parse_manifest(good) == ["0123456789abcdef"]
+        with pytest.raises(DeltaError):
+            parse_manifest(good + cid + b"\n")
 
     def test_delta_is_smaller_than_full(self, rsa_key):
         rng = random.Random("pkg-size")
@@ -456,6 +469,40 @@ class TestAdversarial:
         entry = manager.index.get(name)
         record = manager._node.pkgdb.get(name)
         assert record.content_hash == entry.sha256  # full-pull bytes won
+
+    def test_self_consistent_delta_to_an_unpinned_blob_rejected(self):
+        """An envelope that rebuilds exactly the blob its header names is
+        still checked against the signed index: the digest the client
+        reuses is the envelope's, never the index's."""
+        scenario = _delta_scenario()
+        _, manager = scenario.new_node("victim", delta_updates=True)
+        manager.update()
+        name = sorted(scenario.population)[0]
+        manager.install(name)
+        base = manager._delta_bases[name][0]
+        _publish_round(scenario, seed=4, fraction=1.0)
+        manager.update()
+        entry = manager.index.get(name)
+        forged = []
+
+        def substitute(blob: bytes) -> bytes:
+            pinned = apply_package_delta(base, blob)
+            # Same length, other bytes: flip the signature member's
+            # gzip MTIME, which no checksum covers.
+            other = pinned[:4] + bytes([pinned[4] ^ 0x01]) + pinned[5:]
+            envelope = build_package_delta(blob_manifest(base), other)
+            assert apply_package_delta(base, envelope) == other
+            forged.append(other)
+            return envelope
+
+        original = _tamper(scenario, "get_package_delta", substitute)
+        with pytest.raises(IntegrityError,
+                           match="content hash does not match signed index"):
+            manager.install(name)
+        scenario.network.host(scenario.tsr.hostname).handler = original
+        assert len(forged[0]) == entry.size
+        assert sha256_hex(forged[0]) != entry.sha256
+        assert manager._node.pkgdb.get(name).version == "1.0-r0"
 
     @pytest.mark.parametrize("cut", [4, 8])
     def test_trailer_stripped_package_delta_is_malformed(self, cut,

@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 from repro.osim.fs import SimFileSystem, normalize
 from repro.util.errors import FileSystemError
 
+from reference_normalize import reference_normalize
+
+#: Segments that exercise every rule: plain names, "." and "..", names
+#: that merely start or end with a dot, and empty (doubled-slash) ones.
+_SEGMENTS = st.sampled_from(["a", ".", "..", "...", ".x", "x.", ""])
+
 
 @pytest.fixture()
 def fs():
@@ -27,6 +33,26 @@ class TestNormalize:
     def test_relative_rejected(self):
         with pytest.raises(FileSystemError):
             normalize("etc/passwd")
+
+    @settings(max_examples=400, deadline=None)
+    @given(segments=st.lists(_SEGMENTS, max_size=8),
+           absolute=st.booleans(), trailing=st.booleans())
+    def test_matches_the_segment_loop(self, segments, absolute, trailing):
+        """The already-normal shortcut returns what the split-and-rejoin
+        loop returns, and rejects exactly the paths it rejects."""
+        path = "/".join(segments)
+        if absolute:
+            path = "/" + path
+        if trailing:
+            path += "/"
+        try:
+            expected = reference_normalize(path)
+        except FileSystemError:
+            with pytest.raises(FileSystemError):
+                normalize(path)
+            return
+        assert normalize(path) == expected
+        assert normalize(expected) == expected  # idempotent
 
 
 class TestFiles:

@@ -1,15 +1,17 @@
 """Tests for the OS: measured boot, versions, the package database."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.ima.subsystem import AppraisalMode, replay_measurement_list
 from repro.osim.fs import SimFileSystem
 from repro.osim.os import BASELINE_FILES, IntegrityEnforcedOS
-from repro.osim.pkgdb import InstalledPackage, PackageDatabase
+from repro.osim.pkgdb import DB_PATH, InstalledPackage, PackageDatabase
 from repro.osim.version import Version, is_newer
 from repro.tpm.device import IMA_PCR_INDEX, verify_quote
 from repro.util.errors import PackageManagerError, ReproError
@@ -190,3 +192,106 @@ class TestPackageDatabase:
     def test_mark_outdated_missing_rejected(self, db):
         with pytest.raises(PackageManagerError):
             db.mark_outdated("ghost")
+
+    @pytest.mark.parametrize("separator", [
+        "|", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+        "\u2028", "\u2029", ":",
+    ])
+    def test_paths_round_trip_with_any_separator(self, separator):
+        """Only ``"\\n"`` ends a line: ``|`` and every other character
+        ``str.splitlines`` breaks at stay inside the path, and cannot
+        override a field."""
+        fs = SimFileSystem()
+        files = ("/usr/bin/tool", f"/usr/share/a{separator}b",
+                 f"/usr/share/{separator}V:9")
+        PackageDatabase(fs).add(InstalledPackage(
+            name="tool", version="1.0-r0", content_hash="ab" * 32,
+            files=files))
+        record = PackageDatabase(fs).get("tool")
+        assert record.files == files
+        assert record.version == "1.0-r0"
+
+
+def _render(records: dict[str, InstalledPackage]) -> bytes:
+    """Database text as a tamperer writes it, in the documented layout."""
+    blocks = []
+    for name in sorted(records):
+        record = records[name]
+        lines = [f"P:{record.name}", f"V:{record.version}",
+                 f"C:{record.content_hash}"]
+        lines += [f"R:{path}" for path in record.files]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks).encode()
+
+
+_DB_NAMES = st.sampled_from(["musl", "zlib", "openssl"])
+_DB_RECORDS = st.builds(
+    InstalledPackage,
+    name=_DB_NAMES,
+    version=st.sampled_from(["1.0-r0", "1.1-r0", "2.0-r3"]),
+    content_hash=st.sampled_from(["ab" * 32, "cd" * 32]),
+    files=st.lists(st.sampled_from(["/lib/a.so", "/usr/a|b", "/etc/k:v",
+                                    "/x\r\x85\u2028y"]),
+                   max_size=3, unique=True).map(tuple),
+)
+
+
+class PackageDatabaseMachine(RuleBasedStateMachine):
+    """Adds, removals, Fig. 11 tampering, raw rewrites of the file and
+    reads, in any order: after every step the database agrees with a
+    model of the records and with a fresh parse of the current bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.fs = SimFileSystem()
+        self.db = PackageDatabase(self.fs)
+        self.model: dict[str, InstalledPackage] = {}
+
+    @rule(record=_DB_RECORDS)
+    def add(self, record):
+        self.db.add(record)
+        self.model[record.name] = record
+
+    @rule(name=_DB_NAMES)
+    def remove(self, name):
+        if name not in self.model:
+            with pytest.raises(PackageManagerError):
+                self.db.remove(name)
+            return
+        self.db.remove(name)
+        del self.model[name]
+
+    @rule(name=_DB_NAMES)
+    def mark_outdated(self, name):
+        if name not in self.model:
+            with pytest.raises(PackageManagerError):
+                self.db.mark_outdated(name)
+            return
+        self.db.mark_outdated(name)
+        self.model[name] = dataclasses.replace(
+            self.model[name], version="0.0.0-r0", content_hash="0" * 64)
+
+    @rule(records=st.lists(_DB_RECORDS, max_size=3))
+    def raw_write(self, records):
+        self.model = {record.name: record for record in records}
+        self.fs.write_file(DB_PATH, _render(self.model))
+
+    @rule(name=_DB_NAMES)
+    def read_and_scribble(self, name):
+        assert self.db.get(name) == self.model.get(name)
+        self.db.all().clear()
+        self.db.installed_names().add("ghost")
+
+    @invariant()
+    def agrees_with_model_and_fresh_parse(self):
+        expected = sorted(self.model.values(), key=lambda p: p.name)
+        assert self.db.all() == expected
+        assert self.db.installed_names() == set(self.model)
+        for name, record in self.model.items():
+            assert self.db.get(name) == record
+        assert PackageDatabase(self.fs).all() == expected
+
+
+TestPackageDatabaseMachine = PackageDatabaseMachine.TestCase
+TestPackageDatabaseMachine.settings = settings(
+    max_examples=60, stateful_step_count=20, deadline=None)

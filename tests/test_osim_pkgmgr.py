@@ -281,6 +281,72 @@ class TestUninstall:
             pm.uninstall("ghost")
 
 
+class TestDatabaseRecordsFromFileNames:
+    """File names come from signed tar entries: no name may change how
+    the package database reads back."""
+
+    def test_pipe_in_a_path_survives_uninstall_and_upgrade(self, rsa_key):
+        repo = MemoryRepository(rsa_key)
+        files = [PackageFile("/usr/bin/pipe", b"v1"),
+                 PackageFile("/usr/share/pipe/a|b", b"doc")]
+        repo.publish(ApkPackage(name="pipe", version="1.0-r0", files=files))
+        node = IntegrityEnforcedOS("pipe-node")
+        node.boot()
+        manager = PackageManager(node, repo, trusted_keys=[rsa_key.public_key])
+        manager.update()
+        manager.install("pipe")
+        assert node.pkgdb.get("pipe").files == (
+            "/usr/bin/pipe", "/usr/share/pipe/a|b")
+
+        repo.publish(ApkPackage(name="pipe", version="1.1-r0",
+                                files=[PackageFile("/usr/bin/pipe", b"v2")]))
+        manager.update()
+        manager.upgrade_all()
+        assert node.pkgdb.get("pipe").version == "1.1-r0"
+        assert not node.fs.exists("/usr/share/pipe/a|b")
+
+        repo.publish(ApkPackage(name="pipe", version="1.2-r0", files=files))
+        manager.update()
+        manager.upgrade_all()
+        manager.uninstall("pipe")
+        assert node.pkgdb.get("pipe") is None
+        assert not node.fs.exists("/usr/share/pipe/a|b")
+        assert not node.fs.exists("/usr/bin/pipe")
+
+    def test_newline_in_a_path_cannot_hide_a_security_update(self, rsa_key):
+        repo = MemoryRepository(rsa_key)
+        repo.publish(ApkPackage(
+            name="openssl", version="1.0-r0",
+            files=[PackageFile("/usr/lib/libssl.so", b"\x7fELF old")]))
+        repo.publish(ApkPackage(
+            name="zz-docs", version="1.0-r0",
+            scripts={".pre-install": "touch /var/zz-docs-hook\n"},
+            files=[PackageFile("/x\n\nP:openssl\nV:99.0-r0\nC:x", b"doc")]))
+        node = IntegrityEnforcedOS("newline-node")
+        node.boot()
+        manager = PackageManager(node, repo, trusted_keys=[rsa_key.public_key])
+        manager.update()
+        manager.install("openssl")
+        database = node.fs.read_file(DB_PATH)
+
+        # Refused after verification, before any hook or file write.
+        with pytest.raises(PackageManagerError, match="newline"):
+            manager.install("zz-docs")
+        assert not node.fs.exists("/var/zz-docs-hook")
+        assert not node.fs.exists("/x\n\nP:openssl\nV:99.0-r0\nC:x")
+        assert node.fs.read_file(DB_PATH) == database
+        assert [(p.name, p.version) for p in node.pkgdb.all()] == \
+            [("openssl", "1.0-r0")]
+
+        repo.publish(ApkPackage(
+            name="openssl", version="1.1-r0",
+            files=[PackageFile("/usr/lib/libssl.so", b"\x7fELF fixed")]))
+        manager.update()
+        assert [e.version for e in manager.available_upgrades()] == ["1.1-r0"]
+        manager.upgrade_all()
+        assert node.fs.read_file("/usr/lib/libssl.so") == b"\x7fELF fixed"
+
+
 class TestIntegrityInteraction:
     def test_exercise_measures_package_files(self, pm, node):
         pm.install("musl")

@@ -21,6 +21,7 @@ import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.index import RepositoryIndex
+from repro.core import publications as publications_module
 from repro.core.delta import (
     build_index_delta,
     index_body_sha256,
@@ -28,10 +29,18 @@ from repro.core.delta import (
     parse_index_delta_envelope,
     parse_package_delta_envelope,
 )
+from repro.core.publications import Publication
 from repro.core.replica import ReplicaTSR, check_replica_freshness
 from repro.crypto.hashes import sha256_hex
-from repro.util.errors import ReproError, RollbackError
-from repro.workload.generator import Trace, TraceEvent, evolve_packages
+from repro.osim import pkgmgr as pkgmgr_module
+from repro.osim.pkgdb import DB_PATH, PackageDatabase
+from repro.util.errors import NetworkError, ReproError, RollbackError
+from repro.workload.generator import (
+    Trace,
+    TraceEvent,
+    evolve_packages,
+    generate_trace,
+)
 from repro.workload.replay import replay_trace
 from repro.workload.scenario import (
     build_multi_tenant_scenario,
@@ -479,6 +488,178 @@ class TestAdversarialServing:
         entry = manager.index.get(name)
         record = manager._node.pkgdb.get(name)
         assert record.content_hash == entry.sha256  # origin bytes won
+
+
+# -- the captured-copy check: repeat serves, changed objects --------------------
+
+
+class TestCapturedCopyCheck:
+    """A publication re-hashes its captured copy only when the blob or
+    its pin changed since the last passing serve."""
+
+    def _served(self):
+        scenario = build_scenario(packages=_rand_packages(count=2),
+                                  with_monitor=False)
+        publication = scenario.tsr.record_publication(scenario.repo_id, 0.0)
+        name = sorted(publication.blobs)[0]
+        blob = publication.captured_blob(name)
+        assert publication.captured_blob(name) is blob
+        return publication, name, blob
+
+    def test_swapped_blob_is_rechecked(self):
+        publication, name, blob = self._served()
+        tampered = blob[:-9] + bytes([blob[-9] ^ 0x01]) + blob[-8:]
+        publication.blobs[name] = tampered
+        with pytest.raises(NetworkError, match="does not match its signed"):
+            publication.captured_blob(name)
+        # A mutable copy is checked on every serve.
+        publication.blobs[name] = bytearray(blob)
+        assert publication.captured_blob(name) == blob
+        publication.blobs[name][-9] ^= 0x01
+        with pytest.raises(NetworkError, match="does not match its signed"):
+            publication.captured_blob(name)
+
+    def test_changed_pin_is_rechecked(self):
+        publication, name, blob = self._served()
+        size, sha = publication.entries[name]
+        publication.entries[name] = (size, "0" * 64)
+        with pytest.raises(NetworkError, match="does not match its signed"):
+            publication.captured_blob(name)
+        publication.entries[name] = (size + 1, sha)
+        with pytest.raises(NetworkError, match="does not match its signed"):
+            publication.captured_blob(name)
+        publication.entries[name] = (size, sha)
+        assert publication.captured_blob(name) is blob
+
+
+# -- work counts: bookkeeping runs once per input -----------------------------
+
+
+def _rotating_delta_fleet():
+    """Two tenants, one edge replica, eight clients rotating through
+    waves of four over four publish rounds: returning clients upgrade
+    through package deltas, and the replica serves repeat captured
+    copies."""
+    scenario = build_multi_tenant_scenario(
+        tenants=2, overlap=0.6, packages=_rand_packages(count=4,
+                                                        payload=8 * 1024))
+    multi_tenant_refresh(scenario)
+    replica = ReplicaTSR("edge-00.example", scenario.tsr, sync_cadence=1.0)
+    trace = generate_trace(rounds=4, interval=4.0, pull_lag=3.5,
+                           publish_fraction=0.25, seed=1001, fleet_size=8,
+                           clients_per_wave=4, installs_per_client=4,
+                           streaming=True)
+    return replay_trace(scenario, trace, clients=8, mode="streaming",
+                        delta_updates=True, replicas=[replica],
+                        shared_tpm_seed=2020)
+
+
+class TestBookkeepingWorkCounts:
+    """Regression guards on work, not time: the package database parses
+    once per write it did not make itself, each served (blob, pin) pair
+    is hashed once, and a client never re-hashes bytes whose digest it
+    already proved."""
+
+    def test_small_delta_fleet_does_each_piece_of_bookkeeping_once(
+            self, monkeypatch):
+        databases, parses = [], []
+        serves, served, served_hashes = [], {}, []
+        delta_blobs, client_hashes = [], []
+
+        real_init = PackageDatabase.__init__
+        real_parse = PackageDatabase._parse
+
+        def init(self, *args, **kwargs):
+            databases.append(self)
+            real_init(self, *args, **kwargs)
+
+        def parse(raw):
+            parses.append(raw)
+            return real_parse(raw)
+
+        real_captured = Publication.captured_blob
+
+        def captured(self, name):
+            blob = real_captured(self, name)
+            size, sha = self.entries[name]
+            serves.append(name)
+            served[(id(self), name, id(blob), size, sha)] = (self, blob)
+            return blob
+
+        def hashed_by(log, real=sha256_hex):
+            def counting(data):
+                log.append(data)
+                return real(data)
+            return counting
+
+        real_apply = pkgmgr_module.apply_package_delta
+
+        def apply(base, payload):
+            blob = real_apply(base, payload)
+            delta_blobs.append(blob)
+            return blob
+
+        monkeypatch.setattr(PackageDatabase, "__init__", init)
+        monkeypatch.setattr(PackageDatabase, "_parse", staticmethod(parse))
+        monkeypatch.setattr(Publication, "captured_blob", captured)
+        monkeypatch.setattr(publications_module, "sha256_hex",
+                            hashed_by(served_hashes))
+        monkeypatch.setattr(pkgmgr_module, "sha256_hex",
+                            hashed_by(client_hashes))
+        monkeypatch.setattr(pkgmgr_module, "apply_package_delta", apply)
+
+        report = _rotating_delta_fleet()
+        assert report.failed_installs == 0 and report.failed_pulls == 0
+        stats = report.delta_stats
+        assert stats["package_deltas"] > 0 and stats["package_rejected"] == 0
+
+        # One parse per booted node (its empty file); every later read
+        # is of bytes the database wrote itself.
+        assert len(databases) == report.streaming.clients_booted
+        assert len(parses) == len(databases)
+        # Every serve checks its pin; each distinct pair is hashed once,
+        # and the fleet does repeat some.
+        assert len(served_hashes) == len(served) < len(serves)
+        # Clients hash full pulls only: never a blob a delta rebuilt.
+        assert len(client_hashes) == sum(stats["package_full"].values())
+        rebuilt = {id(blob) for blob in delta_blobs}
+        assert not any(id(data) in rebuilt for data in client_hashes)
+
+    def test_base_reuse_and_raw_writes(self, monkeypatch):
+        scenario = build_scenario(packages=_rand_packages(count=2),
+                                  with_monitor=False)
+        scenario.tsr.record_publication(scenario.repo_id, 0.0)
+        node, manager = scenario.new_node("reuser", delta_updates=True)
+        manager.update()
+        name = sorted(scenario.population)[0]
+        manager.install(name)
+        manager.uninstall(name)
+        reuses = manager.delta_stats.base_reuses
+
+        parses, client_hashes = [], []
+        real_parse = PackageDatabase._parse
+
+        def parse(raw):
+            parses.append(raw)
+            return real_parse(raw)
+
+        def counting(data):
+            client_hashes.append(data)
+            return sha256_hex(data)
+
+        monkeypatch.setattr(PackageDatabase, "_parse", staticmethod(parse))
+        monkeypatch.setattr(pkgmgr_module, "sha256_hex", counting)
+        manager.install(name)  # the cached base is the pinned version
+        assert manager.delta_stats.base_reuses == reuses + 1
+        assert client_hashes == []
+        node.pkgdb.mark_outdated(name)
+        assert [e.name for e in manager.available_upgrades()] == [name]
+        assert parses == []
+        raw = node.fs.read_file(DB_PATH)
+        node.fs.write_file(DB_PATH, raw.replace(b"0.0.0-r0", b"0.0.1-r0"))
+        assert node.pkgdb.get(name).version == "0.0.1-r0"
+        assert node.pkgdb.installed_names() == {name}
+        assert len(parses) == 1
 
 
 # -- the serve-induced re-sanitize queue and publication retention -------------
