@@ -6,9 +6,10 @@ Paper: sanitization time is heavily skewed — 11 ms (p50), 36 ms (p75),
 
 Signing and verification exponentiate on OpenSSL's Montgomery kernels
 (``repro.crypto.bignum``), native like the paper's Rust prototype, so p50
-and p75 land near the paper's: 9.0 ms and 27.7 ms against its 11 ms and
+and p75 land below the paper's: 6.4 ms and 21.5 ms against its 11 ms and
 36 ms, at the default scale on a 2-vCPU Xeon with AVX-512 IFMA, where
-OpenSSL runs both CRT halves of an RSA-2048 signature in one pass.  The
+OpenSSL runs both CRT halves of an RSA-2048 signature in one pass on
+Montgomery contexts each key holds for its lifetime.  The
 rest of the pipeline is CPython, so absolute numbers are not expected to
 match.  The skew and the growth directions are the reproduced shape.
 Timings are *native* (outside the simulated enclave), like the paper's

@@ -4,22 +4,27 @@
 
 Times, at RSA-1024 and RSA-2048 on seeded keys:
 
-* both CRT halves of a signature: one ``powmod2`` call
-  (``BN_mod_exp_mont_consttime_x2``), two ``powmod`` calls
+* both CRT halves of a signature: one ``ModExp.pair`` call
+  (``BN_mod_exp_mont_consttime_x2``) on the key's held Montgomery
+  contexts, the same call on contexts built for it (what every signature
+  paid before keys held them), two one-off ``powmod`` calls
   (``BN_mod_exp_mont_consttime``) and two built-in ``pow`` calls;
-* the public operation ``s^65537 mod n``: ``powmod_public``
-  (``BN_mod_exp_mont``) and built-in ``pow``;
+* the public operation ``s^65537 mod n``: ``ModExp.public``
+  (``BN_mod_exp_mont``) on the key's held context, the same on a context
+  built for the call, and built-in ``pow``;
 * a fresh ``sign`` (which includes its self-check verify) and a fresh
-  ``verify``, with both RSA memos cleared before every call.
+  ``verify`` through keys that already hold their contexts, with both
+  RSA memos cleared before every call.
 
 Every kernel result is checked against ``pow``; there is no timing gate.
 The header names the kernels this host has: ``bignum.BACKEND``, the OpenSSL
-version, whether the optional x2 symbol (OpenSSL >= 3.0) resolved and
-whether the CPU lists ``avx512ifma``.  OpenSSL runs the x2 call as one
-AVX-512 IFMA pass only for 1024-bit halves on such a CPU, so only the
-RSA-2048 pair is expected to beat two ``powmod`` calls; elsewhere it runs
-the same two constant-time exponentiations.  OpenSSL 3.0.4 alone had a
-memory-corruption bug in that IFMA path (CVE-2022-2274).
+version, whether the ``BN_MONT_CTX_*`` symbols and the optional x2 symbol
+(OpenSSL >= 3.0) resolved and whether the CPU lists ``avx512ifma``.
+OpenSSL runs the x2 call as one AVX-512 IFMA pass only for 1024-bit
+halves on such a CPU, so only the RSA-2048 pair is expected to beat two
+``powmod`` calls; elsewhere it runs the same two constant-time
+exponentiations.  OpenSSL 3.0.4 alone had a memory-corruption bug in that
+IFMA path (CVE-2022-2274).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import time
 from pathlib import Path
 
 from repro.crypto import bignum, rsa
-from repro.crypto.bignum import powmod, powmod2, powmod_public
+from repro.crypto.bignum import ModExp, powmod
 from repro.crypto.rsa import generate_keypair
 
 REPS = 101
@@ -72,22 +77,29 @@ def clear_memos() -> None:
 
 def measure(key) -> dict[str, float]:
     rng = random.Random(key.n)
-    dp, dq, _ = key._crt_params()
     bases = [rng.randrange(key.n) for _ in range(REPS)]
     messages = [b"kernel-bench-%d" % i for i in range(REPS)]
     signed = list(zip(messages, map(key.sign, messages)))
     public = key.public_key
+    held_p, held_q, _ = key._crt_params()
+    held_n = public._exponentiation()
+    dp, dq = held_p.exponent, held_q.exponent
 
     kernels = {  # name: (operation, the pow operation it must equal)
-        "CRT pair, one powmod2 (x2)":
-            (lambda m: powmod2(m, dp, key.p, dq, key.q), "CRT pair, two pow"),
+        "CRT pair, held x2":
+            (lambda m: held_p.pair(m, held_q), "CRT pair, two pow"),
+        "CRT pair, x2 on new contexts":
+            (lambda m: ModExp(dp, key.p).pair(m, ModExp(dq, key.q)),
+             "CRT pair, two pow"),
         "CRT pair, two powmod":
             (lambda m: (powmod(m, dp, key.p), powmod(m, dq, key.q)),
              "CRT pair, two pow"),
         "CRT pair, two pow":
             (lambda m: (pow(m, dp, key.p), pow(m, dq, key.q)), None),
-        "s^e mod n, powmod_public":
-            (lambda s: powmod_public(s, key.e, key.n), "s^e mod n, pow"),
+        "s^e mod n, held":
+            (lambda s: held_n.public(s), "s^e mod n, pow"),
+        "s^e mod n, new context":
+            (lambda s: ModExp(key.e, key.n).public(s), "s^e mod n, pow"),
         "s^e mod n, pow": (lambda s: pow(s, key.e, key.n), None),
     }
     medians, outputs = {}, {}
@@ -97,11 +109,11 @@ def measure(key) -> dict[str, float]:
         if reference is not None and outputs[name] != outputs[reference]:
             raise AssertionError(f"{name} differs from {reference}")
 
-    medians["fresh sign (with self-check)"], signatures = timed_run(
+    medians["fresh sign, held (with self-check)"], signatures = timed_run(
         key.sign, messages, clear_memos)
     if signatures != [signature for _, signature in signed]:
         raise AssertionError("a fresh signature differs from the first")
-    medians["fresh verify"], verdicts = timed_run(
+    medians["fresh verify, held"], verdicts = timed_run(
         lambda pair: public.verify(*pair), signed, clear_memos)
     if not all(verdicts):
         raise AssertionError("a genuine signature failed to verify")
@@ -110,6 +122,7 @@ def measure(key) -> dict[str, float]:
 
 def main() -> None:
     print(f"modexp backend: {bignum.BACKEND}; {ssl.OPENSSL_VERSION}; "
+          f"BN_MONT_CTX: {'yes' if bignum._LIB is not None else 'no'}; "
           f"x2 symbol: {'yes' if bignum._EXP_X2 is not None else 'no'}; "
           f"cpu avx512ifma: {cpu_has_ifma()}; "
           f"Python {platform.python_version()}")
@@ -117,9 +130,9 @@ def main() -> None:
                for label, (bits, seed) in KEYS.items()}
     print(f"median us per operation over {REPS} operands "
           "(every kernel result checked against pow)")
-    print(f"{'operation':<32}" + "".join(f"{label:>10}" for label in columns))
+    print(f"{'operation':<36}" + "".join(f"{label:>10}" for label in columns))
     for name in next(iter(columns.values())):
-        print(f"{name:<32}"
+        print(f"{name:<36}"
               + "".join(f"{column[name]:>10.1f}" for column in columns.values()))
 
 

@@ -7,9 +7,8 @@ compression is deterministic: fixed mtime, no filename, fixed OS byte.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
-import io
+import struct
 import time
 import zlib
 
@@ -19,11 +18,22 @@ _GZIP_MAGIC = b"\x1f\x8b"
 
 
 def gzip_compress(data: bytes, level: int = 6) -> bytes:
-    """Compress with a deterministic gzip container (mtime pinned to 0)."""
-    buffer = io.BytesIO()
-    with gzip.GzipFile(fileobj=buffer, mode="wb", compresslevel=level, mtime=0) as gz:
-        gz.write(data)
-    return buffer.getvalue()
+    """Compress with a deterministic gzip container (mtime pinned to 0).
+
+    The member is the one ``gzip.GzipFile(mtime=0)`` writes, built
+    directly: a 10-byte header with no file name, mtime 0, the extra
+    flags byte GzipFile derives from the level and OS byte 255; one raw
+    deflate stream; the CRC32 and length trailer.  The deflate stream
+    comes from a ``compressobj`` fed the whole input and then flushed,
+    as GzipFile does, because at level 0 a one-shot ``zlib.compress``
+    splits its stored blocks elsewhere.
+    """
+    extra_flags = b"\x02" if level == 9 else b"\x04" if level == 1 else b"\x00"
+    deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return b"".join((
+        b"\x1f\x8b\x08\x00\x00\x00\x00\x00", extra_flags, b"\xff",
+        deflate.compress(data), deflate.flush(),
+        struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF)))
 
 
 # Compression is deterministic (pinned mtime/OS byte), so a segment whose

@@ -79,48 +79,55 @@ def _octal_field(value: int, width: int) -> bytes:
     """NUL-terminated zero-padded octal, the classic tar numeric encoding."""
     if value < 0:
         raise PackagingError(f"tar numeric fields must be non-negative: {value}")
-    text = oct(value)[2:]
-    if len(text) > width - 1:
+    text = b"%0*o\x00" % (width - 1, value)
+    if len(text) > width:
         raise PackagingError(f"value {value} does not fit in {width}-byte octal field")
-    return text.rjust(width - 1, "0").encode("ascii") + b"\x00"
+    return text
 
 
 def _string_field(value: str, width: int, what: str) -> bytes:
+    """``value``'s UTF-8 bytes, unpadded (NUL padding adds nothing to the
+    header checksum, so the caller pads while joining)."""
     raw = value.encode("utf-8")
     if len(raw) > width:
         raise PackagingError(f"{what} too long for tar header: {value!r}")
-    return raw.ljust(width, b"\x00")
+    return raw
+
+
+#: Header bytes no entry changes: the devmajor and devminor fields (octal
+#: zero), then the empty prefix and the padding to 512 bytes.
+_HEADER_TAIL = b"0000000\x00" * 2 + b"\x00" * (155 + 12)
+#: Their share of the checksum, with the ustar magic's and that of the
+#: checksum field itself, which counts as eight spaces.
+_FIXED_CHECKSUM = sum(_USTAR_MAGIC) + sum(_HEADER_TAIL) + 8 * ord(" ")
 
 
 def _build_header(name: str, size: int, entry: TarEntry, typeflag: bytes) -> bytes:
-    header = bytearray()
-    header += _string_field(name, 100, "entry name")
-    header += _octal_field(entry.mode & 0o7777, 8)
-    header += _octal_field(entry.uid, 8)
-    header += _octal_field(entry.gid, 8)
-    header += _octal_field(size, 12)
-    header += _octal_field(entry.mtime, 12)
-    header += b"        "  # checksum placeholder: 8 spaces
-    header += typeflag
-    header += _string_field(entry.linkname, 100, "link name")
-    header += _USTAR_MAGIC
-    header += _string_field(entry.uname, 32, "user name")
-    header += _string_field(entry.gname, 32, "group name")
-    header += _octal_field(0, 8)  # devmajor
-    header += _octal_field(0, 8)  # devminor
-    header += _string_field("", 155, "prefix")
-    header += b"\x00" * 12
+    """One ustar header block, each field encoded once.  The checksum is
+    the sum of the header's bytes with its own field read as spaces: the
+    variable fields' bytes plus :data:`_FIXED_CHECKSUM`."""
+    name_raw = _string_field(name, 100, "entry name")
+    numbers = (_octal_field(entry.mode & 0o7777, 8)
+               + _octal_field(entry.uid, 8)
+               + _octal_field(entry.gid, 8)
+               + _octal_field(size, 12)
+               + _octal_field(entry.mtime, 12))
+    linkname = _string_field(entry.linkname, 100, "link name")
+    uname = _string_field(entry.uname, 32, "user name")
+    gname = _string_field(entry.gname, 32, "group name")
+    checksum = (_FIXED_CHECKSUM + sum(name_raw) + sum(numbers)
+                + sum(typeflag) + sum(linkname) + sum(uname) + sum(gname))
+    header = b"".join((
+        name_raw.ljust(100, b"\x00"), numbers, b"%06o\x00 " % checksum,
+        typeflag, linkname.ljust(100, b"\x00"), _USTAR_MAGIC,
+        uname.ljust(32, b"\x00"), gname.ljust(32, b"\x00"), _HEADER_TAIL))
     assert len(header) == BLOCK_SIZE
-    checksum = sum(header)
-    header[148:156] = f"{checksum:06o}".encode("ascii") + b"\x00 "
-    return bytes(header)
+    return header
 
 
-def _pad_to_block(data: bytes) -> bytes:
-    remainder = len(data) % BLOCK_SIZE
-    if remainder:
-        return data + b"\x00" * (BLOCK_SIZE - remainder)
-    return data
+def _padding(size: int) -> bytes:
+    """The NUL bytes that fill a ``size``-byte body to whole blocks."""
+    return b"\x00" * (-size % BLOCK_SIZE)
 
 
 def _encode_pax_records(records: dict[str, bytes]) -> bytes:
@@ -160,24 +167,23 @@ def _decode_pax_records(data: bytes) -> dict[str, bytes]:
 
 def write_tar(entries: list[TarEntry]) -> bytes:
     """Serialize entries to a tar stream (with PAX headers where needed)."""
-    out = bytearray()
-    for index, entry in enumerate(entries):
+    out = []
+    for entry in entries:
         if entry.pax_headers:
             pax_body = _encode_pax_records(entry.pax_headers)
             pax_name = f"./PaxHeaders/{entry.name[:85]}"
-            out += _build_header(pax_name, len(pax_body), entry, TYPE_PAX_HEADER)
-            out += _pad_to_block(pax_body)
+            out += (_build_header(pax_name, len(pax_body), entry, TYPE_PAX_HEADER),
+                    pax_body, _padding(len(pax_body)))
         size = len(entry.data) if entry.is_file else 0
         if not entry.is_file and entry.data:
             raise PackagingError(
                 f"non-regular entry {entry.name!r} cannot carry data"
             )
-        out += _build_header(entry.name, size, entry, entry.typeflag)
+        out.append(_build_header(entry.name, size, entry, entry.typeflag))
         if entry.is_file:
-            out += _pad_to_block(entry.data)
-        del index
-    out += b"\x00" * (2 * BLOCK_SIZE)  # end-of-archive marker
-    return bytes(out)
+            out += (entry.data, _padding(size))
+    out.append(b"\x00" * (2 * BLOCK_SIZE))  # end-of-archive marker
+    return b"".join(out)
 
 
 def _parse_octal(raw: bytes, what: str) -> int:

@@ -4,32 +4,49 @@ CPython's three-argument ``pow`` is about 10x slower than OpenSSL's
 Montgomery code on an RSA private-key half and 2-5x slower on the public
 exponent 65537, and RSA operations dominate the cost of sanitizing a
 package.  This module hands exponentiations to the libcrypto that
-CPython's ``hashlib`` already links, so no package is added.  It has three
-entry points, and each returns exactly what built-in ``pow`` returns:
+CPython's ``hashlib`` already links, so no package is added.  Every entry
+point returns exactly what built-in ``pow`` returns:
 
-* :func:`powmod` runs ``BN_mod_exp_mont_consttime``.  It is constant-time,
-  so it may receive secrets (Miller-Rabin odd parts of secret prime
-  candidates).
-* :func:`powmod2` computes both CRT halves of an RSA private-key operation
-  in one ``BN_mod_exp_mont_consttime_x2`` call, which OpenSSL runs as a
-  single AVX-512 IFMA pass when both halves are 1024-bit and as two
-  constant-time exponentiations otherwise.  It may receive secrets.  The
-  symbol is optional: it exists only in OpenSSL >= 3.0, and without it the
-  pair is two :func:`powmod` calls.
-* :func:`powmod_public` runs ``BN_mod_exp_mont``, which is variable-time:
-  its running time depends on the exponent, so it must only ever receive
-  public exponents (RSA verification).
+* :func:`powmod` runs a one-off ``BN_mod_exp_mont_consttime``.  It is
+  constant-time, so it may receive secrets (Miller-Rabin odd parts of
+  secret prime candidates), and it builds and frees everything it uses.
+* :class:`ModExp` holds one fixed exponent and modulus in OpenSSL form for
+  as long as the object lives: a BIGNUM for each and the modulus's
+  ``BN_MONT_CTX``, built once.  RSA keys keep theirs, so a signature or a
+  verification is one kernel call on contexts set up in advance:
+
+  - :meth:`ModExp.pair` computes both CRT halves of a private-key
+    operation in one constant-time ``BN_mod_exp_mont_consttime_x2`` call,
+    which OpenSSL runs as a single AVX-512 IFMA pass when both halves are
+    1024-bit and as two constant-time exponentiations otherwise.  It may
+    receive secrets.  The symbol is optional: it exists only in OpenSSL
+    >= 3.0, and without it the pair is two ``BN_mod_exp_mont_consttime``
+    calls on the same held contexts.
+  - :meth:`ModExp.public` runs ``BN_mod_exp_mont``, which is
+    variable-time: its running time depends on the exponent, so it must
+    only ever hold public exponents (RSA verification).
 
 Built-in ``pow`` handles what the kernels do not (even moduli, moduli
 below 3, negative exponents) and platforms where the BN symbols do not
-resolve.  Every BIGNUM is released with ``BN_clear_free``, because the
-exponents may be private.  Each call allocates and frees its own BIGNUMs
-and ``BN_CTX``; the module keeps no mutable native state.
+resolve; a :class:`ModExp` then holds no native state at all.  Every
+BIGNUM is released with ``BN_clear_free``, because exponents and moduli
+may be private.
+
+Native lifetime: what a call allocates (its bases, results and
+``BN_CTX``) is cleared and freed before the call returns.  What a
+:class:`ModExp` holds lives exactly as long as that object: a
+``weakref.finalize`` on it clears both BIGNUMs and frees the Montgomery
+context, whose ``BN_MONT_CTX_free`` clears its own copies of the
+modulus.  Copies of a key share the object (``deepcopy`` returns it
+unchanged) and pickling rebuilds it from (exponent, modulus), so no
+native handle is ever duplicated.  Whether an object holds native state
+is settled when it is built.
 """
 
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 
 def _load_libcrypto():
@@ -46,6 +63,9 @@ def _load_libcrypto():
                              ctypes.c_int),
             "BN_new": ([], bn_p),
             "BN_clear_free": ([bn_p], None),
+            "BN_MONT_CTX_new": ([], bn_p),
+            "BN_MONT_CTX_set": ([bn_p] * 3, ctypes.c_int),
+            "BN_MONT_CTX_free": ([bn_p], None),
             "BN_mod_exp_mont": ([bn_p] * 6, ctypes.c_int),
             "BN_mod_exp_mont_consttime": ([bn_p] * 6, ctypes.c_int),
         }
@@ -91,6 +111,13 @@ def _new_bn(owned: list, value: int | None = None) -> int:
     return bn
 
 
+def _new_ctx() -> int:
+    ctx = _LIB.BN_CTX_new()
+    if not ctx:
+        raise MemoryError("BN_CTX_new failed")
+    return ctx
+
+
 def _to_int(bn: int, modulus: int) -> int:
     size = (modulus.bit_length() + 7) // 8
     out = ctypes.create_string_buffer(size)
@@ -105,73 +132,126 @@ def _release(owned: list, ctx) -> None:
     _LIB.BN_CTX_free(ctx)  # NULL-safe, like BN_clear_free
 
 
-def _exp(kernel, base: int, exponent: int, modulus: int) -> int:
-    """``base ** exponent % modulus`` on a kernel with
-    ``BN_mod_exp_mont``'s signature."""
-    ctx, owned = None, []
-    try:
-        ctx = _LIB.BN_CTX_new()
-        if not ctx:
-            raise MemoryError("BN_CTX_new failed")
-        result = _new_bn(owned)
-        if not kernel(result, _new_bn(owned, base % modulus),
-                      _new_bn(owned, exponent), _new_bn(owned, modulus),
-                      ctx, None):
-            raise ArithmeticError(f"{kernel.__name__} failed")
-        return _to_int(result, modulus)
-    finally:
-        _release(owned, ctx)
-
-
 def powmod(base: int, exponent: int, modulus: int) -> int:
     """``pow(base, exponent, modulus)``, on OpenSSL's constant-time kernel
     where it applies."""
     if _LIB is None or not _on_kernel(exponent, modulus):
         return pow(base, exponent, modulus)
-    return _exp(_LIB.BN_mod_exp_mont_consttime, base, exponent, modulus)
-
-
-def powmod2(base: int, exponent1: int, modulus1: int,
-            exponent2: int, modulus2: int) -> tuple[int, int]:
-    """``(pow(base, exponent1, modulus1), pow(base, exponent2, modulus2))``
-    from one constant-time ``BN_mod_exp_mont_consttime_x2`` call.
-
-    Both halves of an RSA-CRT signature share the base, so the pair takes
-    one.  Where the x2 symbol is missing, or either slot needs ``pow``'s
-    fallback, each slot goes through :func:`powmod` instead.
-    """
-    if (_LIB is None or _EXP_X2 is None
-            or not _on_kernel(exponent1, modulus1)
-            or not _on_kernel(exponent2, modulus2)):
-        return (powmod(base, exponent1, modulus1),
-                powmod(base, exponent2, modulus2))
     ctx, owned = None, []
     try:
-        ctx = _LIB.BN_CTX_new()
-        if not ctx:
-            raise MemoryError("BN_CTX_new failed")
-        result1, result2 = _new_bn(owned), _new_bn(owned)
-        if not _EXP_X2(
-                result1, _new_bn(owned, base % modulus1),
-                _new_bn(owned, exponent1), _new_bn(owned, modulus1), None,
-                result2, _new_bn(owned, base % modulus2),
-                _new_bn(owned, exponent2), _new_bn(owned, modulus2), None,
-                ctx):
-            raise ArithmeticError("BN_mod_exp_mont_consttime_x2 failed")
-        return _to_int(result1, modulus1), _to_int(result2, modulus2)
+        ctx = _new_ctx()
+        result = _new_bn(owned)
+        if not _LIB.BN_mod_exp_mont_consttime(
+                result, _new_bn(owned, base % modulus),
+                _new_bn(owned, exponent), _new_bn(owned, modulus), ctx,
+                None):
+            raise ArithmeticError("BN_mod_exp_mont_consttime failed")
+        return _to_int(result, modulus)
     finally:
         _release(owned, ctx)
 
 
-def powmod_public(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)`` on OpenSSL's variable-time
-    ``BN_mod_exp_mont`` where it applies.
+def _free_held(lib, bns: list, mont) -> None:
+    """A :class:`ModExp`'s finalizer.  It gets the library it was built
+    with, so it never depends on module state at interpreter exit."""
+    for bn in bns:
+        lib.BN_clear_free(bn)
+    lib.BN_MONT_CTX_free(mont)  # NULL-safe; clears its copy of the modulus
 
-    Its running time depends on the exponent's bits, so it takes public
-    exponents only: RSA verification's ``e``.  Never pass a private
-    exponent here; :func:`powmod` and :func:`powmod2` are the
-    constant-time entry points.
+
+class ModExp:
+    """``pow(base, exponent, modulus)`` for one fixed exponent and
+    modulus, with both and the modulus's Montgomery context held in
+    OpenSSL form for the object's lifetime (see the module docstring).
     """
-    if _LIB is None or not _on_kernel(exponent, modulus):
-        return pow(base, exponent, modulus)
-    return _exp(_LIB.BN_mod_exp_mont, base, exponent, modulus)
+
+    __slots__ = ("exponent", "modulus", "_handles", "__weakref__")
+
+    def __init__(self, exponent: int, modulus: int):
+        self.exponent = exponent
+        self.modulus = modulus
+        #: (exponent BIGNUM, modulus BIGNUM, BN_MONT_CTX), or None where
+        #: the kernels do not apply and ``pow`` answers instead.
+        self._handles = None
+        if _LIB is None or not _on_kernel(exponent, modulus):
+            return
+        lib, owned, mont, ctx = _LIB, [], None, None
+        try:
+            exponent_bn = _new_bn(owned, exponent)
+            modulus_bn = _new_bn(owned, modulus)
+            mont = lib.BN_MONT_CTX_new()
+            ctx = _new_ctx()
+            if not mont or not lib.BN_MONT_CTX_set(mont, modulus_bn, ctx):
+                raise MemoryError("BN_MONT_CTX_new/BN_MONT_CTX_set failed")
+        except BaseException:
+            _free_held(lib, owned, mont)
+            raise
+        finally:
+            lib.BN_CTX_free(ctx)
+        self._handles = (exponent_bn, modulus_bn, mont)
+        weakref.finalize(self, _free_held, lib, owned, mont)
+
+    def __reduce__(self):
+        return type(self), (self.exponent, self.modulus)
+
+    def __deepcopy__(self, memo) -> "ModExp":
+        return self
+
+    def public(self, base: int) -> int:
+        """``pow(base, exponent, modulus)`` on the variable-time
+        ``BN_mod_exp_mont``.
+
+        Its running time depends on the exponent's bits, so call it only
+        on a public exponent: RSA verification's ``e``.  :meth:`pair` is
+        the constant-time kernel for private exponents.
+        """
+        if self._handles is None:
+            return pow(base, self.exponent, self.modulus)
+        exponent_bn, modulus_bn, mont = self._handles
+        ctx, owned = None, []
+        try:
+            ctx = _new_ctx()
+            result = _new_bn(owned)
+            if not _LIB.BN_mod_exp_mont(
+                    result, _new_bn(owned, base % self.modulus),
+                    exponent_bn, modulus_bn, ctx, mont):
+                raise ArithmeticError("BN_mod_exp_mont failed")
+            return _to_int(result, self.modulus)
+        finally:
+            _release(owned, ctx)
+
+    def pair(self, base: int, other: "ModExp") -> tuple[int, int]:
+        """``(pow(base, self.exponent, self.modulus),
+        pow(base, other.exponent, other.modulus))`` in one constant-time
+        ``BN_mod_exp_mont_consttime_x2`` call.
+
+        Both halves of an RSA-CRT signature share the base, so the pair
+        takes one.  Without the x2 symbol each half is one
+        ``BN_mod_exp_mont_consttime`` call; where either object holds no
+        native state, each half is ``pow``'s.
+        """
+        if self._handles is None or other._handles is None:
+            return (pow(base, self.exponent, self.modulus),
+                    pow(base, other.exponent, other.modulus))
+        (exponent1, modulus1, mont1) = self._handles
+        (exponent2, modulus2, mont2) = other._handles
+        ctx, owned = None, []
+        try:
+            ctx = _new_ctx()
+            result1, result2 = _new_bn(owned), _new_bn(owned)
+            base1 = _new_bn(owned, base % self.modulus)
+            base2 = _new_bn(owned, base % other.modulus)
+            if _EXP_X2 is not None:
+                ok = _EXP_X2(result1, base1, exponent1, modulus1, mont1,
+                             result2, base2, exponent2, modulus2, mont2, ctx)
+            else:
+                kernel = _LIB.BN_mod_exp_mont_consttime
+                ok = (kernel(result1, base1, exponent1, modulus1, ctx, mont1)
+                      and kernel(result2, base2, exponent2, modulus2, ctx,
+                                 mont2))
+            if not ok:
+                raise ArithmeticError("constant-time CRT pair failed")
+            return (_to_int(result1, self.modulus),
+                    _to_int(result2, other.modulus))
+        finally:
+            _release(owned, ctx)

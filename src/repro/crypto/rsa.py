@@ -4,11 +4,15 @@ This mirrors what Alpine Linux's ``abuild-sign`` produces: RSA keys whose
 SHA-256 PKCS#1 v1.5 signatures are ``modulus_size`` bytes long (256 bytes for
 RSA-2048).  Signing uses the CRT optimization, and both of its half-size
 private exponentiations run in one call to OpenSSL's constant-time kernel
-(:func:`repro.crypto.bignum.powmod2`).  Verification is a single
+(:meth:`repro.crypto.bignum.ModExp.pair`).  Verification is a single
 public-exponent exponentiation (e = 65537) on OpenSSL's variable-time
-kernel (:func:`repro.crypto.bignum.powmod_public`), which is safe because
+kernel (:meth:`repro.crypto.bignum.ModExp.public`), which is safe because
 the exponent, modulus and signature are all public.  Both return exactly
-what built-in ``pow`` returns.
+what built-in ``pow`` returns.  A key builds its :class:`ModExp` objects
+(p with dp and q with dq for signing, n with e for verification) on its
+first fresh operation and keeps them, with their OpenSSL Montgomery
+contexts, for as long as the key lives; a private key also keeps the one
+public key its self-checks verify with.
 
 Keys serialize to a PEM-like container (see :mod:`repro.crypto.pem`) so that
 security policies can embed them exactly as the paper's Listing 1 shows.
@@ -20,7 +24,7 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.crypto.bignum import powmod2, powmod_public
+from repro.crypto.bignum import ModExp
 from repro.crypto.hashes import SHA256_DIGEST_SIZE, sha256_bytes
 from repro.crypto.pem import pem_decode, pem_encode
 from repro.crypto.primes import generate_prime
@@ -114,12 +118,20 @@ class RsaPublicKey:
         s = _os2ip(signature)
         if s >= self.n:
             return False
-        em = _i2osp(powmod_public(s, self.e, self.n), self.size_bytes)
+        em = _i2osp(self._exponentiation().public(s), self.size_bytes)
         try:
             expected = _emsa_pkcs1_v15(message, self.size_bytes)
         except SignatureError:
             return False
         return em == expected
+
+    def _exponentiation(self) -> ModExp:
+        """``s^e mod n``, built on the first fresh verification."""
+        cached = self.__dict__.get("_exp")
+        if cached is None:
+            cached = ModExp(self.e, self.n)
+            object.__setattr__(self, "_exp", cached)
+        return cached
 
     def fingerprint(self) -> str:
         """Short stable identifier used in policies and IMA key rings."""
@@ -160,7 +172,13 @@ class RsaPrivateKey:
 
     @property
     def public_key(self) -> RsaPublicKey:
-        return RsaPublicKey(n=self.n, e=self.e)
+        """The one public key of this key, so self-checks reuse its
+        verification context."""
+        cached = self.__dict__.get("_public")
+        if cached is None:
+            cached = RsaPublicKey(n=self.n, e=self.e)
+            object.__setattr__(self, "_public", cached)
+        return cached
 
     def sign(self, message: bytes) -> bytes:
         """PKCS#1 v1.5 SHA-256 signature, ``size_bytes`` long."""
@@ -179,8 +197,8 @@ class RsaPrivateKey:
         em = _emsa_prefix(self.size_bytes) + digest
         m = _os2ip(em)
         # CRT: two half-size exponentiations instead of one full-size.
-        dp, dq, q_inv = self._crt_params()
-        m1, m2 = powmod2(m, dp, self.p, dq, self.q)
+        exp_p, exp_q, q_inv = self._crt_params()
+        m1, m2 = exp_p.pair(m, exp_q)
         h = (q_inv * (m1 - m2)) % self.p
         s = m2 + h * self.q
         signature = _i2osp(s, self.size_bytes)
@@ -193,10 +211,13 @@ class RsaPrivateKey:
         _memo_put(_SIGN_MEMO, memo_key, entry)
         return entry
 
-    def _crt_params(self) -> tuple[int, int, int]:
+    def _crt_params(self) -> tuple[ModExp, ModExp, int]:
+        """``m^dp mod p`` and ``m^dq mod q``, and ``q^-1 mod p``; built on
+        the first fresh signature."""
         cached = self.__dict__.get("_crt")
         if cached is None:
-            cached = (self.d % (self.p - 1), self.d % (self.q - 1),
+            cached = (ModExp(self.d % (self.p - 1), self.p),
+                      ModExp(self.d % (self.q - 1), self.q),
                       pow(self.q, -1, self.p))
             object.__setattr__(self, "_crt", cached)
         return cached

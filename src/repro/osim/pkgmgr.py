@@ -69,6 +69,18 @@ from repro.util.errors import (
 _RECOVERY_REASONS = frozenset({"rejected", "rollback-rejected"})
 
 
+#: The hooks ``uninstall`` runs.  An installed package's own copies wait
+#: in one file per hook next to the database (Alpine keeps them in
+#: ``/lib/apk/db/scripts.tar``), where appraisal does not reach either, so
+#: removing a package runs the installed version's hooks and fetches
+#: nothing.
+_DEINSTALL_HOOKS = (".pre-deinstall", ".post-deinstall")
+
+
+def _kept_hook_path(name: str, hook: str) -> str:
+    return f"/lib/apk/db/{name}{hook}"
+
+
 #: Verified blob SHA-256 -> parsed apk (bounded; cleared wholesale).
 #: Only :meth:`PackageManager._download_verified` consults it, after the
 #: blob's size and hash matched the signed index entry, and each caller
@@ -426,6 +438,12 @@ class PackageManager:
                 f"index entry {entry.name!r} delivered package "
                 f"{parsed.package.name!r}"
             )
+        if "/" in entry.name or entry.name in ("", ".", ".."):
+            # The name becomes a file name under /lib/apk/db (the kept
+            # de-install hooks).
+            raise PackageManagerError(
+                f"{entry.describe()}: package name is not a file name"
+            )
         for pkg_file in parsed.package.files:
             if "\n" in pkg_file.path:
                 # The installed-package database is line-based: such a
@@ -468,19 +486,18 @@ class PackageManager:
         installed = self._node.pkgdb.get(name)
         if installed is None:
             raise PackageManagerError(f"package not installed: {name}")
-        # Re-fetch the package to obtain its de-installation scripts.
-        entry = self.index.get(name)
-        scripts = {}
-        if entry is not None:
-            try:
-                scripts = self._download_verified(entry, InstallStats()).package.scripts
-            except (IntegrityError, PackageManagerError, SignatureError):
-                scripts = {}
+        fs = self._node.fs
+        kept = {hook: _kept_hook_path(name, hook) for hook in _DEINSTALL_HOOKS}
+        scripts = {hook: fs.read_file(path).decode()
+                   for hook, path in kept.items() if fs.exists(path)}
         self._run_script(scripts, ".pre-deinstall", stats)
         for path in installed.files:
-            if self._node.fs.exists(path):
-                self._node.fs.remove(path)
+            if fs.exists(path):
+                fs.remove(path)
         self._run_script(scripts, ".post-deinstall", stats)
+        for path in kept.values():
+            if fs.exists(path):
+                fs.remove(path)
         self._node.pkgdb.remove(name)
         stats.packages += 1
         stats.operations.append(f"del {name}")
@@ -493,6 +510,7 @@ class PackageManager:
         self._extract(package, stats)
         self._run_script(package.scripts, ".post-install", stats)
         self._record(package, entry, parsed)
+        self._keep_deinstall_hooks(package, upgrade=False)
         stats.packages += 1
         stats.operations.append(f"add {entry.describe()}")
 
@@ -510,8 +528,21 @@ class PackageManager:
                     self._node.fs.remove(path)
         self._run_script(package.scripts, ".post-upgrade", stats)
         self._record(package, entry, parsed)
+        self._keep_deinstall_hooks(package, upgrade=True)
         stats.packages += 1
         stats.operations.append(f"upg {entry.describe()}")
+
+    def _keep_deinstall_hooks(self, package: ApkPackage, upgrade: bool):
+        """Keep the de-install hooks ``package`` ships for ``uninstall``;
+        an upgrade also drops those only the version it replaced shipped."""
+        fs = self._node.fs
+        for hook in _DEINSTALL_HOOKS:
+            path = _kept_hook_path(package.name, hook)
+            source = package.scripts.get(hook)
+            if source is not None:
+                fs.write_file(path, source.encode())
+            elif upgrade and fs.exists(path):
+                fs.remove(path)
 
     def _extract(self, package: ApkPackage, stats: InstallStats):
         """Extract data-segment files; PAX security.ima records become

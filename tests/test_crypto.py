@@ -1,13 +1,16 @@
 """Tests for the from-scratch crypto stack (hashes, RSA, PEM, certificates)."""
 
+import copy
+import gc
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import bignum, rsa
-from repro.crypto.bignum import powmod, powmod2, powmod_public
+from repro.crypto.bignum import ModExp, powmod
 from repro.crypto.certs import CertificateAuthority, Certificate, verify_chain
 from repro.crypto.hashes import hmac_sha256, sha256_bytes, sha256_hex
 from repro.crypto.pem import pem_decode, pem_encode
@@ -186,17 +189,17 @@ class TestRsa:
         )
 
     def test_self_check_catches_a_faulty_kernel(self, rsa_key, monkeypatch):
+        pair = ModExp.pair
         for faulted in (0, 1):
-            def faulty(base, exponent1, modulus1, exponent2, modulus2):
-                halves = list(bignum.powmod2(base, exponent1, modulus1,
-                                             exponent2, modulus2))
-                modulus = (modulus1, modulus2)[faulted]
+            def faulty(held, base, other):
+                halves = list(pair(held, base, other))
+                modulus = (held.modulus, other.modulus)[faulted]
                 halves[faulted] = (halves[faulted] + 1) % modulus
                 return tuple(halves)
 
             monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
             monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
-            monkeypatch.setattr(rsa, "powmod2", faulty)
+            monkeypatch.setattr(ModExp, "pair", faulty)
             with pytest.raises(
                     SignatureError,
                     match="self-check of freshly produced signature failed"):
@@ -206,16 +209,132 @@ class TestRsa:
         """A wrong ``s^e mod n`` rejects a genuine signature, and signing
         refuses because its self-check cannot verify."""
         genuine = rsa_key.sign(b"genuine")
+        public = ModExp.public
         monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
         monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
         monkeypatch.setattr(
-            rsa, "powmod_public",
-            lambda base, exp, mod: (bignum.powmod_public(base, exp, mod) + 1)
-            % mod)
+            ModExp, "public",
+            lambda held, base: (public(held, base) + 1) % held.modulus)
         assert not rsa_key.public_key.verify(b"genuine", genuine)
         with pytest.raises(SignatureError,
                            match="self-check of freshly produced signature failed"):
             rsa_key.sign(b"faulted public kernel")
+
+
+def _unheld(key):
+    """An equal private key that has built no held state yet."""
+    return RsaPrivateKey(n=key.n, e=key.e, d=key.d, p=key.p, q=key.q)
+
+
+def _textbook_signature(key, message):
+    """The PKCS#1 v1.5 signature from one full-size ``pow``."""
+    em = rsa._emsa_pkcs1_v15(message, key.size_bytes)
+    return pow(int.from_bytes(em, "big"), key.d, key.n).to_bytes(
+        key.size_bytes, "big")
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Every signature and verdict in the test is computed afresh."""
+    monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
+    monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
+
+
+class _LibShim:
+    """libcrypto as the held kernels see it, recording every release."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.released = []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def BN_clear_free(self, bn):
+        self.released.append(bn)
+        self._lib.BN_clear_free(bn)
+
+    def BN_MONT_CTX_free(self, mont):
+        self.released.append(mont)
+        self._lib.BN_MONT_CTX_free(mont)
+
+
+@pytest.mark.usefixtures("fresh_memos")
+class TestHeldKeyState:
+    """RSA keys keep their OpenSSL Montgomery state for their lifetime."""
+
+    def test_dropping_a_key_releases_its_held_state(self, monkeypatch):
+        if bignum._LIB is None:
+            pytest.skip("no libcrypto: keys hold no native state")
+        shim = _LibShim(bignum._LIB)
+        monkeypatch.setattr(bignum, "_LIB", shim)
+        key = _unheld(generate_keypair(1024, seed=21))
+        key.sign(b"build the held state")
+        exp_p, exp_q, _ = key._crt_params()
+        held = [exp_p, exp_q, key.public_key._exponentiation()]
+        handles = {handle for modexp in held for handle in modexp._handles}
+        assert len(handles) == 9
+        del exp_p, exp_q, held
+        shim.released.clear()
+        del key
+        gc.collect()
+        assert sorted(shim.released) == sorted(handles)
+
+    def test_public_key_is_one_object_equal_by_value(self, rsa_key):
+        public = rsa_key.public_key
+        assert rsa_key.public_key is public
+        assert public == RsaPublicKey(n=rsa_key.n, e=rsa_key.e)
+        assert hash(public) == hash(RsaPublicKey(n=rsa_key.n, e=rsa_key.e))
+
+    def test_copies_sign_identically_after_the_original_is_freed(self):
+        key = _unheld(generate_keypair(1024, seed=22))
+        messages = [b"copy-%d" % i for i in range(3)]
+        expected = [_textbook_signature(key, m) for m in messages]
+        key.sign(b"build the held state")
+        copies = [copy.copy(key), copy.deepcopy(key),
+                  pickle.loads(pickle.dumps(key))]
+        held = key._crt_params()[0]
+        assert copies[0]._crt_params()[0] is held
+        assert copies[1]._crt_params()[0] is held
+        assert copies[2]._crt_params()[0] is not held
+        assert copies[2]._crt_params()[0].exponent == held.exponent
+        assert copy.deepcopy(held) is held
+        del key, held
+        gc.collect()
+        for twin in copies:
+            rsa._SIGN_MEMO.clear()
+            rsa._VERIFY_MEMO.clear()
+            assert [twin.sign(m) for m in messages] == expected
+            assert all(twin.public_key.verify(m, s)
+                       for m, s in zip(messages, expected))
+
+    @pytest.mark.parametrize("removed", ["_LIB", "_EXP_X2"])
+    def test_signatures_without_a_kernel_are_pows(self, monkeypatch,
+                                                   removed):
+        monkeypatch.setattr(bignum, removed, None)
+        for bits, seed in ((1024, 23), (2048, 2048)):
+            key = _unheld(generate_keypair(bits, seed=seed))
+            for i in range(3):
+                message = b"fallback-%d" % i
+                assert key.sign(message) == _textbook_signature(key, message)
+            if removed == "_LIB":
+                assert key._crt_params()[0]._handles is None
+
+    def test_two_fresh_signatures_build_the_pair_once(self, monkeypatch):
+        built = []
+
+        class CountingModExp(ModExp):
+            __slots__ = ()
+
+            def __init__(self, exponent, modulus):
+                built.append(modulus)
+                super().__init__(exponent, modulus)
+
+        monkeypatch.setattr(rsa, "ModExp", CountingModExp)
+        key = _unheld(generate_keypair(1024, seed=24))
+        key.sign(b"first")
+        key.sign(b"second")
+        assert built == [key.p, key.q, key.n]
 
 
 def _same_as_pow(base, exponent, modulus, function=powmod):
@@ -228,16 +347,20 @@ def _same_as_pow(base, exponent, modulus, function=powmod):
         assert function(base, exponent, modulus) == expected
 
 
+def _held_public(base, exponent, modulus):
+    return ModExp(exponent, modulus).public(base)
+
+
 def _pair_same_as_pow(base, exponent1, modulus1, exponent2, modulus2):
+    first, second = ModExp(exponent1, modulus1), ModExp(exponent2, modulus2)
     try:
         expected = (pow(base, exponent1, modulus1),
                     pow(base, exponent2, modulus2))
     except ValueError:  # negative exponent without an inverse
         with pytest.raises(ValueError):
-            powmod2(base, exponent1, modulus1, exponent2, modulus2)
+            first.pair(base, second)
     else:
-        assert powmod2(base, exponent1, modulus1,
-                       exponent2, modulus2) == expected
+        assert first.pair(base, second) == expected
 
 
 class TestBignum:
@@ -299,6 +422,21 @@ class TestBignum:
         for case in cases:
             _pair_same_as_pow(*case)
 
+    @pytest.mark.parametrize("half_bits", [256, 512, 1024, 2048])
+    def test_one_held_pair_serves_many_bases(self, half_bits):
+        """A held pair answers every base like ``pow``, including 0, the
+        moduli themselves and bases above both."""
+        rng = random.Random(half_bits + 1)
+        m1, m2 = (rng.getrandbits(half_bits) | 1 << (half_bits - 1) | 1
+                  for _ in range(2))
+        e1, e2 = rng.getrandbits(half_bits), rng.getrandbits(half_bits)
+        first, second = ModExp(e1, m1), ModExp(e2, m2)
+        bases = [0, 1, m1, m2, m1 * m2, m1 * m2 + 7]
+        bases += [rng.randrange(m1 * m2 * 4) for _ in range(20)]
+        for base in bases:
+            assert first.pair(base, second) == (pow(base, e1, m1),
+                                                pow(base, e2, m2))
+
     def test_pair_falls_back_to_pow_per_slot(self):
         """An even modulus, a modulus of 1 or 2, or a negative exponent in
         either slot gives ``pow``'s answer, or its ``ValueError``."""
@@ -316,21 +454,24 @@ class TestBignum:
     def test_public_kernel_matches_pow_on_small_operands_exhaustively(self):
         for modulus in range(1, 34):
             for exponent in (-2, -1, 0, 1, 2, 3, 7, 64):
+                held = ModExp(exponent, modulus)
                 for base in range(-40, 41):
-                    _same_as_pow(base, exponent, modulus, powmod_public)
+                    _same_as_pow(base, exponent, modulus,
+                                 lambda b, e, m: held.public(b))
 
     @pytest.mark.parametrize("bits", [512, 1024, 2048, 3072, 4096])
     def test_public_kernel_matches_pow_on_seeded_operands(self, bits):
         rng = random.Random(bits)
         odd = rng.getrandbits(bits) | 1 << (bits - 1) | 1
         for shift, modulus in enumerate((odd, odd - 1)):
-            bases = [rng.randrange(modulus), 0, modulus + 5,
+            bases = [rng.randrange(modulus), 0, modulus, modulus + 5,
                      -rng.randrange(1, modulus)]
             for exponent in (0, 1, 3, 65537, rng.getrandbits(17)):
+                held = ModExp(exponent, modulus)
                 for base in bases:
-                    _same_as_pow(base, exponent, modulus, powmod_public)
+                    assert held.public(base) == pow(base, exponent, modulus)
             _same_as_pow(bases[shift], rng.getrandbits(bits), modulus,
-                         powmod_public)
+                         _held_public)
 
     def test_missing_symbols_fall_back_to_pow(self, monkeypatch):
         rng = random.Random(5)
@@ -338,28 +479,35 @@ class TestBignum:
         base, e1, e2 = (rng.getrandbits(1024) for _ in range(3))
         expected = (pow(base, e1, m1), pow(base, e2, m2))
         monkeypatch.setattr(bignum, "_LIB", None)
-        assert powmod2(base, e1, m1, e2, m2) == expected
-        assert powmod_public(base, 65537, m1) == pow(base, 65537, m1)
+        first, second = ModExp(e1, m1), ModExp(e2, m2)
+        assert first._handles is None and second._handles is None
+        assert first.pair(base, second) == expected
+        assert first.public(base) == expected[0]
+        assert powmod(base, e1, m1) == expected[0]
 
-    def test_pair_without_x2_is_two_powmod_calls(self, monkeypatch):
+    def test_pair_without_x2_is_two_consttime_calls(self, monkeypatch):
+        if bignum._LIB is None:
+            pytest.skip("no libcrypto")
         rng = random.Random(6)
         m1, m2 = (rng.getrandbits(1024) | 1 << 1023 | 1 for _ in range(2))
         base, e1, e2 = (rng.getrandbits(1024) for _ in range(3))
         expected = (pow(base, e1, m1), pow(base, e2, m2))
-        calls = []
+        first, second = ModExp(e1, m1), ModExp(e2, m2)
+        real, calls = bignum._LIB, []
+        shim = _LibShim(real)
 
-        def counting_powmod(base, exponent, modulus):
-            calls.append(modulus)
-            return powmod(base, exponent, modulus)
+        def counting_consttime(*args):
+            calls.append(args[5])  # the held Montgomery context
+            return real.BN_mod_exp_mont_consttime(*args)
 
-        monkeypatch.setattr(bignum, "powmod", counting_powmod)
-        assert powmod2(base, e1, m1, e2, m2) == expected
+        shim.BN_mod_exp_mont_consttime = counting_consttime
+        monkeypatch.setattr(bignum, "_LIB", shim)
+        assert first.pair(base, second) == expected
         if bignum._EXP_X2 is not None:
-            assert calls == []  # one x2 call, no powmod
-        calls.clear()
+            assert calls == []  # one x2 call
         monkeypatch.setattr(bignum, "_EXP_X2", None)
-        assert powmod2(base, e1, m1, e2, m2) == expected
-        assert calls == [m1, m2]
+        assert first.pair(base, second) == expected
+        assert calls == [first._handles[2], second._handles[2]]
 
 
 class TestPem:

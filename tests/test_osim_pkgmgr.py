@@ -1,5 +1,7 @@
 """Tests for the apk-like package manager against an in-memory repository."""
 
+import random
+
 import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
@@ -14,6 +16,7 @@ from repro.util.errors import (
     PackageManagerError,
     SignatureError,
 )
+from repro.workload.scenario import build_scenario
 
 
 class MemoryRepository:
@@ -279,6 +282,126 @@ class TestUninstall:
     def test_uninstall_missing_rejected(self, pm):
         with pytest.raises(PackageManagerError):
             pm.uninstall("ghost")
+
+
+def _hooked(version, mark=None):
+    """``svc`` at ``version``; with a ``mark``, its de-install hooks touch
+    ``/var/pre-<mark>`` and ``/var/post-<mark>``."""
+    scripts = {} if mark is None else {
+        ".pre-deinstall": f"touch /var/pre-{mark}\n",
+        ".post-deinstall": f"touch /var/post-{mark}\n",
+    }
+    payload = random.Random(version).randbytes(8 * 1024)
+    return ApkPackage(name="svc", version=version, scripts=scripts,
+                      files=[PackageFile("/usr/bin/svc", payload)])
+
+
+def _hooks_run(node):
+    return sorted(path for path in ("/var/pre-a", "/var/post-a",
+                                    "/var/pre-b", "/var/post-b")
+                  if node.fs.exists(path))
+
+
+class TestUninstallRunsTheInstalledHooks:
+    """``uninstall`` runs the de-install hooks of the version installed,
+    kept on the node at install time, and fetches nothing."""
+
+    @staticmethod
+    def _svc_1_0_with_index_at_1_1(rsa_key, newer_mark="b"):
+        repo = MemoryRepository(rsa_key)
+        repo.publish(_hooked("1.0-r0", "a"))
+        node = IntegrityEnforcedOS("hook-node")
+        node.boot()
+        manager = PackageManager(node, repo, trusted_keys=[rsa_key.public_key])
+        manager.update()
+        manager.install("svc")
+        repo.publish(_hooked("1.1-r0", newer_mark))
+        manager.update()
+        return repo, node, manager
+
+    def test_runs_the_installed_versions_hooks(self, rsa_key):
+        _, node, manager = self._svc_1_0_with_index_at_1_1(rsa_key)
+        stats = manager.uninstall("svc")
+        assert _hooks_run(node) == ["/var/post-a", "/var/pre-a"]
+        assert stats.scripts_run == 2
+        assert stats.bytes_downloaded == 0
+        assert not node.fs.exists("/lib/apk/db/svc.pre-deinstall")
+        assert not node.fs.exists("/lib/apk/db/svc.post-deinstall")
+
+    def test_an_upgrade_replaces_or_drops_the_kept_hooks(self, rsa_key):
+        repo, node, manager = self._svc_1_0_with_index_at_1_1(rsa_key)
+        manager.upgrade_all()
+        manager.uninstall("svc")
+        assert _hooks_run(node) == ["/var/post-b", "/var/pre-b"]
+
+        repo.publish(_hooked("1.2-r0"))
+        manager.update()
+        manager.install("svc")
+        node.fs.remove("/var/pre-b")
+        node.fs.remove("/var/post-b")
+        repo.publish(_hooked("1.3-r0", "a"))
+        manager.update()
+        manager.upgrade_all()
+        repo.publish(_hooked("1.4-r0"))  # ships no de-install hook
+        manager.update()
+        manager.upgrade_all()
+        manager.uninstall("svc")
+        assert _hooks_run(node) == []
+
+    @staticmethod
+    def _delta_client_with_update_pending():
+        scenario = build_scenario(packages=[_hooked("1.0-r0", "a")],
+                                  with_monitor=False)
+        scenario.tsr.record_publication(scenario.repo_id, 0.0)
+        node, manager = scenario.new_node("remover", delta_updates=True)
+        manager.update()
+        manager.install("svc")
+        newer = _hooked("1.1-r0", "b")
+        scenario.origin.publish_many([(newer, None)])
+        scenario.population["svc"] = newer
+        scenario.sync_mirrors()
+        scenario.refresh()
+        scenario.tsr.record_publication(scenario.repo_id,
+                                        scenario.clock.now())
+        manager.update()
+        assert manager.index.get("svc").version == "1.1-r0"
+        return scenario, node, manager
+
+    def test_fetches_nothing_and_leaves_delta_stats_alone(self, monkeypatch):
+        _, node, manager = self._delta_client_with_update_pending()
+        calls = []
+        for name in ("fetch_package", "fetch_package_delta",
+                     "fetch_package_origin"):
+            def recording(*args, _name=name):
+                calls.append(_name)
+                raise AssertionError(f"uninstall called {_name}")
+
+            monkeypatch.setattr(manager.client, name, recording)
+        before = manager.delta_stats.as_dict()
+        manager.uninstall("svc")
+        assert calls == []
+        assert manager.delta_stats.as_dict() == before
+        assert _hooks_run(node) == ["/var/post-a", "/var/pre-a"]
+
+    def test_runs_the_hooks_with_the_tsr_down(self):
+        scenario, node, manager = self._delta_client_with_update_pending()
+        scenario.network.set_down(scenario.tsr.hostname)
+        manager.uninstall("svc")
+        assert _hooks_run(node) == ["/var/post-a", "/var/pre-a"]
+        assert node.pkgdb.get("svc") is None
+
+    def test_a_package_name_must_be_a_file_name(self, rsa_key):
+        repo = MemoryRepository(rsa_key)
+        repo.publish(ApkPackage(name="../escape", version="1.0-r0",
+                                scripts={".pre-deinstall": "true\n"}))
+        node = IntegrityEnforcedOS("name-node")
+        node.boot()
+        manager = PackageManager(node, repo, trusted_keys=[rsa_key.public_key])
+        manager.update()
+        with pytest.raises(PackageManagerError, match="not a file name"):
+            manager.install("../escape")
+        assert node.pkgdb.all() == []
+        assert not node.fs.exists("/lib/apk/escape.pre-deinstall")
 
 
 class TestDatabaseRecordsFromFileNames:
