@@ -36,9 +36,10 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.crypto import bignum, rsa
+from repro.crypto import bignum
 from repro.crypto.bignum import ModExp, powmod
 from repro.crypto.rsa import generate_keypair
+from repro.util import memo
 
 REPS = 101
 KEYS = {"RSA-1024": (1024, 1024), "RSA-2048": (2048, 2048)}
@@ -67,12 +68,6 @@ def timed_run(operation, inputs, untimed=None) -> tuple[float, list]:
         results.append(operation(value))
         samples.append(time.perf_counter() - started)
     return statistics.median(samples) * 1e6, results
-
-
-def clear_memos() -> None:
-    """Forget every signature and verdict, so the next call is fresh."""
-    rsa._SIGN_MEMO.clear()
-    rsa._VERIFY_MEMO.clear()
 
 
 def measure(key) -> dict[str, float]:
@@ -110,11 +105,11 @@ def measure(key) -> dict[str, float]:
             raise AssertionError(f"{name} differs from {reference}")
 
     medians["fresh sign, held (with self-check)"], signatures = timed_run(
-        key.sign, messages, clear_memos)
+        key.sign, messages, memo.clear_all)
     if signatures != [signature for _, signature in signed]:
         raise AssertionError("a fresh signature differs from the first")
     medians["fresh verify, held"], verdicts = timed_run(
-        lambda pair: public.verify(*pair), signed, clear_memos)
+        lambda pair: public.verify(*pair), signed, memo.clear_all)
     if not all(verdicts):
         raise AssertionError("a genuine signature failed to verify")
     return medians

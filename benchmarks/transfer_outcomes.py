@@ -5,8 +5,8 @@
 Sanitize time is host-measured and charged to the simulated clock, so two
 runs of the same refresh differ in their low digits.  This script replaces
 ``time.perf_counter`` with a counter that advances 1 ms per read *before*
-``repro`` is imported (``repro.crypto.rsa`` binds it at import time), and
-then prints one line per run, with every float as its ``repr``:
+``repro`` is imported, and then prints one line per run, with every float
+as its ``repr``:
 
 * the phased refresh: seeds 4, 5 and 6 of ``generate_workload(scale=
   0.004)``, four mirror sets (all honest; the fastest mirror frozen at

@@ -44,6 +44,7 @@ from bisect import bisect_left
 
 from repro.crypto.hashes import sha256_bytes, sha256_hex
 from repro.util.errors import DeltaError
+from repro.util.memo import Memo
 
 #: Bytes below which no boundary is considered (also skips hashing work).
 MIN_CHUNK = 512
@@ -77,15 +78,8 @@ _KERNEL = sum(1 << ((8 * _LANE + 1) * k) for k in range(AVG_BITS))
 
 #: Chunk boundaries are a pure function of content: refresh rounds and
 #: replay modes re-manifest the same blob versions over and over, so the
-#: offsets are memoized by content digest (bounded; cleared wholesale).
-_OFFSETS_MEMO: dict[bytes, list[tuple[int, int]]] = {}
-_OFFSETS_LIMIT = 512
-
-
-def clear_chunk_memo() -> None:
-    """Drop memoized chunk offsets (differential tests pin memoized runs
-    against cold ones)."""
-    _OFFSETS_MEMO.clear()
+#: offsets are memoized by content digest.
+_OFFSETS_MEMO = Memo("archive.chunks.offsets", 512)
 
 
 def chunk_offsets(data: bytes) -> list[tuple[int, int]]:
@@ -95,10 +89,11 @@ def chunk_offsets(data: bytes) -> list[tuple[int, int]]:
     input exactly.  Every chunk is within ``[MIN_CHUNK, MAX_CHUNK]``
     except a final (or sole) chunk shorter than ``MIN_CHUNK``.
     """
-    key = sha256_bytes(data)
-    hit = _OFFSETS_MEMO.get(key)
-    if hit is not None:
-        return list(hit)
+    return list(_OFFSETS_MEMO.lookup(sha256_bytes(data),
+                                     lambda: _scan(data)))
+
+
+def _scan(data: bytes) -> list[tuple[int, int]]:
     candidates = _cut_candidates(data)
     warm = AVG_BITS - 1
     offsets: list[tuple[int, int]] = []
@@ -125,10 +120,7 @@ def chunk_offsets(data: bytes) -> list[tuple[int, int]]:
                 boundary = candidates[j] + 1
         offsets.append((start, boundary))
         start = boundary
-    if len(_OFFSETS_MEMO) >= _OFFSETS_LIMIT:
-        _OFFSETS_MEMO.clear()
-    _OFFSETS_MEMO[key] = offsets
-    return list(offsets)
+    return offsets
 
 
 def _cut_candidates(data: bytes) -> list[int]:

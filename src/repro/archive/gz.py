@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import time
 import zlib
 
 from repro.util.errors import PackagingError
+from repro.util.memo import Memo
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -41,8 +41,7 @@ def gzip_compress(data: bytes, level: int = 6) -> bytes:
 # produced last time.  The memo keys on the input's SHA-256 instead of the
 # input itself so unchanged-segment splicing (archive.apk incremental
 # repack) does not pin large uncompressed tars in memory.
-_COMPRESS_MEMO: dict[tuple[bytes, int, int], tuple[bytes, float]] = {}
-_COMPRESS_MEMO_LIMIT = 512
+_COMPRESS_MEMO = Memo("archive.gz.compress", 512)
 
 
 def gzip_compress_cached(data: bytes, level: int = 6) -> bytes:
@@ -54,21 +53,9 @@ def gzip_compress_cached_with_cost(data: bytes,
                                    level: int = 6) -> tuple[bytes, float]:
     """Memoized compress plus the host seconds the deflate originally
     cost, so enclave-time models can charge memo hits as fresh work."""
-    key = (hashlib.sha256(data).digest(), len(data), level)
-    hit = _COMPRESS_MEMO.get(key)
-    if hit is None:
-        if len(_COMPRESS_MEMO) >= _COMPRESS_MEMO_LIMIT:
-            _COMPRESS_MEMO.clear()
-        started = time.perf_counter()
-        compressed = gzip_compress(data, level)
-        hit = (compressed, time.perf_counter() - started)
-        _COMPRESS_MEMO[key] = hit
-    return hit
-
-
-def clear_compress_memo() -> None:
-    """Drop the segment memo (differential tests pin cached == fresh)."""
-    _COMPRESS_MEMO.clear()
+    return _COMPRESS_MEMO.timed(
+        (hashlib.sha256(data).digest(), len(data), level),
+        lambda: gzip_compress(data, level))
 
 
 def gzip_decompress(data: bytes) -> bytes:

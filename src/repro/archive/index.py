@@ -15,6 +15,7 @@ from functools import lru_cache
 from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.util.errors import PackagingError, SignatureError
+from repro.util.memo import Memo
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,7 @@ class RepositoryIndex:
         return sorted(changed, key=lambda e: e.name)
 
 
-_PARSE_MEMO: dict[bytes, RepositoryIndex] = {}
-_PARSE_MEMO_LIMIT = 512
+_PARSE_MEMO = Memo("archive.index.parse", 512)
 
 
 def parse_index_cached(blob: bytes) -> RepositoryIndex:
@@ -197,10 +197,5 @@ def parse_index_cached(blob: bytes) -> RepositoryIndex:
     the result without poisoning the memo.  Parse failures propagate and
     are not cached.
     """
-    hit = _PARSE_MEMO.get(blob)
-    if hit is None:
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_LIMIT:
-            _PARSE_MEMO.clear()
-        hit = RepositoryIndex.from_bytes(blob)
-        _PARSE_MEMO[blob] = hit
-    return hit.copy()
+    return _PARSE_MEMO.lookup(
+        blob, lambda: RepositoryIndex.from_bytes(blob)).copy()

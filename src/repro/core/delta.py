@@ -76,6 +76,7 @@ from repro.archive.index import (
 )
 from repro.crypto.hashes import sha256_hex
 from repro.util.errors import DeltaError, PackagingError, RollbackError
+from repro.util.memo import Memo
 
 INDEX_DELTA_PREFIX = b"idelta:"
 INDEX_SAME_PREFIX = b"isame:"
@@ -301,22 +302,14 @@ def parse_package_delta_envelope(payload: bytes,
 
 #: Base blob SHA-256 -> chunk map of its data segment.  A fleet patches
 #: many clients from the same base, so each base is inflated and chunked
-#: once per process (bounded; cleared wholesale).  The key is computed
-#: here from the bytes themselves, and failures propagate uncached.
-_BASE_CHUNKS_MEMO: dict[str, dict[str, bytes]] = {}
-_BASE_CHUNKS_LIMIT = 512
+#: once per process.  The key is computed here from the bytes themselves.
+_BASE_CHUNKS_MEMO = Memo("core.delta.base_chunks", 512)
 
 
 def _base_chunk_map(base_blob: bytes) -> dict[str, bytes]:
-    key = sha256_hex(base_blob)
-    chunks = _BASE_CHUNKS_MEMO.get(key)
-    if chunks is None:
-        _, base_data = split_gzip_streams(base_blob, expected=3)[2]
-        chunks = chunk_map(base_data)
-        if len(_BASE_CHUNKS_MEMO) >= _BASE_CHUNKS_LIMIT:
-            _BASE_CHUNKS_MEMO.clear()
-        _BASE_CHUNKS_MEMO[key] = chunks
-    return chunks
+    # The third gzip member is the data segment: (compressed, inflated).
+    return _BASE_CHUNKS_MEMO.lookup(sha256_hex(base_blob), lambda: chunk_map(
+        split_gzip_streams(base_blob, expected=3)[2][1]))
 
 
 def apply_package_delta(base_blob: bytes, payload: bytes) -> bytes:

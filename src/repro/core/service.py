@@ -616,8 +616,9 @@ class TrustedSoftwareRepository:
         The log is bounded: once it exceeds ``publication_retention``
         (default ``delta_log_depth + 1`` — every base within the delta
         depth bound stays diffable), the oldest publications are pruned
-        together with the chunk manifests only they pinned, and clients
-        based that far back are answered with counted full pulls.
+        together with the chunk manifests only they pinned and the delta
+        envelopes built from or to them, and clients based that far back
+        are answered with counted full pulls.
         """
         from repro.archive.index import parse_index_cached
 
@@ -660,7 +661,26 @@ class TrustedSoftwareRepository:
                     if sha not in retained:
                         self.cache.drop_chunk_manifest(sha)
                         self._pruned_manifest_shas.add(sha)
+            self._prune_delta_memos(repo_id)
         return publication
+
+    def _prune_delta_memos(self, repo_id: str) -> None:
+        """Drop the delta envelopes whose base or target left retention:
+        ``repo_id``'s index diffs from or to a pruned serial, and package
+        diffs from or to a blob no tenant's log pins any more.  Both memos
+        are pure, so a later request recomputes the same bytes."""
+        log = self.publication_log
+        serials = {kept.serial for kept in log.publications(repo_id)}
+        for key in [key for key in self._index_delta_memo
+                    if key[0] == repo_id
+                    and not (key[1] in serials and key[2] in serials)]:
+            del self._index_delta_memo[key]
+        pinned = {sha for tenant in log.repo_ids()
+                  for kept in log.publications(tenant)
+                  for _, sha in kept.entries.values()}
+        for key in [key for key in self._package_delta_memo
+                    if not (key[0] in pinned and key[1] in pinned)]:
+            del self._package_delta_memo[key]
 
     def publications(self, repo_id: str) -> list[Publication]:
         return self.publication_log.publications(repo_id)

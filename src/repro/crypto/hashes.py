@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.util.memo import Memo
+
 SHA256_DIGEST_SIZE = 32
 
 
@@ -27,21 +29,16 @@ def sha256_hex(data: bytes) -> str:
 # with the same key, so the padded-key hash states are precomputed once
 # per key and ``.copy()``-ed per message.  Output is bit-identical to the
 # textbook construction below.
-_HMAC_PAD_CACHE: dict[bytes, tuple["hashlib._Hash", "hashlib._Hash"]] = {}
+_HMAC_PAD_MEMO = Memo("crypto.hashes.hmac_pads", 256)
 
 
 def _hmac_pads(key: bytes) -> tuple["hashlib._Hash", "hashlib._Hash"]:
-    cached = _HMAC_PAD_CACHE.get(key)
-    if cached is None:
-        block_size = 64
-        padded = sha256_bytes(key) if len(key) > block_size else key
-        padded = padded.ljust(block_size, b"\x00")
-        inner = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
-        outer = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
-        if len(_HMAC_PAD_CACHE) >= 256:
-            _HMAC_PAD_CACHE.clear()
-        _HMAC_PAD_CACHE[key] = cached = (inner, outer)
-    return cached
+    block_size = 64
+    padded = sha256_bytes(key) if len(key) > block_size else key
+    padded = padded.ljust(block_size, b"\x00")
+    inner = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
+    outer = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
+    return inner, outer
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
@@ -50,7 +47,9 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
     Equivalent to ``sha256(opad || sha256(ipad || data))`` with the
     RFC 2104 padded key; the padded-key prefixes are cached per key.
     """
-    inner_proto, outer_proto = _hmac_pads(bytes(key))
+    key = bytes(key)
+    inner_proto, outer_proto = _HMAC_PAD_MEMO.lookup(
+        key, lambda: _hmac_pads(key))
     inner = inner_proto.copy()
     inner.update(data)
     outer = outer_proto.copy()

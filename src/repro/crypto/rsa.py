@@ -20,15 +20,16 @@ security policies can embed them exactly as the paper's Listing 1 shows.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.crypto.bignum import ModExp
 from repro.crypto.hashes import SHA256_DIGEST_SIZE, sha256_bytes
 from repro.crypto.pem import pem_decode, pem_encode
 from repro.crypto.primes import generate_prime
 from repro.util.errors import SignatureError
+from repro.util.memo import Memo
 
 PUBLIC_EXPONENT = 65537
 
@@ -40,13 +41,12 @@ _SHA256_DIGEST_INFO_PREFIX = bytes.fromhex("3031300d0609608648016503040201050004
 # (key, digest) pair always signs to the same bytes.  Entries carry the
 # measured host cost of the original computation so callers that model
 # enclave time (core.sanitizer) can charge a memo hit as if it were fresh.
-_VERIFY_MEMO: dict[tuple, tuple[bool, float]] = {}
-_SIGN_MEMO: dict[tuple, tuple[bytes, float]] = {}
-_MEMO_LIMIT = 1 << 15
-
-# EMSA-PKCS1-v1_5 encoding is digest || fixed padding: everything except
-# the trailing SHA-256 digest depends only on the modulus size.
-_EMSA_PREFIX_CACHE: dict[int, bytes] = {}
+_VERIFY_MEMO = Memo("crypto.rsa.verify", 1 << 15)
+_SIGN_MEMO = Memo("crypto.rsa.sign", 1 << 15)
+# Seeded generation is a pure function of (bits, seed): twin scenarios
+# rebuilding the same deployment reuse the keypair instead of re-running
+# Miller-Rabin from scratch.
+_KEYPAIR_MEMO = Memo("crypto.rsa.keygen", 1024)
 
 
 def _i2osp(value: int, length: int) -> bytes:
@@ -59,27 +59,20 @@ def _os2ip(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
+@functools.cache
 def _emsa_prefix(em_len: int) -> bytes:
-    prefix = _EMSA_PREFIX_CACHE.get(em_len)
-    if prefix is None:
-        t_len = len(_SHA256_DIGEST_INFO_PREFIX) + SHA256_DIGEST_SIZE
-        if em_len < t_len + 11:
-            raise SignatureError("intended encoded message length too short")
-        prefix = (b"\x00\x01" + b"\xff" * (em_len - t_len - 3) + b"\x00"
-                  + _SHA256_DIGEST_INFO_PREFIX)
-        _EMSA_PREFIX_CACHE[em_len] = prefix
-    return prefix
+    """EMSA-PKCS1-v1_5 encoding is digest || fixed padding: everything
+    except the trailing SHA-256 digest depends only on the modulus size."""
+    t_len = len(_SHA256_DIGEST_INFO_PREFIX) + SHA256_DIGEST_SIZE
+    if em_len < t_len + 11:
+        raise SignatureError("intended encoded message length too short")
+    return (b"\x00\x01" + b"\xff" * (em_len - t_len - 3) + b"\x00"
+            + _SHA256_DIGEST_INFO_PREFIX)
 
 
 def _emsa_pkcs1_v15(message: bytes, em_len: int) -> bytes:
     """EMSA-PKCS1-v1_5 encoding of a SHA-256 digest (RFC 8017 section 9.2)."""
     return _emsa_prefix(em_len) + sha256_bytes(message)
-
-
-def _memo_put(memo: dict, key: tuple, value: tuple) -> None:
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
-    memo[key] = value
 
 
 @dataclass(frozen=True)
@@ -104,15 +97,9 @@ class RsaPublicKey:
         cost, so enclave-time models can charge memo hits as fresh work."""
         if len(signature) != self.size_bytes:
             return False, 0.0
-        memo_key = (self.n, self.e, sha256_bytes(message), signature)
-        hit = _VERIFY_MEMO.get(memo_key)
-        if hit is not None:
-            return hit
-        started = perf_counter()
-        ok = self._verify_uncached(message, signature)
-        entry = (ok, perf_counter() - started)
-        _memo_put(_VERIFY_MEMO, memo_key, entry)
-        return entry
+        return _VERIFY_MEMO.timed(
+            (self.n, self.e, sha256_bytes(message), signature),
+            lambda: self._verify_uncached(message, signature))
 
     def _verify_uncached(self, message: bytes, signature: bytes) -> bool:
         s = _os2ip(signature)
@@ -189,11 +176,10 @@ class RsaPrivateKey:
         cost (PKCS#1 v1.5 is deterministic, so re-signing the same digest
         always reproduces the same bytes)."""
         digest = sha256_bytes(message)
-        memo_key = (self.n, digest)
-        hit = _SIGN_MEMO.get(memo_key)
-        if hit is not None:
-            return hit
-        started = perf_counter()
+        return _SIGN_MEMO.timed((self.n, digest),
+                                lambda: self._sign_uncached(message, digest))
+
+    def _sign_uncached(self, message: bytes, digest: bytes) -> bytes:
         em = _emsa_prefix(self.size_bytes) + digest
         m = _os2ip(em)
         # CRT: two half-size exponentiations instead of one full-size.
@@ -207,9 +193,7 @@ class RsaPrivateKey:
         ok, _ = self.public_key.verify_with_cost(message, signature)
         if not ok:
             raise SignatureError("self-check of freshly produced signature failed")
-        entry = (signature, perf_counter() - started)
-        _memo_put(_SIGN_MEMO, memo_key, entry)
-        return entry
+        return signature
 
     def _crt_params(self) -> tuple[ModExp, ModExp, int]:
         """``m^dp mod p`` and ``m^dq mod q``, and ``q^-1 mod p``; built on
@@ -250,20 +234,9 @@ def generate_keypair(bits: int = 2048, seed: int | None = None) -> RsaPrivateKey
     if bits % 2:
         raise ValueError("RSA modulus size must be even")
     if seed is not None:
-        # Seeded generation is a pure function of (bits, seed): twin
-        # scenarios rebuilding the same deployment reuse the keypair
-        # instead of re-running Miller-Rabin from scratch.
-        cached = _KEYPAIR_MEMO.get((bits, seed))
-        if cached is None:
-            cached = _generate_keypair(bits, random.Random(seed))
-            if len(_KEYPAIR_MEMO) >= 1024:
-                _KEYPAIR_MEMO.clear()
-            _KEYPAIR_MEMO[(bits, seed)] = cached
-        return cached
+        return _KEYPAIR_MEMO.lookup(
+            (bits, seed), lambda: _generate_keypair(bits, random.Random(seed)))
     return _generate_keypair(bits, random.SystemRandom())
-
-
-_KEYPAIR_MEMO: dict[tuple[int, int], RsaPrivateKey] = {}
 
 
 def _generate_keypair(bits: int, rng: random.Random) -> RsaPrivateKey:

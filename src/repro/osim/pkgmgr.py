@@ -59,6 +59,7 @@ from repro.util.errors import (
     RollbackError,
     SignatureError,
 )
+from repro.util.memo import Memo
 
 
 #: Full-pull reasons that mean "the answer I just got was bad", not
@@ -81,22 +82,10 @@ def _kept_hook_path(name: str, hook: str) -> str:
     return f"/lib/apk/db/{name}{hook}"
 
 
-#: Verified blob SHA-256 -> parsed apk (bounded; cleared wholesale).
-#: Only :meth:`PackageManager._download_verified` consults it, after the
-#: blob's size and hash matched the signed index entry, and each caller
-#: gets a private copy.  Parse failures are not cached.
-_PARSE_MEMO: dict[str, ParsedApk] = {}
-_PARSE_MEMO_LIMIT = 512
-
-
-def _parse_verified(digest: str, blob: bytes) -> ParsedApk:
-    parsed = _PARSE_MEMO.get(digest)
-    if parsed is None:
-        parsed = ApkPackage.parse(blob)
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_LIMIT:
-            _PARSE_MEMO.clear()
-        _PARSE_MEMO[digest] = parsed
-    return parsed.copy()
+#: Verified blob SHA-256 -> parsed apk, read only by
+#: :meth:`PackageManager._download_verified` after the blob's size and
+#: hash matched the signed index entry; each caller gets a private copy.
+_PARSE_MEMO = Memo("osim.pkgmgr.parse", 512)
 
 
 class RepositoryClient(Protocol):
@@ -431,7 +420,8 @@ class PackageManager:
             raise IntegrityError(
                 f"{entry.describe()}: content hash does not match signed index"
             )
-        parsed = _parse_verified(digest, blob)
+        parsed = _PARSE_MEMO.lookup(
+            digest, lambda: ApkPackage.parse(blob)).copy()
         parsed.verify(self.trusted_keys)
         if parsed.package.name != entry.name:
             raise IntegrityError(

@@ -23,6 +23,7 @@ from repro.scripts.shell_ast import (
     Statement,
 )
 from repro.util.errors import ScriptError
+from repro.util.memo import Memo
 
 
 @runtime_checkable
@@ -67,22 +68,10 @@ class _Context:
 
 
 #: Source text -> parsed AST.  Every node of a fleet runs the same hook
-#: scripts, so each distinct text is parsed once per process (bounded;
-#: cleared wholesale).  The AST is shared as is: it never leaves
-#: :meth:`Interpreter.run`, and no command mutates its arguments.  Parse
-#: failures propagate and are not cached.
-_AST_MEMO: dict[str, Script] = {}
-_AST_MEMO_LIMIT = 512
-
-
-def _parse_cached(source: str) -> Script:
-    script = _AST_MEMO.get(source)
-    if script is None:
-        script = parse_script(source)
-        if len(_AST_MEMO) >= _AST_MEMO_LIMIT:
-            _AST_MEMO.clear()
-        _AST_MEMO[source] = script
-    return script
+#: scripts, so each distinct text is parsed once per process.  The AST is
+#: shared as is: it never leaves :meth:`Interpreter.run`, and no command
+#: mutates its arguments.
+_AST_MEMO = Memo("scripts.interpreter.ast", 512)
 
 
 class Interpreter:
@@ -95,7 +84,8 @@ class Interpreter:
 
     def run(self, script: Script | str) -> ExecutionResult:
         if isinstance(script, str):
-            script = _parse_cached(script)
+            source = script
+            script = _AST_MEMO.lookup(source, lambda: parse_script(source))
         context = _Context(host=self._host)
         try:
             code = self._run_statements(script.statements, context)

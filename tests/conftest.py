@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.rsa import generate_keypair
+from repro.util import memo
 
 # 1024-bit keys keep unit tests fast; the bench suite uses 2048-bit keys so
 # signatures are the paper's 256 bytes.
@@ -27,3 +28,14 @@ def rsa_key():
 def rsa_key_alt():
     """A second, distinct deterministic key (for wrong-key tests)."""
     return generate_keypair(TEST_KEY_BITS, seed=0xB0B)
+
+
+@pytest.fixture
+def cold_memos():
+    """Every process-wide memo starts the test empty, and whatever the
+    test stores in one (a verdict under a faulted kernel, say) is dropped
+    after it.  Not autouse: clearing the keypair memo makes the next
+    seeded ``generate_keypair`` search for primes again."""
+    memo.clear_all()
+    yield
+    memo.clear_all()

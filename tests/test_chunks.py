@@ -36,6 +36,7 @@ from repro.archive.chunks import (
     decode_ops,
     encode_ops,
 )
+from repro.util import memo
 from repro.util.errors import DeltaError
 
 from reference_chunker import GEAR, reference_chunk_offsets
@@ -137,7 +138,7 @@ class TestScanMatchesOracle:
         assert chunks._GEAR == GEAR
         hash_cuts = set()
         for number, data in enumerate(_oracle_cases()):
-            chunks.clear_chunk_memo()
+            memo.clear_all()
             expected = reference_chunk_offsets(data)
             assert chunk_offsets(data) == expected, (number, len(data))
             hash_cuts.update(end - start - MIN_CHUNK - 1

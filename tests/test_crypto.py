@@ -16,6 +16,7 @@ from repro.crypto.hashes import hmac_sha256, sha256_bytes, sha256_hex
 from repro.crypto.pem import pem_decode, pem_encode
 from repro.crypto.primes import _SMALL_PRIMES, generate_prime, is_probable_prime
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
+from repro.util import memo
 from repro.util.errors import SignatureError
 
 import random
@@ -188,6 +189,7 @@ class TestRsa:
             "8a19bc81de300f06e380c1850af7495bd579199fe4ba42d1068f68634543a29f"
         )
 
+    @pytest.mark.usefixtures("cold_memos")
     def test_self_check_catches_a_faulty_kernel(self, rsa_key, monkeypatch):
         pair = ModExp.pair
         for faulted in (0, 1):
@@ -197,21 +199,20 @@ class TestRsa:
                 halves[faulted] = (halves[faulted] + 1) % modulus
                 return tuple(halves)
 
-            monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
-            monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
+            memo.clear_all()
             monkeypatch.setattr(ModExp, "pair", faulty)
             with pytest.raises(
                     SignatureError,
                     match="self-check of freshly produced signature failed"):
                 rsa_key.sign(b"faulted CRT half")
 
+    @pytest.mark.usefixtures("cold_memos")
     def test_faulty_public_kernel_fails_closed(self, rsa_key, monkeypatch):
         """A wrong ``s^e mod n`` rejects a genuine signature, and signing
         refuses because its self-check cannot verify."""
         genuine = rsa_key.sign(b"genuine")
         public = ModExp.public
-        monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
-        monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
+        memo.clear_all()
         monkeypatch.setattr(
             ModExp, "public",
             lambda held, base: (public(held, base) + 1) % held.modulus)
@@ -233,13 +234,6 @@ def _textbook_signature(key, message):
         key.size_bytes, "big")
 
 
-@pytest.fixture
-def fresh_memos(monkeypatch):
-    """Every signature and verdict in the test is computed afresh."""
-    monkeypatch.setattr(rsa, "_SIGN_MEMO", {})
-    monkeypatch.setattr(rsa, "_VERIFY_MEMO", {})
-
-
 class _LibShim:
     """libcrypto as the held kernels see it, recording every release."""
 
@@ -259,7 +253,7 @@ class _LibShim:
         self._lib.BN_MONT_CTX_free(mont)
 
 
-@pytest.mark.usefixtures("fresh_memos")
+@pytest.mark.usefixtures("cold_memos")
 class TestHeldKeyState:
     """RSA keys keep their OpenSSL Montgomery state for their lifetime."""
 
@@ -302,8 +296,7 @@ class TestHeldKeyState:
         del key, held
         gc.collect()
         for twin in copies:
-            rsa._SIGN_MEMO.clear()
-            rsa._VERIFY_MEMO.clear()
+            memo.clear_all()
             assert [twin.sign(m) for m in messages] == expected
             assert all(twin.public_key.verify(m, s)
                        for m, s in zip(messages, expected))

@@ -549,16 +549,40 @@ class TestAdversarial:
 
 
 class TestReplayRegression:
-    def _replay(self, delta: bool):
+    def _replay(self, delta: bool, rounds: int = 4, scenario=None):
         # installs_per_client covers the whole population: every client
         # holds every base after wave 1, so later waves upgrade via
         # deltas (mirroring a fleet tracking its distro's releases).
-        trace = generate_trace(rounds=4, interval=0.6, publish_fraction=0.5,
-                               seed=19, installs_per_client=4)
-        scenario = build_scenario(packages=_mini_packages(count=4),
-                                  with_monitor=False)
+        trace = generate_trace(rounds=rounds, interval=0.6,
+                               publish_fraction=0.5, seed=19,
+                               installs_per_client=4)
+        scenario = scenario or build_scenario(
+            packages=_mini_packages(count=4), with_monitor=False)
         return replay_trace(scenario, trace, clients=4, mode="interleaved",
                             delta_updates=delta)
+
+    def test_delta_memos_keep_only_retained_publications(self):
+        """Retention prunes the delta envelopes with their publications:
+        every remaining index diff runs between retained serials and
+        every package diff between blobs a retained publication pins."""
+        scenario = build_scenario(packages=_mini_packages(count=4),
+                                  with_monitor=False)
+        tsr = scenario.tsr
+        tsr.publication_retention = 2
+        report = self._replay(delta=True, rounds=8, scenario=scenario)
+        assert report.delta_stats["package_deltas"] > 0
+        log = tsr.publications(scenario.repo_id)
+        assert len(log) == 2
+        assert scenario.repo_id in tsr.publication_log.pruned_through
+        serials = {publication.serial for publication in log}
+        pinned = {sha for publication in log
+                  for _, sha in publication.entries.values()}
+        assert tsr._index_delta_memo and tsr._package_delta_memo
+        for repo_id, base, target in tsr._index_delta_memo:
+            assert repo_id == scenario.repo_id
+            assert base in serials and target in serials
+        for base, target in tsr._package_delta_memo:
+            assert base in pinned and target in pinned
 
     def test_delta_replay_reproduces_full_replay_metrics(self):
         full = self._replay(delta=False)

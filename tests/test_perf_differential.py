@@ -37,11 +37,9 @@ import pytest
 
 from repro.archive import chunks
 from repro.archive import gz as gz_module
-from repro.archive import index as index_module
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.chunks import decode_ops, encode_ops
 from repro.archive.gz import (
-    clear_compress_memo,
     gzip_compress,
     gzip_compress_cached,
     gzip_compress_cached_with_cost,
@@ -55,17 +53,15 @@ from repro.core.delta import (
     build_package_delta,
     package_full_envelope,
 )
-from repro.crypto import rsa
 from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import generate_keypair
 from repro.ima.subsystem import ima_signature_for
-from repro.osim import pkgmgr as pkgmgr_module
 from repro.osim.fs import SimFileSystem
 from repro.osim.os import IntegrityEnforcedOS
 from repro.osim.pkgdb import DB_PATH
 from repro.osim.pkgmgr import InstallStats, PackageManager
-from repro.scripts import interpreter as interpreter_module
 from repro.scripts.interpreter import Interpreter
+from repro.util import memo
 from repro.util.errors import (
     DeltaError,
     IntegrityError,
@@ -77,6 +73,12 @@ from repro.util.errors import (
 KEY = generate_keypair(bits=1024, seed=71)
 OTHER_KEY = generate_keypair(bits=1024, seed=72)
 MUTATIONS = 50
+
+
+def _traffic(table: str) -> tuple[int, int, int]:
+    """Hits, misses and entries of one process-wide memo."""
+    counts = memo.stats()[table]
+    return counts["hits"], counts["misses"], counts["entries"]
 
 
 def _base_catalog(rng: random.Random) -> list[ApkPackage]:
@@ -152,8 +154,7 @@ class TestIncrementalRepackDifferential:
         # Cold pass: every publication rebuilt from scratch.
         cold = []
         for serial, cat in enumerate(catalogs):
-            clear_compress_memo()
-            chunks.clear_chunk_memo()
+            memo.clear_all()
             cold.append(_publish(cat, serial))
 
         for (warm_blobs, warm_index), (cold_blobs, cold_index) in zip(
@@ -240,7 +241,7 @@ class TestCompressMemoEquivalence:
     DATA = bytes(range(256)) * 400
 
     def test_hit_matches_fresh_deflate_and_replays_cost(self):
-        clear_compress_memo()
+        memo.clear_all()
         compressed, cost = gzip_compress_cached_with_cost(self.DATA, 6)
         assert compressed == gzip_compress(self.DATA, 6)
         # Cost honesty: the recorded cost is the measured deflate time,
@@ -250,7 +251,7 @@ class TestCompressMemoEquivalence:
             (compressed, cost)
 
     def test_levels_are_separate_entries(self):
-        clear_compress_memo()
+        memo.clear_all()
         fast = gzip_compress_cached(self.DATA, 1)
         best = gzip_compress_cached(self.DATA, 9)
         assert fast == gzip_compress(self.DATA, 1)
@@ -259,7 +260,7 @@ class TestCompressMemoEquivalence:
 
     def test_cleared_memo_recompresses_identically(self):
         warm = gzip_compress_cached(self.DATA, 6)
-        clear_compress_memo()
+        memo.clear_all()
         cold, cost = gzip_compress_cached_with_cost(self.DATA, 6)
         assert cold == warm
         assert cost > 0.0
@@ -289,7 +290,7 @@ class TestDeltaReconstructionThroughMemo:
     def _pair(self) -> tuple[bytes, bytes, bytes]:
         """(base blob, target blob, pdelta envelope); building the target
         leaves its data segment's deflate in a freshly cleared memo."""
-        clear_compress_memo()
+        memo.clear_all()
         payload = random.Random("memo-delta").randbytes(24 * 1024)
         base = ApkPackage(name="tool", version="1.0-r0", files=[
             PackageFile("/usr/bin/tool", payload)]).build(KEY)
@@ -314,7 +315,7 @@ class TestDeltaReconstructionThroughMemo:
 
     def test_cold_and_warm_memo_reconstruct_identical_bytes(self):
         base, target, envelope = self._pair()
-        clear_compress_memo()
+        memo.clear_all()
         cold = apply_package_delta(base, envelope)
         warm = apply_package_delta(base, envelope)
         assert cold == warm == target
@@ -339,7 +340,7 @@ class TestDeltaReconstructionThroughMemo:
 class TestKeypairMemo:
     def test_seeded_keypair_regenerates_identically(self):
         first = generate_keypair(bits=512, seed=4242)
-        rsa._KEYPAIR_MEMO.pop((512, 4242))
+        memo.clear_all()
         again = generate_keypair(bits=512, seed=4242)
         assert again is not first
         assert (again.n, again.e, again.d, again.p, again.q) == \
@@ -347,10 +348,10 @@ class TestKeypairMemo:
         assert generate_keypair(bits=512, seed=4242) is again
 
     def test_unseeded_keypairs_are_fresh(self):
-        before = len(rsa._KEYPAIR_MEMO)
+        before = _traffic("crypto.rsa.keygen")
         a, b = generate_keypair(bits=512), generate_keypair(bits=512)
         assert a.n != b.n
-        assert len(rsa._KEYPAIR_MEMO) == before
+        assert _traffic("crypto.rsa.keygen") == before
 
 
 class TestIndexParseMemo:
@@ -373,22 +374,26 @@ class TestIndexParseMemo:
 
     def test_parse_failure_is_not_cached(self):
         blob = b"no signature header\nserial:1\n"
+        hits, misses, entries = _traffic("archive.index.parse")
         for _ in range(2):
             with pytest.raises(PackagingError):
                 parse_index_cached(blob)
-        assert blob not in index_module._PARSE_MEMO
+        assert _traffic("archive.index.parse") == (hits, misses + 2, entries)
 
 
 class TestChunkerEngineDifferential:
     def test_offsets_memo_transparent(self):
         rng = random.Random(47)
         data = rng.randbytes(20_000)
-        chunks.clear_chunk_memo()
+        memo.clear_all()
         cold = chunks.chunk_offsets(data)
         warm = chunks.chunk_offsets(data)
         assert warm == cold
-        warm.append((0, 0))  # callers get a copy, not the memo entry
-        assert chunks.chunk_offsets(data) == cold
+        expected = list(cold)
+        # Callers get a copy, on a miss and on a hit, not the memo entry.
+        cold.append((0, 0))
+        warm.append((1, 1))
+        assert chunks.chunk_offsets(data) == expected
 
 
 # -- client install memos ------------------------------------------------------
@@ -472,10 +477,9 @@ def _node_state(manager: PackageManager) -> dict:
             for path in fs.walk_files()}
 
 
-def _clear_client_memos():
-    pkgmgr_module._PARSE_MEMO.clear()
-    interpreter_module._AST_MEMO.clear()
-    delta_module._BASE_CHUNKS_MEMO.clear()
+PKG_PARSE = "osim.pkgmgr.parse"
+AST = "scripts.interpreter.ast"
+BASE_CHUNKS = "core.delta.base_chunks"
 
 
 class TestVerifiedParseMemo:
@@ -488,11 +492,12 @@ class TestVerifiedParseMemo:
         manager = _node("copy", repo)
         entry = manager.index.get("tool")
         first = manager._download_verified(entry, InstallStats())
-        assert pkgmgr_module._PARSE_MEMO[sha256_hex(blob)] is not None
+        hits, misses, _ = _traffic(PKG_PARSE)
         first.package.files[0].content = b"poisoned"
         first.package.files.append(PackageFile("/etc/injected", b"x"))
         first.package.scripts[".post-install"] = "rm -rf /\n"
         second = manager._download_verified(entry, InstallStats())
+        assert _traffic(PKG_PARSE)[:2] == (hits + 1, misses)
         assert second.package == ApkPackage.parse(blob).package
         manager.install("tool")
         fs = manager._node.fs
@@ -510,54 +515,48 @@ class TestVerifiedParseMemo:
             repo.publish_blob("tool", "1.0-r0", blob)
         manager_a = _node("trusts-a", repo_a, trusted=[KEY.public_key])
         manager_a.install("tool")
-        assert sha256_hex(blob) in pkgmgr_module._PARSE_MEMO
+        hits, misses, _ = _traffic(PKG_PARSE)
         manager_b = _node("trusts-b", repo_b, trusted=[OTHER_KEY.public_key])
         with pytest.raises(SignatureError):
             manager_b.install("tool")
+        assert _traffic(PKG_PARSE)[:2] == (hits + 1, misses)
         assert manager_b._node.pkgdb.get("tool") is None
 
-    def test_altered_blob_fails_the_index_hash_before_any_lookup(
-            self, monkeypatch):
+    @pytest.mark.usefixtures("cold_memos")
+    def test_altered_blob_fails_the_index_hash_before_any_lookup(self):
         repo = _Repository(KEY)
         blob = repo.publish(_tool("1.0-r0", self.PAYLOAD))
         _node("warm", repo).install("tool")
-        assert sha256_hex(blob) in pkgmgr_module._PARSE_MEMO
+        assert _traffic(PKG_PARSE)[2] == 1  # the genuine parse is held
         altered = bytearray(blob)
         altered[len(blob) // 2] ^= 0x01
         repo.serve_instead("tool", bytes(altered))
-
-        lookups = []
-
-        class RecordingMemo(dict):
-            def get(self, key, default=None):
-                lookups.append(key)
-                return super().get(key, default)
-
-        monkeypatch.setattr(pkgmgr_module, "_PARSE_MEMO",
-                            RecordingMemo(pkgmgr_module._PARSE_MEMO))
         manager = _node("victim", repo)
+        before = _traffic(PKG_PARSE)
         with pytest.raises(IntegrityError, match="content hash"):
             manager.install("tool")
-        assert lookups == []
+        assert _traffic(PKG_PARSE) == before
 
     def test_parse_failure_is_not_cached(self):
         repo = _Repository(KEY)
         garbage = b"\x1f\x8b not an apk at all"
         repo.publish_blob("tool", "1.0-r0", garbage)
         manager = _node("garbage", repo)
+        hits, misses, entries = _traffic(PKG_PARSE)
         for _ in range(2):
             with pytest.raises(PackagingError):
                 manager.install("tool")
-        assert sha256_hex(garbage) not in pkgmgr_module._PARSE_MEMO
+        assert _traffic(PKG_PARSE) == (hits, misses + 2, entries)
 
 
 class TestScriptAstMemo:
     def test_parse_failure_raises_every_run_and_is_not_cached(self):
         source = "#!/bin/sh\nif test -f /etc/motd\necho missing then\n"
+        hits, misses, entries = _traffic(AST)
         for _ in range(2):
             with pytest.raises(ScriptError):
                 Interpreter(SimFileSystem()).run(source)
-        assert source not in interpreter_module._AST_MEMO
+        assert _traffic(AST) == (hits, misses + 2, entries)
 
     def test_shared_ast_runs_independently_per_host(self):
         source = ("#!/bin/sh\n"
@@ -567,9 +566,9 @@ class TestScriptAstMemo:
         flagged, clean = SimFileSystem(), SimFileSystem()
         flagged.write_file("/etc/flag", b"")
         first = Interpreter(flagged).run(source)
-        ast = interpreter_module._AST_MEMO[source]
+        hits, misses, _ = _traffic(AST)
         second = Interpreter(clean).run(source)
-        assert interpreter_module._AST_MEMO[source] is ast
+        assert _traffic(AST)[:2] == (hits + 1, misses)  # the shared AST
         assert flagged.read_file("/out") == b"flagged\n"
         assert clean.read_file("/out") == b"clean\n"
         assert not clean.exists("/etc/flag")
@@ -591,10 +590,11 @@ class TestBaseChunkMapMemo:
 
     def test_cold_and_warm_reconstruction_byte_identical(self):
         base, target, envelope = self._pair()
-        delta_module._BASE_CHUNKS_MEMO.clear()
+        memo.clear_all()
+        hits, misses, _ = _traffic(BASE_CHUNKS)
         cold = apply_package_delta(base, envelope)
-        assert sha256_hex(base) in delta_module._BASE_CHUNKS_MEMO
         warm = apply_package_delta(base, envelope)
+        assert _traffic(BASE_CHUNKS) == (hits + 1, misses + 1, 1)
         assert cold == warm == target
 
     def test_tampered_delta_after_warm_hit_still_fails(self):
@@ -658,7 +658,7 @@ class TestClientMemoDifferential:
         return packages
 
     def _fleet(self, cold: bool) -> list[dict]:
-        _clear_client_memos()
+        memo.clear_all()
         repo = _Repository(KEY)
         for package in self._catalog(0):
             repo.publish(package)
@@ -667,7 +667,7 @@ class TestClientMemoDifferential:
         for manager in managers:
             for name in ("app-3", "app-1"):
                 if cold:
-                    _clear_client_memos()
+                    memo.clear_all()
                 manager.install(name)
         for package in self._catalog(1):
             repo.publish(package)
@@ -675,7 +675,7 @@ class TestClientMemoDifferential:
             manager.update()
             for entry in manager.available_upgrades():
                 if cold:
-                    _clear_client_memos()
+                    memo.clear_all()
                 manager.install(entry.name)
         assert all(m.delta_stats.package_deltas == 4 for m in managers)
         return [_node_state(manager) for manager in managers]
@@ -683,9 +683,8 @@ class TestClientMemoDifferential:
     def test_live_memos_leave_the_cold_state(self):
         warm = self._fleet(cold=False)
         # Live memos: one parse per distinct blob, one chunk map per base.
-        assert len(pkgmgr_module._PARSE_MEMO) == 8
-        assert len(delta_module._BASE_CHUNKS_MEMO) == 4
-        assert len(interpreter_module._AST_MEMO) == 8
+        assert [_traffic(table)[2] for table in (PKG_PARSE, BASE_CHUNKS,
+                                                 AST)] == [8, 4, 8]
         cold = self._fleet(cold=True)
         assert warm == cold
         for state in warm:

@@ -9,11 +9,8 @@ import hashlib
 
 import pytest
 
-from repro.archive import index as index_module
 from repro.archive.apk import ApkPackage, PackageFile
-from repro.archive.chunks import clear_chunk_memo
-from repro.archive.gz import clear_compress_memo
-from repro.crypto import rsa
+from repro.util import memo
 from repro.workload.generator import generate_trace
 from repro.workload.replay import replay_trace
 from repro.workload.scenario import (
@@ -23,16 +20,6 @@ from repro.workload.scenario import (
 
 STREAMING = dict(mode="streaming", clients=12, fleet_size=12,
                  clients_per_wave=4, streaming=True)
-
-
-def _cold_memos():
-    """Drop every content-keyed memo the replay reads through.  Seeded
-    keypairs stay memoized: regenerating one yields the same key."""
-    clear_compress_memo()
-    clear_chunk_memo()
-    rsa._VERIFY_MEMO.clear()
-    rsa._SIGN_MEMO.clear()
-    index_module._PARSE_MEMO.clear()
 
 
 def _packages(count=6, reps=600, files=3):
@@ -88,16 +75,15 @@ def _fingerprint(scenario, report):
                          ids=["interleaved", "serial", "streaming"])
 class TestReplayDeterminism:
     def test_cold_replays_agree(self, kwargs):
-        _cold_memos()
+        memo.clear_all()
         first = _replay(**kwargs)
-        _cold_memos()
+        memo.clear_all()
         assert _replay(**kwargs) == first
 
     def test_warm_memos_keep_outcomes(self, kwargs):
-        _cold_memos()
+        memo.clear_all()
         cold = _replay(**kwargs)
-        # The second run reads every compress, chunk, sign, verify and
-        # index-parse result the first one recorded.
+        # The second run reads every result the first one memoized.
         assert _replay(**kwargs) == cold
 
 
