@@ -1,14 +1,17 @@
-"""RSA modular-exponentiation kernels: median microseconds per operation.
+"""RSA modular-exponentiation kernels and seeded key generation.
 
     PYTHONPATH=src python benchmarks/bench_rsa_kernels.py
 
-Times, at RSA-1024 and RSA-2048 on seeded keys:
+Times, at RSA-1024 and RSA-2048 on seeded keys, in median microseconds
+per operation:
 
 * both CRT halves of a signature: one ``ModExp.pair`` call
   (``BN_mod_exp_mont_consttime_x2``) on the key's held Montgomery
   contexts, the same call on contexts built for it (what every signature
-  paid before keys held them), two one-off ``powmod`` calls
-  (``BN_mod_exp_mont_consttime``) and two built-in ``pow`` calls;
+  paid before keys held them), two ``ModExp.private`` calls
+  (``BN_mod_exp_mont_consttime``) on the held contexts and on contexts
+  built for them (what a one-off ``powmod`` cost before it was deleted),
+  and two built-in ``pow`` calls;
 * the public operation ``s^65537 mod n``: ``ModExp.public``
   (``BN_mod_exp_mont``) on the key's held context, the same on a context
   built for the call, and built-in ``pow``;
@@ -16,33 +19,57 @@ Times, at RSA-1024 and RSA-2048 on seeded keys:
   ``verify`` through keys that already hold their contexts, with both
   RSA memos cleared before every call.
 
+Then seeded key generation, with every memo cleared before each key: the
+median milliseconds of one seeded ``generate_keypair`` over the 32
+RSA-1024 and 4 RSA-2048 keys that ``tests/reference_primes.py`` pins,
+each checked against its digest, and the prime search's work per key:
+candidates drawn, candidates the small-prime gcd rejects, candidates a
+round modulo the factor the second gcd found rejects, and Miller-Rabin
+rounds modulo the full candidate.  The same counts for the RSA-2048 tenant
+key that ``build_scenario`` (and so perfbench's repo-init) derives from
+MRENCLAVE: an edit to ``TsrProgram`` re-rolls that key, and shows here as
+a new candidate count.
+
 Every kernel result is checked against ``pow``; there is no timing gate.
 The header names the kernels this host has: ``bignum.BACKEND``, the OpenSSL
 version, whether the ``BN_MONT_CTX_*`` symbols and the optional x2 symbol
 (OpenSSL >= 3.0) resolved and whether the CPU lists ``avx512ifma``.
 OpenSSL runs the x2 call as one AVX-512 IFMA pass only for 1024-bit
 halves on such a CPU, so only the RSA-2048 pair is expected to beat two
-``powmod`` calls; elsewhere it runs the same two constant-time
+``private`` calls; elsewhere it runs the same two constant-time
 exponentiations.  OpenSSL 3.0.4 alone had a memory-corruption bug in that
 IFMA path (CVE-2022-2274).
 """
 
 from __future__ import annotations
 
+import contextlib
 import platform
 import random
 import ssl
 import statistics
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
-from repro.crypto import bignum
-from repro.crypto.bignum import ModExp, powmod
+from repro.crypto import bignum, primes, rsa
+from repro.crypto.bignum import ModExp
 from repro.crypto.rsa import generate_keypair
 from repro.util import memo
+from repro.workload.scenario import build_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_primes import (  # noqa: E402
+    PINNED_KEY_SEEDS,
+    PINNED_KEYS_DIGEST,
+    keys_digest,
+)
 
 REPS = 101
 KEYS = {"RSA-1024": (1024, 1024), "RSA-2048": (2048, 2048)}
+WORK = ("candidates", "small-gcd rejects", "factor-round rejects",
+        "full MR rounds")
 
 
 def cpu_has_ifma() -> str:
@@ -86,8 +113,12 @@ def measure(key) -> dict[str, float]:
         "CRT pair, x2 on new contexts":
             (lambda m: ModExp(dp, key.p).pair(m, ModExp(dq, key.q)),
              "CRT pair, two pow"),
-        "CRT pair, two powmod":
-            (lambda m: (powmod(m, dp, key.p), powmod(m, dq, key.q)),
+        "CRT pair, two held private":
+            (lambda m: (held_p.private(m), held_q.private(m)),
+             "CRT pair, two pow"),
+        "CRT pair, two private on new contexts":
+            (lambda m: (ModExp(dp, key.p).private(m),
+                        ModExp(dq, key.q).private(m)),
              "CRT pair, two pow"),
         "CRT pair, two pow":
             (lambda m: (pow(m, dp, key.p), pow(m, dq, key.q)), None),
@@ -115,6 +146,85 @@ def measure(key) -> dict[str, float]:
     return medians
 
 
+@contextlib.contextmanager
+def counting_search(counts: Counter):
+    """Add the prime search's work to ``counts`` while the block runs (see
+    ``WORK``), by wrapping the two functions the search calls through its
+    module."""
+    is_prime, round_passes = primes.is_probable_prime, primes._round_passes
+    rounds = []  # the modulus of each of the current candidate's rounds
+
+    def counting_round(held, witness, r):
+        rounds.append(held.modulus)
+        return round_passes(held, witness, r)
+
+    def counting_test(candidate, rng=None):
+        rounds.clear()
+        verdict = is_prime(candidate, rng)
+        counts["candidates"] += 1
+        if not rounds:
+            counts["small-gcd rejects"] += 1
+        elif rounds[-1] != candidate:  # a failed round modulo a factor
+            counts["factor-round rejects"] += 1
+        counts["full MR rounds"] += rounds.count(candidate)
+        return verdict
+
+    primes.is_probable_prime, primes._round_passes = (counting_test,
+                                                      counting_round)
+    try:
+        yield
+    finally:
+        primes.is_probable_prime, primes._round_passes = (is_prime,
+                                                          round_passes)
+
+
+def seeded_keygen() -> list[tuple[str, str, dict[str, float]]]:
+    """(label, median ms, mean work per key) for each pinned key size,
+    after checking every key against the pinned digest, and the work of
+    the tenant key repo-init derives."""
+    rows, keys = [], {}
+    for bits in sorted({bits for bits, _ in PINNED_KEY_SEEDS}):
+        seeds = [seed for b, seed in PINNED_KEY_SEEDS if b == bits]
+        median_us, generated = timed_run(
+            lambda seed: generate_keypair(bits, seed=seed), seeds,
+            memo.clear_all)
+        keys.update(((bits, seed), key)
+                    for seed, key in zip(seeds, generated))
+        counts = Counter()
+        for seed in seeds:
+            memo.clear_all()
+            with counting_search(counts):
+                generate_keypair(bits, seed=seed)
+        rows.append((f"RSA-{bits} x{len(seeds)} (pinned)",
+                     f"{median_us / 1e3:.1f}",
+                     {name: counts[name] / len(seeds) for name in WORK}))
+    digest = keys_digest((pinned, keys[pinned]) for pinned in PINNED_KEY_SEEDS)
+    if digest != PINNED_KEYS_DIGEST:
+        raise AssertionError(f"seeded keys moved: digest {digest}")
+
+    tenant = {}
+    generate = rsa._generate_keypair
+
+    def counting_keygen(bits, rng):
+        counts = Counter()
+        with counting_search(counts):
+            key = generate(bits, rng)
+        tenant.setdefault(bits, []).append(counts)
+        return key
+
+    memo.clear_all()
+    rsa._generate_keypair = counting_keygen
+    try:  # the CPU, TPM and distro keys are RSA-1024, the tenant's 2048
+        build_scenario(packages=[], tsr_key_bits=2048, refresh=False,
+                       with_monitor=False)
+    finally:
+        rsa._generate_keypair = generate
+    [counts] = tenant[2048]
+    rows.append(("repo-init tenant key (2048)", "-",
+                 {name: counts[name] for name in WORK}))
+    return rows
+
+
 def main() -> None:
     print(f"modexp backend: {bignum.BACKEND}; {ssl.OPENSSL_VERSION}; "
           f"BN_MONT_CTX: {'yes' if bignum._LIB is not None else 'no'}; "
@@ -125,10 +235,18 @@ def main() -> None:
                for label, (bits, seed) in KEYS.items()}
     print(f"median us per operation over {REPS} operands "
           "(every kernel result checked against pow)")
-    print(f"{'operation':<36}" + "".join(f"{label:>10}" for label in columns))
+    print(f"{'operation':<40}" + "".join(f"{label:>10}" for label in columns))
     for name in next(iter(columns.values())):
-        print(f"{name:<36}"
+        print(f"{name:<40}"
               + "".join(f"{column[name]:>10.1f}" for column in columns.values()))
+    print()
+    print("seeded keygen: median ms per key, every memo cleared before each "
+          "(pinned keys checked against their digest); work per key, mean "
+          "over the keys")
+    print(f"{'keys':<30}{'ms/key':>8}" + "".join(f"{n:>22}" for n in WORK))
+    for label, median_ms, work in seeded_keygen():
+        print(f"{label:<30}{median_ms:>8}"
+              + "".join(f"{work[n]:>22.1f}" for n in WORK))
 
 
 if __name__ == "__main__":

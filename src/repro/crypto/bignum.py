@@ -4,27 +4,33 @@ CPython's three-argument ``pow`` is about 10x slower than OpenSSL's
 Montgomery code on an RSA private-key half and 2-5x slower on the public
 exponent 65537, and RSA operations dominate the cost of sanitizing a
 package.  This module hands exponentiations to the libcrypto that
-CPython's ``hashlib`` already links, so no package is added.  Every entry
-point returns exactly what built-in ``pow`` returns:
+CPython's ``hashlib`` already links, so no package is added.  It has one
+class, :class:`ModExp`, which holds one fixed exponent and modulus in
+OpenSSL form for as long as the object lives: a BIGNUM for each and the
+modulus's ``BN_MONT_CTX``, built once.  RSA keys keep theirs, and seeded
+key generation builds one per prime candidate, so a signature, a
+verification or a Miller-Rabin round is one kernel call on contexts set
+up in advance.  It has three kernels, and each returns exactly what
+built-in ``pow`` returns:
 
-* :func:`powmod` runs a one-off ``BN_mod_exp_mont_consttime``.  It is
-  constant-time, so it may receive secrets (Miller-Rabin odd parts of
-  secret prime candidates), and it builds and frees everything it uses.
-* :class:`ModExp` holds one fixed exponent and modulus in OpenSSL form for
-  as long as the object lives: a BIGNUM for each and the modulus's
-  ``BN_MONT_CTX``, built once.  RSA keys keep theirs, so a signature or a
-  verification is one kernel call on contexts set up in advance:
+- :meth:`ModExp.pair` computes both CRT halves of a private-key
+  operation in one constant-time ``BN_mod_exp_mont_consttime_x2`` call,
+  which OpenSSL runs as a single AVX-512 IFMA pass when both halves are
+  1024-bit and as two constant-time exponentiations otherwise.  It may
+  receive secrets.  The symbol is optional: it exists only in OpenSSL
+  >= 3.0, and without it the pair is two ``BN_mod_exp_mont_consttime``
+  calls on the same held contexts.
+- :meth:`ModExp.private` runs one constant-time
+  ``BN_mod_exp_mont_consttime`` call.  It may receive secrets: the
+  Miller-Rabin odd parts of secret prime candidates.
+- :meth:`ModExp.public` runs ``BN_mod_exp_mont``, which is
+  variable-time: its running time depends on the exponent, so it must
+  only ever hold public exponents (RSA verification).
 
-  - :meth:`ModExp.pair` computes both CRT halves of a private-key
-    operation in one constant-time ``BN_mod_exp_mont_consttime_x2`` call,
-    which OpenSSL runs as a single AVX-512 IFMA pass when both halves are
-    1024-bit and as two constant-time exponentiations otherwise.  It may
-    receive secrets.  The symbol is optional: it exists only in OpenSSL
-    >= 3.0, and without it the pair is two ``BN_mod_exp_mont_consttime``
-    calls on the same held contexts.
-  - :meth:`ModExp.public` runs ``BN_mod_exp_mont``, which is
-    variable-time: its running time depends on the exponent, so it must
-    only ever hold public exponents (RSA verification).
+There is no one-off function any more: the module-level exponentiation
+that built and freed its contexts on every call lost its only caller when
+the prime search began to hold a :class:`ModExp` per candidate, and was
+deleted.
 
 Built-in ``pow`` handles what the kernels do not (even moduli, moduli
 below 3, negative exponents) and platforms where the BN symbols do not
@@ -132,25 +138,6 @@ def _release(owned: list, ctx) -> None:
     _LIB.BN_CTX_free(ctx)  # NULL-safe, like BN_clear_free
 
 
-def powmod(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)``, on OpenSSL's constant-time kernel
-    where it applies."""
-    if _LIB is None or not _on_kernel(exponent, modulus):
-        return pow(base, exponent, modulus)
-    ctx, owned = None, []
-    try:
-        ctx = _new_ctx()
-        result = _new_bn(owned)
-        if not _LIB.BN_mod_exp_mont_consttime(
-                result, _new_bn(owned, base % modulus),
-                _new_bn(owned, exponent), _new_bn(owned, modulus), ctx,
-                None):
-            raise ArithmeticError("BN_mod_exp_mont_consttime failed")
-        return _to_int(result, modulus)
-    finally:
-        _release(owned, ctx)
-
-
 def _free_held(lib, bns: list, mont) -> None:
     """A :class:`ModExp`'s finalizer.  It gets the library it was built
     with, so it never depends on module state at interpreter exit."""
@@ -197,14 +184,10 @@ class ModExp:
     def __deepcopy__(self, memo) -> "ModExp":
         return self
 
-    def public(self, base: int) -> int:
-        """``pow(base, exponent, modulus)`` on the variable-time
-        ``BN_mod_exp_mont``.
-
-        Its running time depends on the exponent's bits, so call it only
-        on a public exponent: RSA verification's ``e``.  :meth:`pair` is
-        the constant-time kernel for private exponents.
-        """
+    def _single(self, kernel: str, base: int) -> int:
+        """The libcrypto function ``kernel`` (``BN_mod_exp_mont`` or its
+        constant-time twin) on the held contexts, or ``pow`` where this
+        object holds none."""
         if self._handles is None:
             return pow(base, self.exponent, self.modulus)
         exponent_bn, modulus_bn, mont = self._handles
@@ -212,13 +195,34 @@ class ModExp:
         try:
             ctx = _new_ctx()
             result = _new_bn(owned)
-            if not _LIB.BN_mod_exp_mont(
+            if not getattr(_LIB, kernel)(
                     result, _new_bn(owned, base % self.modulus),
                     exponent_bn, modulus_bn, ctx, mont):
-                raise ArithmeticError("BN_mod_exp_mont failed")
+                raise ArithmeticError(f"{kernel} failed")
             return _to_int(result, self.modulus)
         finally:
             _release(owned, ctx)
+
+    def private(self, base: int) -> int:
+        """``pow(base, exponent, modulus)`` on the constant-time
+        ``BN_mod_exp_mont_consttime``.
+
+        It may receive secrets: the prime search runs every Miller-Rabin
+        round's witness exponentiation here, on a context held per
+        candidate.
+        """
+        return self._single("BN_mod_exp_mont_consttime", base)
+
+    def public(self, base: int) -> int:
+        """``pow(base, exponent, modulus)`` on the variable-time
+        ``BN_mod_exp_mont``.
+
+        Its running time depends on the exponent's bits, so call it only
+        on a public exponent: RSA verification's ``e``.  :meth:`private`
+        and :meth:`pair` are the constant-time kernels for private
+        exponents.
+        """
+        return self._single("BN_mod_exp_mont", base)
 
     def pair(self, base: int, other: "ModExp") -> tuple[int, int]:
         """``(pow(base, self.exponent, self.modulus),

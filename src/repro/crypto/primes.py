@@ -1,14 +1,35 @@
 """Probabilistic prime generation for RSA key material.
 
 Miller-Rabin with 40 rounds gives a < 2^-80 error probability, which is the
-standard engineering choice. A small-prime sieve rejects most candidates
-cheaply before the expensive witness loop runs, and a factor below 2^16
-lets about half of the remaining composites fail their first round modulo
-that factor instead of the full-size candidate.  Each round's witness
-exponentiation runs on :func:`repro.crypto.bignum.powmod`, which returns
-exactly what ``pow`` does, so verdicts, the rng stream and every seeded key
-are those of the pure-Python loop; the squarings that follow stay on
-``pow``.
+standard engineering choice.  Two gcds sieve each candidate before its
+witness loop:
+
+* One against the product of the primes up to 349 (:data:`_SMALL_PRIMES`)
+  rejects every candidate with a factor among them, about four odd
+  candidates in five, before any witness is drawn.  A candidate up to 349
+  is prime exactly when it is one of them.
+* One against the product of the primes in (349, :data:`_FACTOR_BOUND`]
+  finds a factor of about three in ten of the composites that survive.
+  Their rounds run modulo that factor first: a round that passes modulo
+  the candidate passes modulo each of its factors, so a round that fails
+  modulo the factor fails in full, after the same witness draw.
+
+Neither gcd decides a verdict that the witness loop would not, and neither
+draws from the rng, so verdicts, the rng stream and with them every seeded
+key are those of the plain witness loop whatever the bound.  The bound
+only moves work between the gcd, which costs more as the product grows,
+and the full-size rounds it spares; 2^12 was the fastest of 2^10 to 2^14
+(EXPERIMENTS.md §9i).  The product of every odd prime below 2^16, which
+the search once used, is 93.6 kbit: one gcd with it found a factor in
+about half of the survivors, but cost 100 µs on a 512-bit candidate,
+more than two 512-bit rounds.
+
+Each round's witness exponentiation runs on a :class:`ModExp` held for the
+candidate, and for its factor where one was found, through the
+constant-time :meth:`ModExp.private`, which returns exactly what ``pow``
+does.  The candidate's is built only once the factor round has passed, so
+a composite rejected modulo its factor never sets up a full-size context.
+The squarings that follow stay on ``pow``.
 """
 
 from __future__ import annotations
@@ -16,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro.crypto.bignum import powmod
+from repro.crypto.bignum import ModExp
 
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -28,24 +49,31 @@ _SMALL_PRIMES = [
 
 MILLER_RABIN_ROUNDS = 40
 
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
-def _odd_primes_below(limit: int) -> list[int]:
-    sieve = bytearray([1]) * limit
+#: The largest factor the second gcd looks for (see the module docstring).
+_FACTOR_BOUND = 1 << 12
+
+
+def _primes_above_small(limit: int) -> list[int]:
+    """The primes in (349, ``limit``]."""
+    sieve = bytearray([1]) * (limit + 1)
     for i in range(3, math.isqrt(limit) + 1, 2):
         if sieve[i]:
-            sieve[i * i::2 * i] = bytes(len(range(i * i, limit, 2 * i)))
-    return [p for p in range(3, limit, 2) if sieve[p]]
+            sieve[i * i::2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
+    return [p for p in range(_SMALL_PRIMES[-1] + 2, limit + 1, 2)
+            if sieve[p]]
 
 
-#: Product of the odd primes below 2^16: one gcd with it finds a factor
-#: that trial division missed in about half of the composites that reach
-#: the witness loop.
-_SIEVE_PRODUCT = math.prod(_odd_primes_below(1 << 16))
+_FACTOR_PRODUCT = math.prod(_primes_above_small(_FACTOR_BOUND))
 
 
-def _round_passes(witness: int, d: int, r: int, modulus: int) -> bool:
-    """One Miller-Rabin round for ``modulus - 1 == d * 2**r``, ``d`` odd."""
-    x = powmod(witness, d, modulus)
+def _round_passes(held: ModExp, witness: int, r: int) -> bool:
+    """One Miller-Rabin round for a candidate ``n - 1 == d * 2**r``, ``d``
+    odd, modulo ``held.modulus``: ``n`` or a factor of it.  ``held`` holds
+    ``d`` as its exponent."""
+    modulus = held.modulus
+    x = held.private(witness)
     if x in (1, modulus - 1):
         return True
     for _ in range(r - 1):
@@ -56,14 +84,11 @@ def _round_passes(witness: int, d: int, r: int, modulus: int) -> bool:
 
 
 def is_probable_prime(candidate: int, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test with a small-prime pre-filter."""
-    if candidate < 2:
+    """Miller-Rabin primality test behind a two-gcd sieve."""
+    if candidate <= _SMALL_PRIMES[-1]:
+        return candidate in _SMALL_PRIMES
+    if math.gcd(candidate, _SMALL_PRODUCT) > 1:
         return False
-    for prime in _SMALL_PRIMES:
-        if candidate == prime:
-            return True
-        if candidate % prime == 0:
-            return False
     rng = rng or random.Random()
     # Write candidate - 1 as d * 2^r with d odd.
     d = candidate - 1
@@ -71,16 +96,17 @@ def is_probable_prime(candidate: int, rng: random.Random | None = None) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # A round that passes modulo ``candidate`` also passes modulo each of
-    # its factors.  So a round that fails modulo a small factor fails in
-    # full, after the same witness draw: verdicts and the rng stream, and
-    # with them every seeded key, are those of the plain witness loop.
-    factor = math.gcd(candidate, _SIEVE_PRODUCT)
+    factor = math.gcd(candidate, _FACTOR_PRODUCT)
+    modulo_factor = ModExp(d, factor) if factor > 1 else None
+    modulo_candidate = None
     for _ in range(MILLER_RABIN_ROUNDS):
         witness = rng.randrange(2, candidate - 1)
-        if factor > 1 and not _round_passes(witness, d, r, factor):
+        if modulo_factor is not None and not _round_passes(
+                modulo_factor, witness, r):
             return False
-        if not _round_passes(witness, d, r, candidate):
+        if modulo_candidate is None:
+            modulo_candidate = ModExp(d, candidate)
+        if not _round_passes(modulo_candidate, witness, r):
             return False
     return True
 

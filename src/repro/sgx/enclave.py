@@ -14,6 +14,7 @@ assert the signing key never appears there.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 from dataclasses import dataclass
@@ -59,12 +60,22 @@ class EnclaveQuote:
         return True
 
 
+@functools.cache
 def measure_program(program_class: type) -> bytes:
     """MRENCLAVE: hash of the program's code identity.
 
     Uses the class's qualified name and source text — a faithful stand-in
     for hashing the enclave's initial memory contents: any code change
     yields a different measurement.
+
+    It runs once per class object, memoized on that object, so a TSR
+    restart or a second enclave of the same build reads no source.  The
+    value belongs to the loaded class: an edit to its source file after the
+    first measurement does not move it, as SGX measures the enclave it
+    loads, not the file on disk.  A class object built anew (a reloaded
+    module, or a class defined inside a function on each call) is measured
+    anew.  To pin measurements, replace this module attribute:
+    :class:`Enclave` looks it up on every construction.
     """
     try:
         source = inspect.getsource(program_class)

@@ -6,11 +6,12 @@ import hashlib
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_primes
 from repro.crypto import bignum, rsa
-from repro.crypto.bignum import ModExp, powmod
+from repro.crypto.bignum import ModExp
 from repro.crypto.certs import CertificateAuthority, Certificate, verify_chain
 from repro.crypto.hashes import hmac_sha256, sha256_bytes, sha256_hex
 from repro.crypto.pem import pem_decode, pem_encode
@@ -46,6 +47,18 @@ class TestHashes:
         assert digest.hex() == (
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         )
+
+
+#: Primes on both sides of 349 and of 4096, the bounds of the two sieve
+#: gcds: their products straddle each bound or sit on one side of it.
+_FACTORS_NEAR_BOUNDS = [331, 337, 347, 349, 353, 359, 367, 733, 4079, 4091,
+                        4093, 4099, 4111, 65521, 65537]
+
+#: Carmichael numbers, and strong pseudoprimes to every prime base up to 7
+#: and up to 31 (3,215,031,751 = 151 * 751 * 28,351 and
+#: 3,825,123,056,546,413,051 = 149,491 * 747,451 * 34,233,211).
+_PSEUDOPRIMES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745,
+                 825265, 3_215_031_751, 3_825_123_056_546_413_051]
 
 
 class TestPrimes:
@@ -110,6 +123,40 @@ class TestPrimes:
             assert is_probable_prime(candidate, mine) == \
                 plain(candidate, theirs)
             assert mine.getrandbits(64) == theirs.getrandbits(64)
+
+    @given(candidate=st.one_of(
+        st.integers(0, 5000),
+        st.integers(9, 1024).flatmap(
+            lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)
+        ).map(lambda n: n | 1),
+        st.tuples(st.sampled_from(_FACTORS_NEAR_BOUNDS),
+                  st.sampled_from(_FACTORS_NEAR_BOUNDS)).map(
+            lambda pair: pair[0] * pair[1]),
+        st.sampled_from(_PSEUDOPRIMES)),
+        seed=st.integers(0, 2 ** 32))
+    @example(candidate=347 * 353, seed=0)
+    @example(candidate=4093 * 4099, seed=0)
+    @example(candidate=367 * 733, seed=0)
+    @example(candidate=3_215_031_751, seed=0)
+    @example(candidate=3_825_123_056_546_413_051, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_search_matches_the_reference_draw_for_draw(self, candidate,
+                                                        seed):
+        """The two-gcd sieve and the held contexts change no verdict and
+        no witness draw of the single-gcd search on ``pow``."""
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert is_probable_prime(candidate, mine) == \
+            reference_primes.is_probable_prime(candidate, theirs)
+        assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.usefixtures("cold_memos")
+    def test_seeded_keys_match_the_pinned_digest(self):
+        """32 RSA-1024 and 4 RSA-2048 seeded keys, as the single-gcd
+        search on ``pow`` generated them."""
+        keys = [((bits, seed), generate_keypair(bits, seed=seed))
+                for bits, seed in reference_primes.PINNED_KEY_SEEDS]
+        assert reference_primes.keys_digest(keys) == \
+            reference_primes.PINNED_KEYS_DIGEST
 
 
 class TestRsa:
@@ -330,7 +377,11 @@ class TestHeldKeyState:
         assert built == [key.p, key.q, key.n]
 
 
-def _same_as_pow(base, exponent, modulus, function=powmod):
+def _held_private(base, exponent, modulus):
+    return ModExp(exponent, modulus).private(base)
+
+
+def _same_as_pow(base, exponent, modulus, function=_held_private):
     try:
         expected = pow(base, exponent, modulus)
     except ValueError:  # negative exponent without an inverse
@@ -476,7 +527,7 @@ class TestBignum:
         assert first._handles is None and second._handles is None
         assert first.pair(base, second) == expected
         assert first.public(base) == expected[0]
-        assert powmod(base, e1, m1) == expected[0]
+        assert first.private(base) == expected[0]
 
     def test_pair_without_x2_is_two_consttime_calls(self, monkeypatch):
         if bignum._LIB is None:
@@ -501,6 +552,50 @@ class TestBignum:
         monkeypatch.setattr(bignum, "_EXP_X2", None)
         assert first.pair(base, second) == expected
         assert calls == [first._handles[2], second._handles[2]]
+
+    def test_private_releases_exactly_its_held_handles(self, monkeypatch):
+        """A call frees what it allocated and nothing it holds; the
+        finalizer frees what it holds and nothing else."""
+        if bignum._LIB is None:
+            pytest.skip("no libcrypto: nothing is held")
+        shim = _LibShim(bignum._LIB)
+        monkeypatch.setattr(bignum, "_LIB", shim)
+        rng = random.Random(9)
+        modulus = rng.getrandbits(1024) | 1 << 1023 | 1
+        exponent = rng.getrandbits(1024)
+        held = ModExp(exponent, modulus)
+        handles = set(held._handles)
+        for base in (rng.randrange(modulus), 0, modulus + 3, -5):
+            assert held.private(base) == pow(base, exponent, modulus)
+        assert shim.released and not handles & set(shim.released)
+        shim.released.clear()
+        del held
+        gc.collect()
+        assert sorted(shim.released) == sorted(handles)
+
+    @pytest.mark.parametrize("kernel", ["private", "public"])
+    def test_copies_compute_after_the_original_is_freed(self, kernel):
+        """``copy`` and pickling rebuild from (exponent, modulus) with
+        handles of their own; ``deepcopy`` returns the object itself, as
+        the copies of a key that share its CRT pair rely on."""
+        rng = random.Random(10)
+        modulus = rng.getrandbits(1024) | 1 << 1023 | 1
+        exponent = rng.getrandbits(1024)
+        bases = [rng.randrange(modulus) for _ in range(3)]
+        expected = [pow(base, exponent, modulus) for base in bases]
+        held = ModExp(exponent, modulus)
+        copies = [copy.copy(held), copy.deepcopy(held),
+                  pickle.loads(pickle.dumps(held))]
+        assert copies[1] is held
+        for twin in (copies[0], copies[2]):
+            assert twin is not held
+            assert (twin.exponent, twin.modulus) == (exponent, modulus)
+            if held._handles is not None:
+                assert not set(twin._handles) & set(held._handles)
+        del held
+        gc.collect()
+        for twin in copies:
+            assert [getattr(twin, kernel)(b) for b in bases] == expected
 
 
 class TestPem:

@@ -1,13 +1,19 @@
 """Tests for the SGX simulator: enclaves, sealing, attestation, EPC model."""
 
+import hashlib
+import inspect
+
 import pytest
 
+from repro.archive.apk import ApkPackage, PackageFile
+from repro.core.program import TsrProgram
 from repro.crypto.rsa import generate_keypair
 from repro.sgx.enclave import Enclave, EnclaveError, measure_program
 from repro.sgx.epc import DEFAULT_EPC_BYTES, EpcModel
 from repro.sgx.platform import AttestationService, SgxCpu
 from repro.sgx.sealing import seal, unseal
 from repro.util.errors import AttestationError, SealingError
+from repro.workload.scenario import build_scenario
 
 
 class KeyVaultProgram:
@@ -24,6 +30,22 @@ class KeyVaultProgram:
 
     def _secret_key(self):
         return self._signing_key
+
+
+def _program_in_first():
+    class Program:
+        def noop(self):
+            return None
+
+    return Program
+
+
+def _program_in_second():
+    class Program:
+        def noop(self):
+            return None
+
+    return Program
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +110,47 @@ class TestMeasurement:
                 return None
 
         assert measure_program(KeyVaultProgram) != measure_program(OtherProgram)
+
+    @pytest.mark.parametrize("program", ["tsr", "key-vault", "local"])
+    def test_cached_value_is_the_source_measurement(self, program):
+        class LocalProgram:
+            def noop(self):
+                return None
+
+        cls = {"tsr": TsrProgram, "key-vault": KeyVaultProgram,
+               "local": LocalProgram}[program]
+        identity = (f"{cls.__module__}.{cls.__qualname__}\n"
+                    f"{inspect.getsource(cls)}")
+        expected = hashlib.sha256(identity.encode()).digest()
+        assert measure_program(cls) == expected
+        assert measure_program(cls) == expected  # the memoized value
+
+    def test_identical_bodies_with_other_qualnames_differ(self):
+        first, second = _program_in_first(), _program_in_second()
+        assert first.__name__ == second.__name__
+        assert inspect.getsource(first) == inspect.getsource(second)
+        assert measure_program(first) != measure_program(second)
+
+    def test_restart_and_second_enclave_read_no_source(self, cpu,
+                                                       monkeypatch):
+        scenario = build_scenario(
+            packages=[ApkPackage(name="musl", version="1-r0",
+                                 files=[PackageFile("/lib/ld-musl.so",
+                                                    b"\x7fELF")])],
+            key_bits=1024, with_monitor=False)
+        before = scenario.tsr._enclave.mrenclave
+        reads = []
+        getsource = inspect.getsource
+        monkeypatch.setattr(inspect, "getsource",
+                            lambda obj: reads.append(obj) or getsource(obj))
+        second = Enclave(cpu, TsrProgram, key_bits=1024)
+        scenario.tsr.restart()
+        assert reads == []
+        assert second.mrenclave == scenario.tsr._enclave.mrenclave == before
+        quote = scenario.tsr._enclave.ecall(
+            "quote_for_repo", scenario.repo_id)["quote"]
+        assert quote.verify(scenario.attestation_service,
+                            expected_mrenclave=before)
 
 
 class TestSealing:
