@@ -12,6 +12,10 @@ per operation:
   (``BN_mod_exp_mont_consttime``) on the held contexts and on contexts
   built for them (what a one-off ``powmod`` cost before it was deleted),
   and two built-in ``pow`` calls;
+* two exponentiations with a base each, on the same held contexts: one
+  ``ModExp.pair`` call and two ``ModExp.private`` calls.  In the RSA-2048
+  column the moduli are 1,024-bit, as in a pair of Miller-Rabin rounds
+  of RSA-2048 keygen;
 * the public operation ``s^65537 mod n``: ``ModExp.public``
   (``BN_mod_exp_mont``) on the key's held context, the same on a context
   built for the call, and built-in ``pow``;
@@ -24,9 +28,13 @@ median milliseconds of one seeded ``generate_keypair`` over the 32
 RSA-1024 and 4 RSA-2048 keys that ``tests/reference_primes.py`` pins,
 each checked against its digest, and the prime search's work per key:
 candidates drawn, candidates the small-prime gcd rejects, candidates a
-round modulo the factor the second gcd found rejects, and Miller-Rabin
-rounds modulo the full candidate.  The same counts for the RSA-2048 tenant
-key that ``build_scenario`` (and so perfbench's repo-init) derives from
+round modulo the factor the second gcd found rejects, Miller-Rabin
+rounds modulo the full candidate, and the ``ModExp.pair`` calls that ran
+two of those rounds at once (from 1,024-bit candidates up).  The counts
+are the work done, so they include what a rollback of the paired search
+discards: a candidate drawn to pair with one that then passed is drawn,
+sieved and tested again.  The same counts for the RSA-2048 tenant key
+that ``build_scenario`` (and so perfbench's repo-init) derives from
 MRENCLAVE: an edit to ``TsrProgram`` re-rolls that key, and shows here as
 a new candidate count.
 
@@ -35,8 +43,8 @@ The header names the kernels this host has: ``bignum.BACKEND``, the OpenSSL
 version, whether the ``BN_MONT_CTX_*`` symbols and the optional x2 symbol
 (OpenSSL >= 3.0) resolved and whether the CPU lists ``avx512ifma``.
 OpenSSL runs the x2 call as one AVX-512 IFMA pass only for 1024-bit
-halves on such a CPU, so only the RSA-2048 pair is expected to beat two
-``private`` calls; elsewhere it runs the same two constant-time
+halves on such a CPU, so only the RSA-2048 pairs are expected to beat
+two ``private`` calls; elsewhere it runs the same two constant-time
 exponentiations.  OpenSSL 3.0.4 alone had a memory-corruption bug in that
 IFMA path (CVE-2022-2274).
 """
@@ -69,7 +77,7 @@ from reference_primes import (  # noqa: E402
 REPS = 101
 KEYS = {"RSA-1024": (1024, 1024), "RSA-2048": (2048, 2048)}
 WORK = ("candidates", "small-gcd rejects", "factor-round rejects",
-        "full MR rounds")
+        "full MR rounds", "x2 calls")
 
 
 def cpu_has_ifma() -> str:
@@ -100,6 +108,8 @@ def timed_run(operation, inputs, untimed=None) -> tuple[float, list]:
 def measure(key) -> dict[str, float]:
     rng = random.Random(key.n)
     bases = [rng.randrange(key.n) for _ in range(REPS)]
+    witnesses = [(rng.randrange(2, key.p - 1), rng.randrange(2, key.q - 1))
+                 for _ in range(REPS)]
     messages = [b"kernel-bench-%d" % i for i in range(REPS)]
     signed = list(zip(messages, map(key.sign, messages)))
     public = key.public_key
@@ -109,9 +119,9 @@ def measure(key) -> dict[str, float]:
 
     kernels = {  # name: (operation, the pow operation it must equal)
         "CRT pair, held x2":
-            (lambda m: held_p.pair(m, held_q), "CRT pair, two pow"),
+            (lambda m: held_p.pair(m, held_q, m), "CRT pair, two pow"),
         "CRT pair, x2 on new contexts":
-            (lambda m: ModExp(dp, key.p).pair(m, ModExp(dq, key.q)),
+            (lambda m: ModExp(dp, key.p).pair(m, ModExp(dq, key.q), m),
              "CRT pair, two pow"),
         "CRT pair, two held private":
             (lambda m: (held_p.private(m), held_q.private(m)),
@@ -128,12 +138,22 @@ def measure(key) -> dict[str, float]:
             (lambda s: ModExp(key.e, key.n).public(s), "s^e mod n, pow"),
         "s^e mod n, pow": (lambda s: pow(s, key.e, key.n), None),
     }
+    two_bases = {  # a base per slot, as two Miller-Rabin rounds pass
+        "two bases, held x2":
+            (lambda w: held_p.pair(w[0], held_q, w[1]), "two bases, two pow"),
+        "two bases, two held private":
+            (lambda w: (held_p.private(w[0]), held_q.private(w[1])),
+             "two bases, two pow"),
+        "two bases, two pow":
+            (lambda w: (pow(w[0], dp, key.p), pow(w[1], dq, key.q)), None),
+    }
     medians, outputs = {}, {}
-    for name, (operation, _) in kernels.items():
-        medians[name], outputs[name] = timed_run(operation, bases)
-    for name, (_, reference) in kernels.items():
-        if reference is not None and outputs[name] != outputs[reference]:
-            raise AssertionError(f"{name} differs from {reference}")
+    for table, inputs in ((kernels, bases), (two_bases, witnesses)):
+        for name, (operation, _) in table.items():
+            medians[name], outputs[name] = timed_run(operation, inputs)
+        for name, (_, reference) in table.items():
+            if reference is not None and outputs[name] != outputs[reference]:
+                raise AssertionError(f"{name} differs from {reference}")
 
     medians["fresh sign, held (with self-check)"], signatures = timed_run(
         key.sign, messages, memo.clear_all)
@@ -149,33 +169,42 @@ def measure(key) -> dict[str, float]:
 @contextlib.contextmanager
 def counting_search(counts: Counter):
     """Add the prime search's work to ``counts`` while the block runs (see
-    ``WORK``), by wrapping the two functions the search calls through its
-    module."""
-    is_prime, round_passes = primes.is_probable_prime, primes._round_passes
-    rounds = []  # the modulus of each of the current candidate's rounds
+    ``WORK``), by wrapping the three functions the search calls through
+    its module: the small-prime sieve, the round check and the call that
+    runs one or two full-size rounds."""
+    sieved, round_passes, verdicts = (primes._sieved, primes._round_passes,
+                                      primes._verdicts)
+    full_size = []  # not empty while the search runs full-size rounds
 
-    def counting_round(held, witness, r):
-        rounds.append(held.modulus)
-        return round_passes(held, witness, r)
-
-    def counting_test(candidate, rng=None):
-        rounds.clear()
-        verdict = is_prime(candidate, rng)
+    def counting_sieve(value):
+        result = sieved(value)
         counts["candidates"] += 1
-        if not rounds:
-            counts["small-gcd rejects"] += 1
-        elif rounds[-1] != candidate:  # a failed round modulo a factor
-            counts["factor-round rejects"] += 1
-        counts["full MR rounds"] += rounds.count(candidate)
+        counts["small-gcd rejects"] += result is False
+        return result
+
+    def counting_round(x, r, modulus):
+        verdict = round_passes(x, r, modulus)
+        if full_size:
+            counts["full MR rounds"] += 1
+        else:  # a round modulo the factor the second gcd found
+            counts["factor-round rejects"] += not verdict
         return verdict
 
-    primes.is_probable_prime, primes._round_passes = (counting_test,
-                                                      counting_round)
+    def counting_verdicts(*rounds):
+        counts["x2 calls"] += len(rounds) == 2
+        full_size.append(rounds)
+        try:
+            return verdicts(*rounds)
+        finally:
+            full_size.pop()
+
+    originals = (sieved, round_passes, verdicts)
+    primes._sieved, primes._round_passes, primes._verdicts = (
+        counting_sieve, counting_round, counting_verdicts)
     try:
         yield
     finally:
-        primes.is_probable_prime, primes._round_passes = (is_prime,
-                                                          round_passes)
+        primes._sieved, primes._round_passes, primes._verdicts = originals
 
 
 def seeded_keygen() -> list[tuple[str, str, dict[str, float]]]:
@@ -243,10 +272,10 @@ def main() -> None:
     print("seeded keygen: median ms per key, every memo cleared before each "
           "(pinned keys checked against their digest); work per key, mean "
           "over the keys")
-    print(f"{'keys':<30}{'ms/key':>8}" + "".join(f"{n:>22}" for n in WORK))
+    print(f"{'keys':<30}{'ms/key':>8}" + "".join(f"{n:>21}" for n in WORK))
     for label, median_ms, work in seeded_keygen():
         print(f"{label:<30}{median_ms:>8}"
-              + "".join(f"{work[n]:>22.1f}" for n in WORK))
+              + "".join(f"{work[n]:>21.1f}" for n in WORK))
 
 
 if __name__ == "__main__":

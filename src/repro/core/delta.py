@@ -302,23 +302,27 @@ def parse_package_delta_envelope(payload: bytes,
 
 #: Base blob SHA-256 -> chunk map of its data segment.  A fleet patches
 #: many clients from the same base, so each base is inflated and chunked
-#: once per process.  The key is computed here from the bytes themselves.
+#: once per process.  The key is the digest the caller verified the base
+#: under, so the base is not hashed again.
 _BASE_CHUNKS_MEMO = Memo("core.delta.base_chunks", 512)
 
 
-def _base_chunk_map(base_blob: bytes) -> dict[str, bytes]:
+def _base_chunk_map(base_blob: bytes, base_sha256: str) -> dict[str, bytes]:
     # The third gzip member is the data segment: (compressed, inflated).
-    return _BASE_CHUNKS_MEMO.lookup(sha256_hex(base_blob), lambda: chunk_map(
+    return _BASE_CHUNKS_MEMO.lookup(base_sha256, lambda: chunk_map(
         split_gzip_streams(base_blob, expected=3)[2][1]))
 
 
-def apply_package_delta(base_blob: bytes, payload: bytes) -> bytes:
+def apply_package_delta(base_blob: bytes, payload: bytes,
+                        base_sha256: str) -> bytes:
     """Patch the client's cached base apk into the target apk.
 
-    The result is checked against the envelope's declared size and
-    SHA-256; any mismatch (tampering, chunk-id collision, divergent
-    recompression) raises :class:`DeltaError` and the caller falls back
-    to a full pull.
+    ``base_sha256`` is the base's SHA-256 as the caller verified it (the
+    package manager keeps the digest of each base it verified).  The
+    result is checked against the envelope's declared size and SHA-256;
+    any mismatch (tampering, chunk-id collision, divergent
+    recompression, or a chunk map found under a wrong ``base_sha256``)
+    raises :class:`DeltaError` and the caller falls back to a full pull.
     """
     kind, header, inner_gz = parse_package_delta_envelope(payload)
     if kind != "delta":
@@ -330,7 +334,7 @@ def apply_package_delta(base_blob: bytes, payload: bytes) -> bytes:
         raise DeltaError(f"malformed pdelta header {header!r}") from exc
     try:
         inner = gzip_decompress(inner_gz)
-        base_chunks = _base_chunk_map(base_blob)
+        base_chunks = _base_chunk_map(base_blob, base_sha256)
     except PackagingError as exc:
         raise DeltaError(f"undecodable delta payload: {exc}") from exc
     sig_gz, offset = _read_sized(inner, b"S:", 0)

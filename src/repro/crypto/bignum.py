@@ -10,16 +10,17 @@ OpenSSL form for as long as the object lives: a BIGNUM for each and the
 modulus's ``BN_MONT_CTX``, built once.  RSA keys keep theirs, and seeded
 key generation builds one per prime candidate, so a signature, a
 verification or a Miller-Rabin round is one kernel call on contexts set
-up in advance.  It has three kernels, and each returns exactly what
-built-in ``pow`` returns:
+up in advance, and two rounds of 1,024-bit candidates are one.  It has
+three kernels, and each returns exactly what built-in ``pow`` returns:
 
-- :meth:`ModExp.pair` computes both CRT halves of a private-key
-  operation in one constant-time ``BN_mod_exp_mont_consttime_x2`` call,
-  which OpenSSL runs as a single AVX-512 IFMA pass when both halves are
-  1024-bit and as two constant-time exponentiations otherwise.  It may
-  receive secrets.  The symbol is optional: it exists only in OpenSSL
-  >= 3.0, and without it the pair is two ``BN_mod_exp_mont_consttime``
-  calls on the same held contexts.
+- :meth:`ModExp.pair` runs two constant-time exponentiations, each on
+  its own object and base, in one ``BN_mod_exp_mont_consttime_x2`` call,
+  which OpenSSL runs as a single AVX-512 IFMA pass when both moduli are
+  1024-bit and as two constant-time exponentiations otherwise: both CRT
+  halves of a private-key operation (one base), or two Miller-Rabin
+  rounds (a witness each).  It may receive secrets.  The symbol is
+  optional: it exists only in OpenSSL >= 3.0, and without it the pair is
+  two ``BN_mod_exp_mont_consttime`` calls on the same held contexts.
 - :meth:`ModExp.private` runs one constant-time
   ``BN_mod_exp_mont_consttime`` call.  It may receive secrets: the
   Miller-Rabin odd parts of secret prime candidates.
@@ -207,8 +208,8 @@ class ModExp:
         """``pow(base, exponent, modulus)`` on the constant-time
         ``BN_mod_exp_mont_consttime``.
 
-        It may receive secrets: the prime search runs every Miller-Rabin
-        round's witness exponentiation here, on a context held per
+        It may receive secrets: the prime search runs the full-size
+        Miller-Rabin rounds it does not pair here, on a context held per
         candidate.
         """
         return self._single("BN_mod_exp_mont_consttime", base)
@@ -224,19 +225,21 @@ class ModExp:
         """
         return self._single("BN_mod_exp_mont", base)
 
-    def pair(self, base: int, other: "ModExp") -> tuple[int, int]:
+    def pair(self, base: int, other: "ModExp",
+             other_base: int) -> tuple[int, int]:
         """``(pow(base, self.exponent, self.modulus),
-        pow(base, other.exponent, other.modulus))`` in one constant-time
-        ``BN_mod_exp_mont_consttime_x2`` call.
+        pow(other_base, other.exponent, other.modulus))`` in one
+        constant-time ``BN_mod_exp_mont_consttime_x2`` call.
 
-        Both halves of an RSA-CRT signature share the base, so the pair
-        takes one.  Without the x2 symbol each half is one
+        Each slot takes its own base: both halves of an RSA-CRT signature
+        pass the same one, and two Miller-Rabin rounds pass a witness
+        each.  Without the x2 symbol each half is one
         ``BN_mod_exp_mont_consttime`` call; where either object holds no
         native state, each half is ``pow``'s.
         """
         if self._handles is None or other._handles is None:
             return (pow(base, self.exponent, self.modulus),
-                    pow(base, other.exponent, other.modulus))
+                    pow(other_base, other.exponent, other.modulus))
         (exponent1, modulus1, mont1) = self._handles
         (exponent2, modulus2, mont2) = other._handles
         ctx, owned = None, []
@@ -244,7 +247,7 @@ class ModExp:
             ctx = _new_ctx()
             result1, result2 = _new_bn(owned), _new_bn(owned)
             base1 = _new_bn(owned, base % self.modulus)
-            base2 = _new_bn(owned, base % other.modulus)
+            base2 = _new_bn(owned, other_base % other.modulus)
             if _EXP_X2 is not None:
                 ok = _EXP_X2(result1, base1, exponent1, modulus1, mont1,
                              result2, base2, exponent2, modulus2, mont2, ctx)

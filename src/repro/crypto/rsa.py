@@ -184,7 +184,7 @@ class RsaPrivateKey:
         m = _os2ip(em)
         # CRT: two half-size exponentiations instead of one full-size.
         exp_p, exp_q, q_inv = self._crt_params()
-        m1, m2 = exp_p.pair(m, exp_q)
+        m1, m2 = exp_p.pair(m, exp_q, m)
         h = (q_inv * (m1 - m2)) % self.p
         s = m2 + h * self.q
         signature = _i2osp(s, self.size_bytes)

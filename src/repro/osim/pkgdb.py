@@ -19,11 +19,14 @@ Every operation reads the file through :meth:`SimFileSystem.read_file`
 the read returns a different object than the one parsed last.  The
 filesystem stores every write as a fresh immutable ``bytes`` object, so
 the same object always holds the same text; :meth:`_store` primes the
-parse with the bytes it has just written.
+parse with the bytes it has just written.  Each write joins the records'
+texts, and a record formats its text once, on the first write that
+holds it, so installing n packages formats n records, not n(n+1)/2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.osim.fs import SimFileSystem
@@ -40,6 +43,18 @@ class InstalledPackage:
     version: str
     content_hash: str
     files: tuple[str, ...]
+
+    @functools.cached_property
+    def record(self) -> str:
+        """This package's block of the database file, formatted once."""
+        return _format_record(self)
+
+
+def _format_record(package: InstalledPackage) -> str:
+    lines = [f"P:{package.name}", f"V:{package.version}",
+             f"C:{package.content_hash}"]
+    lines.extend(f"R:{path}" for path in package.files)
+    return "\n".join(lines)
 
 
 class PackageDatabase:
@@ -96,14 +111,8 @@ class PackageDatabase:
         return self._records
 
     def _store(self, packages: dict[str, InstalledPackage]):
-        blocks = []
-        for name in sorted(packages):
-            package = packages[name]
-            lines = [f"P:{package.name}", f"V:{package.version}",
-                     f"C:{package.content_hash}"]
-            lines.extend(f"R:{path}" for path in package.files)
-            blocks.append("\n".join(lines))
-        raw = "\n\n".join(blocks).encode()
+        raw = "\n\n".join(packages[name].record
+                           for name in sorted(packages)).encode()
         self._fs.write_file(self._path, raw)
         self._parsed_from = raw
         self._records = packages

@@ -19,10 +19,11 @@ SHA-256 it just matched against the signed index), a hook script once
 (:class:`Interpreter`), and a delta base is chunked once
 (:func:`apply_package_delta`).  Bookkeeping runs once too.  Each party
 hashes a blob once: this manager takes a delta reconstruction's digest
-from the envelope :func:`apply_package_delta` just proved and a reused
-base's from the verified base, and a :class:`ParsedApk` hashes its data
-segment once for all its copies.  The installed-package database parses
-once per write (:class:`~repro.osim.pkgdb.PackageDatabase`).  The memos
+from the envelope :func:`apply_package_delta` just proved, and a reused
+or patched base's from the verified base, and a :class:`ParsedApk`
+hashes its data segment once for all its copies.  The installed-package
+database parses once per write
+(:class:`~repro.osim.pkgdb.PackageDatabase`).  The memos
 cache parses and digests of immutable bytes, never verdicts: every
 install still checks size, hash, package signature under its own
 keyring, ``datahash`` and name.
@@ -397,7 +398,7 @@ class PackageManager:
                 DeltaStats._bump(self.delta_stats.package_full,
                                  header or "server")
                 return rest, None
-            blob = apply_package_delta(base, payload)
+            blob = apply_package_delta(base, payload, base_sha256)
         except (DeltaError, PackagingError):
             self.delta_stats.package_rejected += 1
             return self._fetch_full(entry, stats, "rejected"), None

@@ -14,7 +14,9 @@ it, witness draw by witness draw.
 
 :data:`PINNED_KEY_SEEDS` and :data:`PINNED_KEYS_DIGEST` pin 36 seeded RSA
 keys as this search generates them; the RSA-kernel bench checks its keys
-against the same digest.
+against the same digest.  :data:`PINNED_STATES_DIGEST` pins the rng state
+each of those keygens leaves, which the keys alone do not: nothing is
+drawn after a key's second prime.
 """
 
 from __future__ import annotations
@@ -118,10 +120,27 @@ PINNED_KEYS_DIGEST = (
     "832c0cdad2fa0c0b49e70f4d18e2155bb297c1e493f8d186df11290e48d8ee90")
 
 
+#: :func:`states_digest` of ``rng.getstate()`` after
+#: ``rsa._generate_keypair(bits, rng)`` with ``rng = random.Random(seed)``,
+#: over :data:`PINNED_KEY_SEEDS`, with ``rsa.generate_prime`` replaced by
+#: the search above.
+PINNED_STATES_DIGEST = (
+    "e80302385c09b83aba60a792c6c4d5d4aa0567449667421501cb03f047d7dbec")
+
+
 def keys_digest(keys) -> str:
     """SHA-256 hex over ``bits:seed:n:d`` lines, one per
     ``((bits, seed), key)`` pair, in order."""
     h = hashlib.sha256()
     for (bits, seed), key in keys:
         h.update(f"{bits}:{seed}:{key.n:x}:{key.d:x}\n".encode())
+    return h.hexdigest()
+
+
+def states_digest(states) -> str:
+    """SHA-256 hex over ``bits:seed:state`` lines, one per
+    ``((bits, seed), rng.getstate())`` pair, in order."""
+    h = hashlib.sha256()
+    for (bits, seed), state in states:
+        h.update(f"{bits}:{seed}:{state!r}\n".encode())
     return h.hexdigest()

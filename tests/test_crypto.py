@@ -1,16 +1,19 @@
 """Tests for the from-scratch crypto stack (hashes, RSA, PEM, certificates)."""
 
 import copy
+import functools
 import gc
 import hashlib
+import math
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_primes
-from repro.crypto import bignum, rsa
+from repro.crypto import bignum, primes, rsa
 from repro.crypto.bignum import ModExp
 from repro.crypto.certs import CertificateAuthority, Certificate, verify_chain
 from repro.crypto.hashes import hmac_sha256, sha256_bytes, sha256_hex
@@ -149,14 +152,217 @@ class TestPrimes:
             reference_primes.is_probable_prime(candidate, theirs)
         assert mine.getstate() == theirs.getstate()
 
-    @pytest.mark.usefixtures("cold_memos")
-    def test_seeded_keys_match_the_pinned_digest(self):
+    @pytest.mark.parametrize("factors", [(353,), (4093,), (353, 359),
+                                         (4091, 4093)])
+    def test_factor_rounds_reduce_the_exponent_exactly(self, factors):
+        """Modulo a prime factor f the exponent is reduced modulo f - 1,
+        which moves no power, multiples of f included; a product of
+        factors keeps the full exponent."""
+        rng = random.Random(sum(factors))
+        sieve = primes._SMALL_PRODUCT * primes._FACTOR_PRODUCT
+        cofactor = next(c for c in iter(lambda: rng.getrandbits(256) | 1, 0)
+                        if math.gcd(c, sieve) == 1)
+        factor = math.prod(factors)
+        held = primes._Candidate(factor * cofactor)
+        assert held.factor == factor
+        assert (held.factor_exponent < held.d) == (len(factors) == 1)
+        witnesses = [rng.randrange(2, held.value - 1) for _ in range(40)]
+        witnesses += [f * k for f in factors for k in (1, 2, cofactor)]
+        for witness in witnesses:
+            assert pow(witness, held.factor_exponent, factor) == \
+                pow(witness, held.d, factor)
+
+    @pytest.mark.parametrize("backend", ["x2", "x2 removed",
+                                         "no libcrypto"])
+    def test_seeded_keys_match_the_pinned_digest(self, backend,
+                                                 monkeypatch):
         """32 RSA-1024 and 4 RSA-2048 seeded keys, as the single-gcd
-        search on ``pow`` generated them."""
-        keys = [((bits, seed), generate_keypair(bits, seed=seed))
-                for bits, seed in reference_primes.PINNED_KEY_SEEDS]
+        search on ``pow`` generated them, each from the keygen that
+        ``generate_keypair(bits, seed=seed)`` runs on a memo miss, and the
+        rng state each keygen leaves.  Without the x2 symbol a pair is two
+        constant-time calls, and without libcrypto it is two ``pow``
+        calls; nothing moves.  The states catch a search that finds the
+        right second prime from the wrong place in the rng stream, which
+        the keys cannot."""
+        if backend != "x2":
+            monkeypatch.setattr(bignum, "_EXP_X2", None)
+        if backend == "no libcrypto":
+            monkeypatch.setattr(bignum, "_LIB", None)
+        keys, states = [], []
+        for bits, seed in reference_primes.PINNED_KEY_SEEDS:
+            rng = random.Random(seed)
+            keys.append(((bits, seed), rsa._generate_keypair(bits, rng)))
+            states.append(((bits, seed), rng.getstate()))
         assert reference_primes.keys_digest(keys) == \
             reference_primes.PINNED_KEYS_DIGEST
+        assert reference_primes.states_digest(states) == \
+            reference_primes.PINNED_STATES_DIGEST
+
+
+#: k of the Monier semiprime (2k + 1)(4k + 1), k odd, both factors
+#: prime: 1,024 bits with its top two bits set, so a candidate of
+#: ``generate_prime(1024)``, with no factor below 2^12.  Its ``n - 1`` is
+#: twice an odd number, and exactly a quarter of all bases are strong
+#: liars (2k^2 of the 8k^2 units), as for 367 * 733.
+_MONIER_K = int(
+    "55145b03305d97b015b2181ad8b90144d46546a3c5a25b02c50c10a4db7db09b"
+    "ce0d9d1c685d88f960092756cbccce0b85972713feaa797fd2de8f32724ac30d", 16)
+
+#: A prime m = 1 (mod 22) with 353 * m 1,024 bits wide and its top two
+#: bits set.  The second gcd finds 353, and 11 divides both 352 and the
+#: odd part of 353 * m - 1, so an element of order 11 is a strong liar
+#: modulo the factor and modulo the candidate.
+_COFACTOR_OF_353 = int(
+    "98618819d8efd97adb411182b840ad20c4a7bde14791e5d1cb52bb56c499adaf"
+    "1cc7e6fff61e5bc2fac7c17aaa3d797b9b94678f9fdeaaa76900e43ad4a20d0e"
+    "2d02b6de68cab4d44ed6d50aef01ed21ff4159686dba3b011df84ca3c30fef61"
+    "84dae72713e00c09c6ee218a10a3f87375c3698dd527e61f7941ee8929eb2f", 16)
+
+
+class ScriptedRandom(random.Random):
+    """A Mersenne Twister whose first ``getrandbits`` calls return
+    ``script`` instead.  ``getstate``/``setstate`` carry the position in
+    the script, so a rollback replays it."""
+
+    def __init__(self, seed, script=()):
+        self.script, self.position = list(script), 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        if self.position < len(self.script):
+            self.position += 1
+            return self.script[self.position - 1]
+        return super().getrandbits(k)
+
+    def getstate(self):
+        return super().getstate(), self.position
+
+    def setstate(self, state):
+        state, self.position = state
+        super().setstate(state)
+
+
+def _witness_script(witnesses):
+    """What ``getrandbits`` returns so that a search draws ``witnesses``:
+    ``randrange(2, n - 1)`` adds 2 to one ``getrandbits`` below
+    ``n - 3``."""
+    return [witness - 2 for witness in witnesses]
+
+
+def _passes_round(candidate, witness, modulus=None):
+    """One plain Miller-Rabin round for ``candidate`` on ``pow``, modulo
+    ``modulus`` (a factor of it) or the candidate itself."""
+    d, r = candidate - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return reference_primes._round_passes(witness, d, r,
+                                          modulus or candidate)
+
+
+@functools.cache
+def _scripted_composites():
+    """(candidate, liars, a base that is not a liar) for the Monier
+    semiprime and for 353 * m; for 353 * m the non-liar already fails
+    modulo 353."""
+    k = _MONIER_K
+    monier = (2 * k + 1) * (4 * k + 1)
+    pick = random.Random(4)
+    bases = [pick.randrange(2, monier - 1) for _ in range(24)]
+    liars = [base for base in bases if _passes_round(monier, base)]
+    other = next(base for base in bases if base not in liars)
+    cases = [(monier, liars[:2], other)]
+    with_factor = 353 * _COFACTOR_OF_353
+    exponent = math.lcm(352, _COFACTOR_OF_353 - 1) // 11
+    liars = sorted({pow(base, exponent, with_factor)
+                    for base in range(2, 9)} - {1})[:2]
+    other = next(base for base in range(2, 99)
+                 if not _passes_round(with_factor, base, 353))
+    cases.append((with_factor, liars, other))
+    for candidate, liars, other in cases:
+        assert candidate.bit_length() == 1024 and candidate >> 1022 == 3
+        assert all(_passes_round(candidate, liar) for liar in liars)
+        assert len(set(liars)) == 2 and other not in liars
+        assert not _passes_round(candidate, other)
+    return cases
+
+
+class TestPairedSearch:
+    """From 1,024 bits the search runs two full-size rounds per x2 call
+    and rolls the rng back wherever the round it guessed went the other
+    way; the single-gcd search on ``pow`` is the oracle, verdict, prime
+    and ``getstate()`` alike."""
+
+    def test_the_composites_are_what_they_claim(self):
+        k = _MONIER_K
+        assert k % 2 == 1
+        for factor in (2 * k + 1, 4 * k + 1, _COFACTOR_OF_353):
+            assert reference_primes.is_probable_prime(factor,
+                                                      random.Random(1))
+        assert _COFACTOR_OF_353 % 22 == 1
+        assert len(_scripted_composites()) == 2
+
+    def test_monier_semiprime_matches_the_reference_draw_for_draw(self):
+        """A quarter of the bases are liars, so over these seeds the
+        search rejects the semiprime in its first round, in the first
+        round of a pair (the second draw is rolled back) and in the
+        second round of a pair."""
+        monier = _scripted_composites()[0][0]
+        rejected_in = Counter()
+        for seed in range(160):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert is_probable_prime(monier, mine) is False
+            assert reference_primes.is_probable_prime(monier, theirs) is False
+            assert mine.getstate() == theirs.getstate()
+            probe, rounds = random.Random(seed), 0
+            while probe.getstate() != theirs.getstate():
+                probe.randrange(2, monier - 1)
+                rounds += 1
+            rejected_in[rounds] += 1
+        assert {1, 2, 3, 4} <= set(rejected_in)
+
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("later", ["pass then fail", "fail"])
+    def test_scripted_witnesses_match_the_reference(self, case, later):
+        """Liars for the first rounds, then a base that fails (modulo 353
+        for the second composite) either in the second round of a pair or
+        in the first."""
+        candidate, liars, other = _scripted_composites()[case]
+        witnesses = liars if later == "pass then fail" else liars[:1]
+        script = _witness_script(witnesses + [other])
+        for seed in (0, 1):
+            mine = ScriptedRandom(seed, script)
+            theirs = ScriptedRandom(seed, script)
+            assert is_probable_prime(candidate, mine) is False
+            assert reference_primes.is_probable_prime(candidate,
+                                                      theirs) is False
+            assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("later", ["pass then fail", "fail"])
+    def test_a_composite_pending_candidate_rolls_back(self, case, later):
+        """The composite is ``generate_prime``'s first candidate and a
+        liar passes its first round, so the next candidate, drawn to pair
+        with it, is rolled back; then its rounds run in pairs until one
+        fails.  The prime found and the rng state equal the reference's.
+        """
+        candidate, liars, other = _scripted_composites()[case]
+        witnesses = liars if later == "pass then fail" else liars[:1]
+        script = [candidate] + _witness_script(witnesses + [other])
+        mine, theirs = ScriptedRandom(5, script), ScriptedRandom(5, script)
+        prime = generate_prime(1024, mine)
+        assert prime == reference_primes.generate_prime(1024, theirs)
+        assert prime != candidate
+        assert mine.getstate() == theirs.getstate()
+
+    def test_unseeded_keygen_on_system_random(self):
+        """``SystemRandom`` has no state to roll back: its search runs one
+        round per call and never asks for one."""
+        key = generate_keypair(2048)
+        assert key.n.bit_length() == 2048
+        assert key.p.bit_length() == key.q.bit_length() == 1024
+        signature = key.sign(b"unseeded")
+        assert key.public_key.verify(b"unseeded", signature)
+        assert not key.public_key.verify(b"unseeded!", signature)
 
 
 class TestRsa:
@@ -240,8 +446,8 @@ class TestRsa:
     def test_self_check_catches_a_faulty_kernel(self, rsa_key, monkeypatch):
         pair = ModExp.pair
         for faulted in (0, 1):
-            def faulty(held, base, other):
-                halves = list(pair(held, base, other))
+            def faulty(held, base, other, other_base):
+                halves = list(pair(held, base, other, other_base))
                 modulus = (held.modulus, other.modulus)[faulted]
                 halves[faulted] = (halves[faulted] + 1) % modulus
                 return tuple(halves)
@@ -282,14 +488,32 @@ def _textbook_signature(key, message):
 
 
 class _LibShim:
-    """libcrypto as the held kernels see it, recording every release."""
+    """libcrypto as the held kernels see it, recording every allocation
+    of a BIGNUM or BN_CTX and every release."""
 
     def __init__(self, lib):
         self._lib = lib
-        self.released = []
+        self.allocated, self.released = [], []
 
     def __getattr__(self, name):
         return getattr(self._lib, name)
+
+    def _allocation(self, pointer):
+        self.allocated.append(pointer)
+        return pointer
+
+    def BN_new(self):
+        return self._allocation(self._lib.BN_new())
+
+    def BN_bin2bn(self, *args):
+        return self._allocation(self._lib.BN_bin2bn(*args))
+
+    def BN_CTX_new(self):
+        return self._allocation(self._lib.BN_CTX_new())
+
+    def BN_CTX_free(self, ctx):
+        self.released.append(ctx)
+        self._lib.BN_CTX_free(ctx)
 
     def BN_clear_free(self, bn):
         self.released.append(bn)
@@ -395,16 +619,20 @@ def _held_public(base, exponent, modulus):
     return ModExp(exponent, modulus).public(base)
 
 
-def _pair_same_as_pow(base, exponent1, modulus1, exponent2, modulus2):
+def _pair_same_as_pow(base, exponent1, modulus1, exponent2, modulus2,
+                      other_base=None):
+    """One ``pair`` call against two ``pow`` calls; the second slot takes
+    ``base`` too unless ``other_base`` is given."""
+    other_base = base if other_base is None else other_base
     first, second = ModExp(exponent1, modulus1), ModExp(exponent2, modulus2)
     try:
         expected = (pow(base, exponent1, modulus1),
-                    pow(base, exponent2, modulus2))
+                    pow(other_base, exponent2, modulus2))
     except ValueError:  # negative exponent without an inverse
         with pytest.raises(ValueError):
-            first.pair(base, second)
+            first.pair(base, second, other_base)
     else:
-        assert first.pair(base, second) == expected
+        assert first.pair(base, second, other_base) == expected
 
 
 class TestBignum:
@@ -478,8 +706,23 @@ class TestBignum:
         bases = [0, 1, m1, m2, m1 * m2, m1 * m2 + 7]
         bases += [rng.randrange(m1 * m2 * 4) for _ in range(20)]
         for base in bases:
-            assert first.pair(base, second) == (pow(base, e1, m1),
-                                                pow(base, e2, m2))
+            assert first.pair(base, second, base) == (pow(base, e1, m1),
+                                                      pow(base, e2, m2))
+
+    @pytest.mark.parametrize("half_bits", [512, 1024])
+    def test_pair_takes_one_base_per_slot(self, half_bits):
+        """Two Miller-Rabin rounds pass a witness each: every slot
+        answers for its own base, full-width or short, zero or above its
+        modulus."""
+        rng = random.Random(half_bits + 2)
+        m1, m2 = (rng.getrandbits(half_bits) | 1 << (half_bits - 1) | 1
+                  for _ in range(2))
+        e1, e2 = m1 >> 1, rng.getrandbits(half_bits)
+        bases = [rng.randrange(2, m1 - 1), rng.randrange(2, m2 - 1),
+                 rng.getrandbits(half_bits - 64), 0, m1, m2 + 3]
+        for base in bases:
+            for other_base in bases:
+                _pair_same_as_pow(base, e1, m1, e2, m2, other_base)
 
     def test_pair_falls_back_to_pow_per_slot(self):
         """An even modulus, a modulus of 1 or 2, or a negative exponent in
@@ -525,7 +768,7 @@ class TestBignum:
         monkeypatch.setattr(bignum, "_LIB", None)
         first, second = ModExp(e1, m1), ModExp(e2, m2)
         assert first._handles is None and second._handles is None
-        assert first.pair(base, second) == expected
+        assert first.pair(base, second, base) == expected
         assert first.public(base) == expected[0]
         assert first.private(base) == expected[0]
 
@@ -546,11 +789,11 @@ class TestBignum:
 
         shim.BN_mod_exp_mont_consttime = counting_consttime
         monkeypatch.setattr(bignum, "_LIB", shim)
-        assert first.pair(base, second) == expected
+        assert first.pair(base, second, base) == expected
         if bignum._EXP_X2 is not None:
             assert calls == []  # one x2 call
         monkeypatch.setattr(bignum, "_EXP_X2", None)
-        assert first.pair(base, second) == expected
+        assert first.pair(base, second, base) == expected
         assert calls == [first._handles[2], second._handles[2]]
 
     def test_private_releases_exactly_its_held_handles(self, monkeypatch):
@@ -572,6 +815,32 @@ class TestBignum:
         del held
         gc.collect()
         assert sorted(shim.released) == sorted(handles)
+
+    def test_two_base_pair_frees_everything_it_allocates(self,
+                                                        monkeypatch):
+        """Per call: two bases, two results and a BN_CTX, each cleared
+        and freed before the call returns, and nothing either object
+        holds."""
+        if bignum._LIB is None:
+            pytest.skip("no libcrypto: nothing is allocated")
+        rng = random.Random(12)
+        m1, m2 = (rng.getrandbits(1024) | 1 << 1023 | 1 for _ in range(2))
+        e1, e2 = m1 >> 1, m2 >> 1
+        first, second = ModExp(e1, m1), ModExp(e2, m2)
+        held = set(first._handles) | set(second._handles)
+        shim = _LibShim(bignum._LIB)
+        monkeypatch.setattr(bignum, "_LIB", shim)
+        for x2 in (bignum._EXP_X2, None):
+            monkeypatch.setattr(bignum, "_EXP_X2", x2)
+            for base, other_base in ((rng.randrange(m1), rng.randrange(m2)),
+                                     (0, m2 + 3), (-5, 2)):
+                shim.allocated.clear()
+                shim.released.clear()
+                assert first.pair(base, second, other_base) == (
+                    pow(base, e1, m1), pow(other_base, e2, m2))
+                assert len(shim.allocated) == 5
+                assert sorted(shim.released) == sorted(shim.allocated)
+                assert not held & set(shim.released)
 
     @pytest.mark.parametrize("kernel", ["private", "public"])
     def test_copies_compute_after_the_original_is_freed(self, kernel):

@@ -153,7 +153,8 @@ class TestPackageDeltaDifferential:
             # Legitimate not-smaller outcome (tiny or fully rewritten
             # payloads); the server would tag a full pull instead.
             return
-        reconstructed = apply_package_delta(blob_v1, envelope)
+        reconstructed = apply_package_delta(blob_v1, envelope,
+                                            sha256_hex(blob_v1))
         assert reconstructed == blob_v2
         # Verification verdict identity: the signed-index checks a
         # package manager runs see the same bytes either way.
@@ -362,7 +363,8 @@ class TestManifestsOnFirstRequest:
         target = tsr.publications(scenario.repo_id)[-1].blobs[name]
         assert served == build_package_delta(blob_manifest(base_blob),
                                              target)
-        assert apply_package_delta(base_blob, served) == target
+        assert apply_package_delta(base_blob, served,
+                                   sha256_hex(base_blob)) == target
 
 
 # -- adversarial suite --------------------------------------------------------
@@ -447,6 +449,56 @@ class TestAdversarial:
         with pytest.raises(RollbackError):
             apply_index_delta(target, stale)
 
+    @pytest.mark.usefixtures("cold_memos")
+    def test_a_wrong_base_digest_costs_at_most_a_full_pull(self, rsa_key):
+        """A delta base's chunk map is keyed by the digest its caller
+        verified the base under.  Under a wrong digest the map is either
+        built from the bytes at hand or belongs to another blob; in the
+        second case the rebuilt blob cannot hash to the target the
+        envelope names, so the delta is refused and the caller pulls in
+        full."""
+        blob_v1, blob_v2 = _random_package_pair(random.Random("wd"), rsa_key)
+        other_v1, other_v2 = _random_package_pair(random.Random("wd2"),
+                                                  rsa_key)
+        envelope = build_package_delta(blob_manifest(blob_v1), blob_v2)
+        other_envelope = build_package_delta(blob_manifest(other_v1),
+                                             other_v2)
+        # A digest no map is stored under: the map comes from the bytes.
+        assert apply_package_delta(blob_v1, envelope, "f" * 64) == blob_v2
+        # A digest that keys another base's map.
+        other_sha = sha256_hex(other_v1)
+        assert apply_package_delta(other_v1, other_envelope,
+                                   other_sha) == other_v2
+        with pytest.raises(DeltaError):
+            apply_package_delta(blob_v1, envelope, other_sha)
+        assert apply_package_delta(blob_v1, envelope,
+                                   sha256_hex(blob_v1)) == blob_v2
+
+    @pytest.mark.usefixtures("cold_memos")
+    def test_a_map_stored_under_a_wrong_digest_costs_a_full_pull(
+            self, rsa_key):
+        """An earlier call that passed another blob under this base's
+        digest left that blob's chunk map there: the manager's next
+        delta against the base is refused, and one full pull installs
+        the signed bytes."""
+        scenario = _delta_scenario()
+        _, manager = scenario.new_node("victim", delta_updates=True)
+        manager.update()
+        name = sorted(scenario.population)[0]
+        manager.install(name)
+        _publish_round(scenario, seed=4, fraction=1.0)
+        manager.update()
+        other_v1, other_v2 = _random_package_pair(random.Random("wd3"),
+                                                  rsa_key)
+        envelope = build_package_delta(blob_manifest(other_v1), other_v2)
+        base_sha = manager._delta_bases[name][1]
+        assert apply_package_delta(other_v1, envelope, base_sha) == other_v2
+        manager.install(name)
+        assert manager.delta_stats.package_rejected == 1
+        assert manager.delta_stats.package_full.get("rejected") == 1
+        entry = manager.index.get(name)
+        assert manager._node.pkgdb.get(name).content_hash == entry.sha256
+
     def test_tampered_package_delta_rejected_then_recovered(self):
         scenario = _delta_scenario()
         _, manager = scenario.new_node("victim", delta_updates=True)
@@ -486,12 +538,13 @@ class TestAdversarial:
         forged = []
 
         def substitute(blob: bytes) -> bytes:
-            pinned = apply_package_delta(base, blob)
+            pinned = apply_package_delta(base, blob, sha256_hex(base))
             # Same length, other bytes: flip the signature member's
             # gzip MTIME, which no checksum covers.
             other = pinned[:4] + bytes([pinned[4] ^ 0x01]) + pinned[5:]
             envelope = build_package_delta(blob_manifest(base), other)
-            assert apply_package_delta(base, envelope) == other
+            assert apply_package_delta(base, envelope,
+                                       sha256_hex(base)) == other
             forged.append(other)
             return envelope
 
@@ -514,9 +567,10 @@ class TestAdversarial:
         blob_v1, blob_v2 = _random_package_pair(rng, rsa_key)
         envelope = build_package_delta(blob_manifest(blob_v1), blob_v2)
         assert envelope is not None
-        assert apply_package_delta(blob_v1, envelope) == blob_v2
+        assert apply_package_delta(blob_v1, envelope,
+                                   sha256_hex(blob_v1)) == blob_v2
         with pytest.raises(DeltaError):
-            apply_package_delta(blob_v1, envelope[:-cut])
+            apply_package_delta(blob_v1, envelope[:-cut], sha256_hex(blob_v1))
 
     def test_client_beyond_log_depth_falls_back_cleanly(self):
         scenario = _delta_scenario()

@@ -11,6 +11,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.ima.subsystem import AppraisalMode, replay_measurement_list
 from repro.osim.fs import SimFileSystem
 from repro.osim.os import BASELINE_FILES, IntegrityEnforcedOS
+from repro.osim import pkgdb as pkgdb_module
 from repro.osim.pkgdb import DB_PATH, InstalledPackage, PackageDatabase
 from repro.osim.version import Version, is_newer
 from repro.tpm.device import IMA_PCR_INDEX, verify_quote
@@ -193,6 +194,53 @@ class TestPackageDatabase:
         with pytest.raises(PackageManagerError):
             db.mark_outdated("ghost")
 
+    def test_writes_the_oracle_bytes(self):
+        """Every write equals the text the oracle writer formats afresh
+        from every record, through adds, an upgrade, Fig. 11 tampering,
+        a removal and a raw rewrite."""
+        fs = SimFileSystem()
+        db = PackageDatabase(fs)
+        model = {}
+
+        def check():
+            assert fs.read_file(DB_PATH) == _render(model)
+
+        for name in ("zlib", "musl", "a|b", "unicode-\u00e9"):
+            model[name] = self._pkg(name)
+            db.add(model[name])
+            check()
+        model["musl"] = self._pkg("musl", "1.2.0-r0")
+        db.add(model["musl"])
+        check()
+        db.mark_outdated("zlib")
+        model["zlib"] = dataclasses.replace(
+            model["zlib"], version="0.0.0-r0", content_hash="0" * 64)
+        check()
+        db.remove("a|b")
+        del model["a|b"]
+        check()
+        fs.write_file(DB_PATH, _render({"musl": model["musl"]}))
+        model = {"musl": model["musl"], "tool": self._pkg("tool")}
+        db.add(model["tool"])
+        check()
+
+    def test_each_record_is_formatted_once(self, db, monkeypatch):
+        """Installing n packages formats n records, where formatting
+        every record on every write formatted n(n+1)/2."""
+        formatted = []
+        real = pkgdb_module._format_record
+        monkeypatch.setattr(pkgdb_module, "_format_record",
+                            lambda package: formatted.append(package.name)
+                            or real(package))
+        names = [f"pkg{i:02d}" for i in range(12)]
+        for name in names:
+            db.add(self._pkg(name))
+        assert formatted == names
+        db.mark_outdated("pkg03")
+        db.remove("pkg05")
+        db.get("pkg07")
+        assert formatted == names + ["pkg03"]
+
     @pytest.mark.parametrize("separator", [
         "|", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
         "\u2028", "\u2029", ":",
@@ -213,7 +261,9 @@ class TestPackageDatabase:
 
 
 def _render(records: dict[str, InstalledPackage]) -> bytes:
-    """Database text as a tamperer writes it, in the documented layout."""
+    """Database text in the documented layout, as a tamperer writes it and
+    as ``PackageDatabase._store`` wrote it before records kept their
+    formatted text: the oracle for the bytes the database writes."""
     blocks = []
     for name in sorted(records):
         record = records[name]
@@ -281,6 +331,10 @@ class PackageDatabaseMachine(RuleBasedStateMachine):
         assert self.db.get(name) == self.model.get(name)
         self.db.all().clear()
         self.db.installed_names().add("ghost")
+
+    @invariant()
+    def writes_the_oracle_bytes(self):
+        assert self.fs.read_file(DB_PATH) == _render(self.model)
 
     @invariant()
     def agrees_with_model_and_fresh_parse(self):

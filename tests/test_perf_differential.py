@@ -316,14 +316,14 @@ class TestDeltaReconstructionThroughMemo:
     def test_cold_and_warm_memo_reconstruct_identical_bytes(self):
         base, target, envelope = self._pair()
         memo.clear_all()
-        cold = apply_package_delta(base, envelope)
-        warm = apply_package_delta(base, envelope)
+        cold = apply_package_delta(base, envelope, sha256_hex(base))
+        warm = apply_package_delta(base, envelope, sha256_hex(base))
         assert cold == warm == target
 
     def test_warm_memo_reconstruction_deflates_nothing(self, monkeypatch):
         base, target, envelope = self._pair()
         calls = self._count_deflates(monkeypatch)
-        assert apply_package_delta(base, envelope) == target
+        assert apply_package_delta(base, envelope, sha256_hex(base)) == target
         assert calls == []
 
     def test_flipped_literal_byte_misses_memo_and_fails(self, monkeypatch):
@@ -331,9 +331,9 @@ class TestDeltaReconstructionThroughMemo:
         tampered = _flip_first_literal(envelope)
         calls = self._count_deflates(monkeypatch)
         with pytest.raises(DeltaError):
-            apply_package_delta(base, tampered)
+            apply_package_delta(base, tampered, sha256_hex(base))
         assert len(calls) == 1  # the tampered data tar missed the memo
-        assert apply_package_delta(base, envelope) == target
+        assert apply_package_delta(base, envelope, sha256_hex(base)) == target
         assert len(calls) == 1
 
 
@@ -592,17 +592,18 @@ class TestBaseChunkMapMemo:
         base, target, envelope = self._pair()
         memo.clear_all()
         hits, misses, _ = _traffic(BASE_CHUNKS)
-        cold = apply_package_delta(base, envelope)
-        warm = apply_package_delta(base, envelope)
+        cold = apply_package_delta(base, envelope, sha256_hex(base))
+        warm = apply_package_delta(base, envelope, sha256_hex(base))
         assert _traffic(BASE_CHUNKS) == (hits + 1, misses + 1, 1)
         assert cold == warm == target
 
     def test_tampered_delta_after_warm_hit_still_fails(self):
         base, target, envelope = self._pair()
-        assert apply_package_delta(base, envelope) == target
+        assert apply_package_delta(base, envelope, sha256_hex(base)) == target
         with pytest.raises(DeltaError):
-            apply_package_delta(base, _flip_first_literal(envelope))
-        assert apply_package_delta(base, envelope) == target
+            apply_package_delta(base, _flip_first_literal(envelope),
+                                sha256_hex(base))
+        assert apply_package_delta(base, envelope, sha256_hex(base)) == target
 
     def test_manager_recovers_through_a_full_pull(self):
         payload = random.Random("chunk-map-recovery").randbytes(24 * 1024)

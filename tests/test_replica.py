@@ -21,6 +21,7 @@ import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.archive.index import RepositoryIndex
+from repro.core import delta as delta_module
 from repro.core import publications as publications_module
 from repro.core.delta import (
     build_index_delta,
@@ -558,13 +559,13 @@ class TestBookkeepingWorkCounts:
     """Regression guards on work, not time: the package database parses
     once per write it did not make itself, each served (blob, pin) pair
     is hashed once, and a client never re-hashes bytes whose digest it
-    already proved."""
+    already proved, delta bases included."""
 
     def test_small_delta_fleet_does_each_piece_of_bookkeeping_once(
             self, monkeypatch):
         databases, parses = [], []
         serves, served, served_hashes = [], {}, []
-        delta_blobs, client_hashes = [], []
+        delta_blobs, delta_bases, client_hashes, delta_hashes = [], [], [], []
 
         real_init = PackageDatabase.__init__
         real_parse = PackageDatabase._parse
@@ -594,9 +595,10 @@ class TestBookkeepingWorkCounts:
 
         real_apply = pkgmgr_module.apply_package_delta
 
-        def apply(base, payload):
-            blob = real_apply(base, payload)
+        def apply(base, payload, base_sha256):
+            blob = real_apply(base, payload, base_sha256)
             delta_blobs.append(blob)
+            delta_bases.append(base)
             return blob
 
         monkeypatch.setattr(PackageDatabase, "__init__", init)
@@ -607,6 +609,8 @@ class TestBookkeepingWorkCounts:
         monkeypatch.setattr(pkgmgr_module, "sha256_hex",
                             hashed_by(client_hashes))
         monkeypatch.setattr(pkgmgr_module, "apply_package_delta", apply)
+        monkeypatch.setattr(delta_module, "sha256_hex",
+                            hashed_by(delta_hashes))
 
         report = _rotating_delta_fleet()
         assert report.failed_installs == 0 and report.failed_pulls == 0
@@ -624,6 +628,10 @@ class TestBookkeepingWorkCounts:
         assert len(client_hashes) == sum(stats["package_full"].values())
         rebuilt = {id(blob) for blob in delta_blobs}
         assert not any(id(data) in rebuilt for data in client_hashes)
+        # Applying a delta never hashes its base: the base's chunk map
+        # is found under the digest the client verified it under.
+        bases = {id(base) for base in delta_bases}
+        assert not any(id(data) in bases for data in delta_hashes)
 
     def test_base_reuse_and_raw_writes(self, monkeypatch):
         scenario = build_scenario(packages=_rand_packages(count=2),

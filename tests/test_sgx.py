@@ -1,13 +1,16 @@
 """Tests for the SGX simulator: enclaves, sealing, attestation, EPC model."""
 
 import hashlib
+import importlib.util
 import inspect
+import sys
 
 import pytest
 
 from repro.archive.apk import ApkPackage, PackageFile
 from repro.core.program import TsrProgram
 from repro.crypto.rsa import generate_keypair
+from repro.sgx import enclave as enclave_module
 from repro.sgx.enclave import Enclave, EnclaveError, measure_program
 from repro.sgx.epc import DEFAULT_EPC_BYTES, EpcModel
 from repro.sgx.platform import AttestationService, SgxCpu
@@ -143,6 +146,10 @@ class TestMeasurement:
         getsource = inspect.getsource
         monkeypatch.setattr(inspect, "getsource",
                             lambda obj: reads.append(obj) or getsource(obj))
+        class_source = enclave_module._class_source
+        monkeypatch.setattr(
+            enclave_module, "_class_source",
+            lambda cls: reads.append(cls) or class_source(cls))
         second = Enclave(cpu, TsrProgram, key_bits=1024)
         scenario.tsr.restart()
         assert reads == []
@@ -151,6 +158,142 @@ class TestMeasurement:
             "quote_for_repo", scenario.repo_id)["quote"]
         assert quote.verify(scenario.attestation_service,
                             expected_mrenclave=before)
+
+
+#: A module whose classes sit where ``inspect.getblock`` is subtle; the
+#: file is written without a final newline.
+_SPAN_CASES = """\
+import functools
+
+
+def registered(cls):
+    return cls
+
+
+@registered
+@functools.total_ordering
+class Decorated:
+    def __lt__(self, other):
+        return False
+
+
+def first_scope():
+    class Twin:
+        where = "first"
+    return Twin
+
+
+def second_scope():
+    class Twin:
+        where = "second"
+
+    return Twin
+
+
+class Twin:
+    where = "module"
+
+
+def make_local():
+    class Outer:
+        class Inner:
+            value = 1
+    return Outer
+
+
+class TrailingComment:
+    def method(self):
+        return 1
+    # kept: as deep as the body
+# skipped: at column 0
+        # kept, and so is the line above
+
+value = TrailingComment
+
+
+class OneLine: value = 1
+                    # dropped: a one-line class has no body column
+
+
+if value:
+    class InBlock:
+        value = 2
+            # kept: deeper than the body
+    other = 3
+
+
+class Last:
+    value = 4"""
+
+
+@pytest.fixture()
+def span_cases(tmp_path, monkeypatch):
+    """The module above, imported from a file of its own."""
+    path = tmp_path / "span_cases.py"
+    path.write_text(_SPAN_CASES)
+    spec = importlib.util.spec_from_file_location("span_cases", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "span_cases", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMeasurementSpan:
+    """MRENCLAVE hashes the text ``inspect.getsource`` returns, read from
+    one AST parse; these pin the two equal."""
+
+    #: ``measure_program(TsrProgram)``: tenant keys derive from it, so any
+    #: drift in the text it hashes fails here first.
+    TSR_MRENCLAVE = (
+        "9f857daf7c28c6197f1ef3f9c15dd53b1f1f44a2f5bfa6e0f32c9b551e78e3e4")
+
+    def test_tsr_program_measurement_is_pinned(self):
+        assert measure_program(TsrProgram).hex() == self.TSR_MRENCLAVE
+
+    @pytest.mark.parametrize("cls", [TsrProgram, KeyVaultProgram,
+                                     _program_in_first(),
+                                     _program_in_second()])
+    def test_program_classes_match_inspect(self, cls):
+        assert enclave_module._class_source(cls) == inspect.getsource(cls)
+
+    def test_subtle_spans_match_inspect(self, span_cases):
+        classes = {
+            "Decorated": span_cases.Decorated,
+            "first Twin": span_cases.first_scope(),
+            "second Twin": span_cases.second_scope(),
+            "module Twin": span_cases.Twin,
+            "Outer": span_cases.make_local(),
+            "Inner": span_cases.make_local().Inner,
+            "TrailingComment": span_cases.TrailingComment,
+            "OneLine": span_cases.OneLine,
+            "InBlock": span_cases.InBlock,
+            "Last": span_cases.Last,
+        }
+        spans = {name: enclave_module._class_source(cls)
+                 for name, cls in classes.items()}
+        assert spans == {name: inspect.getsource(cls)
+                         for name, cls in classes.items()}
+        # The cases are the subtle ones they claim to be.
+        assert spans["Decorated"].startswith("@registered\n@functools")
+        assert [spans[twin].split('"')[1] for twin in
+                ("first Twin", "second Twin", "module Twin")] == [
+            "first", "second", "module"]
+        assert spans["Inner"].startswith("        class Inner:")
+        assert spans["TrailingComment"].endswith(
+            "# skipped: at column 0\n        # kept, and so is the line "
+            "above\n")
+        assert spans["OneLine"] == "class OneLine: value = 1\n"
+        assert spans["InBlock"].endswith("# kept: deeper than the body\n")
+        assert spans["Last"] == "class Last:\n    value = 4\n"
+
+    def test_classes_without_source_measure_their_repr(self):
+        made = type("Made", (), {"__module__": __name__})
+        for cls in (int, made):
+            with pytest.raises((OSError, TypeError)):
+                inspect.getsource(cls)
+            identity = f"{cls.__module__}.{cls.__qualname__}\n{cls!r}"
+            assert measure_program(cls) == hashlib.sha256(
+                identity.encode()).digest()
 
 
 class TestSealing:
