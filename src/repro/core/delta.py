@@ -48,6 +48,18 @@ Every malformed, mismatched, or unapplicable envelope raises
 :class:`DeltaError` (or :class:`RollbackError` for the stale-serial case)
 and the client falls back to a full pull — the delta path can lose
 efficiency, never correctness.
+
+**One rebuild per distinct input.**  A fleet sends one envelope to every
+client that holds its base, so :func:`apply_package_delta` memoizes the
+rebuilt blob under the digest the client verified its base under and the
+envelope bytes themselves.  A miss finds the base's chunk map in a second
+memo, so a new envelope over a known base inflates only itself.  Only a
+blob proved to match its envelope's declared size and SHA-256 is stored,
+and an envelope that fails stores nothing, so it fails and is counted on
+every call.  An envelope must be shorter than the target it declares,
+and the package manager checks that size against the signed index first,
+so no envelope inflates past 1,032 times the signed size (deflate's
+ceiling).
 """
 
 from __future__ import annotations
@@ -284,9 +296,9 @@ def parse_package_delta_envelope(payload: bytes,
                                  ) -> tuple[str, str, bytes]:
     """Classify a package-delta response.
 
-    Returns ``("full", reason, blob)`` or ``("delta", new_sha256,
-    compressed_inner)`` (with the declared size folded into the sha tuple
-    by :func:`apply_package_delta`).
+    Returns ``("full", reason, blob)`` or ``("delta", header,
+    compressed_inner)``, where the header declares the target's
+    ``<sha256>:<size>`` (:func:`package_delta_target` reads it).
     """
     if payload.startswith(PACKAGE_FULL_PREFIX):
         header, _, rest = payload.partition(b"\n")
@@ -300,11 +312,21 @@ def parse_package_delta_envelope(payload: bytes,
         "ascii", errors="replace"), rest
 
 
-#: Base blob SHA-256 -> chunk map of its data segment.  A fleet patches
-#: many clients from the same base, so each base is inflated and chunked
-#: once per process.  The key is the digest the caller verified the base
-#: under, so the base is not hashed again.
+#: Base blob SHA-256 -> chunk map of its data segment.  The key is the
+#: digest the caller verified the base under, so the base is not hashed
+#: again.  Misses of :data:`_APPLY_MEMO` with a known base (a second
+#: envelope over it) take the map from here.
 _BASE_CHUNKS_MEMO = Memo("core.delta.base_chunks", 512)
+
+#: (base SHA-256 as verified, envelope) -> the target blob the envelope
+#: rebuilt.  A fleet sends one envelope to every client that holds its
+#: base, so each distinct pair is inflated, patched, re-deflated and
+#: hashed once per process.  The envelope is its own key: it is shorter
+#: than the blob it maps to (:func:`apply_package_delta` refuses any
+#: other), so an entry holds less than twice its blob, and the 256
+#: entries less than 512 blobs' worth: under 27 MB at the fleet
+#: workload's largest blob (51.4 KB).
+_APPLY_MEMO = Memo("core.delta.package_apply", 256)
 
 
 def _base_chunk_map(base_blob: bytes, base_sha256: str) -> dict[str, bytes]:
@@ -318,20 +340,50 @@ def apply_package_delta(base_blob: bytes, payload: bytes,
     """Patch the client's cached base apk into the target apk.
 
     ``base_sha256`` is the base's SHA-256 as the caller verified it (the
-    package manager keeps the digest of each base it verified).  The
-    result is checked against the envelope's declared size and SHA-256;
-    any mismatch (tampering, chunk-id collision, divergent
-    recompression, or a chunk map found under a wrong ``base_sha256``)
-    raises :class:`DeltaError` and the caller falls back to a full pull.
+    package manager keeps the digest of each base it verified).  It is
+    trusted to name ``base_blob`` and never checked against it: it keys
+    both memos, so the base is not hashed again.  The result is checked
+    against the envelope's declared size and SHA-256; any mismatch
+    (tampering, chunk-id collision, divergent recompression, or a chunk
+    map found under a wrong ``base_sha256``) raises :class:`DeltaError`
+    and the caller falls back to a full pull.  The caller still compares
+    the digest with its signed index.
+
+    The result is memoized by ``(base_sha256, payload)``.  Only a blob
+    that matched its own envelope's declared size and SHA-256 is stored,
+    so a hit returns exactly the target the envelope names, whatever
+    ``base_sha256`` was, and an envelope that raises stores nothing and
+    raises again on every call.
+
+    The inflate is bounded by the declared size ``S``, which the caller
+    must first check against the signed index.  An envelope must be
+    shorter than ``S`` bytes, as every one :func:`build_package_delta`
+    emits is.  Deflate spends at least two bits on a match, which copies
+    at most 258 bytes, so fewer than ``S`` bytes of it inflate to fewer
+    than 1,032 ``S``, whatever they hold; a longer envelope is refused
+    before it is inflated.
     """
+    return _APPLY_MEMO.lookup((base_sha256, payload), lambda: _rebuild(
+        base_blob, payload, base_sha256))
+
+
+def package_delta_target(header: str) -> tuple[str, int]:
+    """The ``(sha256, size)`` a ``pdelta`` header declares."""
+    try:
+        new_sha, size_text = header.split(":")
+        return new_sha, int(size_text)
+    except ValueError as exc:
+        raise DeltaError(f"malformed pdelta header {header!r}") from exc
+
+
+def _rebuild(base_blob: bytes, payload: bytes, base_sha256: str) -> bytes:
     kind, header, inner_gz = parse_package_delta_envelope(payload)
     if kind != "delta":
         raise DeltaError(f"cannot apply a {kind!r} package envelope")
-    try:
-        new_sha, size_text = header.split(":")
-        new_size = int(size_text)
-    except ValueError as exc:
-        raise DeltaError(f"malformed pdelta header {header!r}") from exc
+    new_sha, new_size = package_delta_target(header)
+    if len(payload) >= new_size:
+        raise DeltaError(f"package delta of {len(payload)} bytes is not "
+                         f"shorter than its {new_size}-byte target")
     try:
         inner = gzip_decompress(inner_gz)
         base_chunks = _base_chunk_map(base_blob, base_sha256)

@@ -16,17 +16,17 @@ A simulated fleet runs many package managers in one process, all
 installing the same signed blobs.  The content work on that path runs
 once per distinct input: a verified blob is parsed once (keyed by the
 SHA-256 it just matched against the signed index), a hook script once
-(:class:`Interpreter`), and a delta base is chunked once
-(:func:`apply_package_delta`).  Bookkeeping runs once too.  Each party
-hashes a blob once: this manager takes a delta reconstruction's digest
-from the envelope :func:`apply_package_delta` just proved, and a reused
-or patched base's from the verified base, and a :class:`ParsedApk`
-hashes its data segment once for all its copies.  The installed-package
-database parses once per write
-(:class:`~repro.osim.pkgdb.PackageDatabase`).  The memos
-cache parses and digests of immutable bytes, never verdicts: every
-install still checks size, hash, package signature under its own
-keyring, ``datahash`` and name.
+(:class:`Interpreter`), and a delta is rebuilt once per verified base
+and envelope (:func:`apply_package_delta`).  Bookkeeping runs once too.
+Each party hashes a blob once: this manager takes a delta
+reconstruction's digest from the envelope :func:`apply_package_delta`
+just proved, and a reused or patched base's from the verified base, and
+a :class:`ParsedApk` hashes its data segment once for all its copies.
+The installed-package database parses once per write
+(:class:`~repro.osim.pkgdb.PackageDatabase`).  The memos cache parses
+and digests of immutable bytes, never verdicts: every install still
+checks size, hash, package signature under its own keyring,
+``datahash`` and name.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.archive.index import (
 from repro.core.delta import (
     apply_index_delta,
     apply_package_delta,
+    package_delta_target,
     parse_index_delta_envelope,
     parse_package_delta_envelope,
 )
@@ -398,14 +399,19 @@ class PackageManager:
                 DeltaStats._bump(self.delta_stats.package_full,
                                  header or "server")
                 return rest, None
+            target_sha, target_size = package_delta_target(header)
+            if target_size != entry.size:
+                # The declared size bounds the inflate below.
+                raise DeltaError(f"package delta declares {target_size} "
+                                 f"bytes, the signed index {entry.size}")
             blob = apply_package_delta(base, payload, base_sha256)
         except (DeltaError, PackagingError):
             self.delta_stats.package_rejected += 1
             return self._fetch_full(entry, stats, "rejected"), None
         self.delta_stats.package_deltas += 1
         # ``apply_package_delta`` raised unless the rebuilt bytes hash to
-        # the ``<sha256>:<size>`` target this header declares.
-        return blob, header.partition(":")[0]
+        # the target this header declares.
+        return blob, target_sha
 
     def _download_verified(self, entry: IndexEntry, stats: InstallStats) -> ParsedApk:
         blob, digest = self._fetch_blob(entry, stats)

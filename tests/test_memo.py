@@ -15,6 +15,7 @@ PROGRAM_TABLES = {
     "crypto.hashes.hmac_pads", "archive.gz.compress",
     "archive.chunks.offsets", "archive.index.parse", "osim.pkgmgr.parse",
     "scripts.interpreter.ast", "core.delta.base_chunks",
+    "core.delta.package_apply",
 }
 
 

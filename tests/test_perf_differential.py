@@ -29,9 +29,16 @@ pin:
   bytes that miss the signed hash; script and chunk-map memos keep every
   failure and tamper check; a multi-node install and delta upgrade with
   live memos leaves the state of the same run with cold memos.
+* **Delta apply memo** — a repeat of (base, envelope) returns the cold
+  rebuild without touching the chunk map; a tampered, truncated or
+  over-inflating envelope raises on every call and stores nothing, and
+  an inflation bomb is refused before it inflates, by the function and
+  by a manager, which then pulls in full.
 """
 
 import random
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -283,6 +290,18 @@ def _flip_first_literal(envelope: bytes) -> bytes:
     return header + b"\n" + gzip_compress(inner[:ops_at] + encode_ops(ops))
 
 
+def _inflating(envelope: bytes, size: int | None = None) -> bytes:
+    """``envelope``'s header, declaring ``size`` bytes if given, over a
+    64 KB gzip member of 64 MiB of zeros, deflated a MiB at a time."""
+    target = envelope.partition(b"\n")[0]
+    if size is not None:
+        target = target.rpartition(b":")[0] + b":%d" % size
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 31)
+    zeros = bytes(1 << 20)
+    member = b"".join(deflate.compress(zeros) for _ in range(64))
+    return target + b"\n" + member + deflate.flush()
+
+
 class TestDeltaReconstructionThroughMemo:
     """Client-side delta reconstruction re-deflates the patched data tar
     through the compress memo that the target's build already filled."""
@@ -480,6 +499,7 @@ def _node_state(manager: PackageManager) -> dict:
 PKG_PARSE = "osim.pkgmgr.parse"
 AST = "scripts.interpreter.ast"
 BASE_CHUNKS = "core.delta.base_chunks"
+APPLY = "core.delta.package_apply"
 
 
 class TestVerifiedParseMemo:
@@ -589,13 +609,26 @@ class TestBaseChunkMapMemo:
         return base, target, envelope
 
     def test_cold_and_warm_reconstruction_byte_identical(self):
+        """A repeat of (base, envelope) hits the apply memo and leaves the
+        chunk map alone; another envelope over the same base misses the
+        apply memo and finds the base's chunk map."""
         base, target, envelope = self._pair()
+        payload, = (f.content for f in ApkPackage.parse(base).package.files
+                    if f.path == "/usr/bin/tool")
+        other = _tool("1.0-r2", payload + b"again").build(KEY)
+        other_envelope = build_package_delta(blob_manifest(base), other)
         memo.clear_all()
-        hits, misses, _ = _traffic(BASE_CHUNKS)
+        chunk_hits, chunk_misses, _ = _traffic(BASE_CHUNKS)
+        hits, misses, _ = _traffic(APPLY)
         cold = apply_package_delta(base, envelope, sha256_hex(base))
         warm = apply_package_delta(base, envelope, sha256_hex(base))
-        assert _traffic(BASE_CHUNKS) == (hits + 1, misses + 1, 1)
         assert cold == warm == target
+        assert _traffic(APPLY) == (hits + 1, misses + 1, 1)
+        assert _traffic(BASE_CHUNKS) == (chunk_hits, chunk_misses + 1, 1)
+        assert apply_package_delta(base, other_envelope,
+                                   sha256_hex(base)) == other
+        assert _traffic(APPLY) == (hits + 1, misses + 2, 2)
+        assert _traffic(BASE_CHUNKS) == (chunk_hits + 1, chunk_misses + 1, 1)
 
     def test_tampered_delta_after_warm_hit_still_fails(self):
         base, target, envelope = self._pair()
@@ -625,6 +658,79 @@ class TestBaseChunkMapMemo:
         assert victim.delta_stats.package_full == {"no-base": 1,
                                                    "rejected": 1}
         assert _node_state(victim) == _node_state(honest)
+
+
+def _peak_bytes(call) -> int:
+    """The most memory ``call()`` held at once, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPackageApplyMemo:
+    PAYLOAD = random.Random("apply-memo").randbytes(24 * 1024)
+
+    def _pair(self) -> tuple[bytes, bytes, bytes]:
+        base = _tool("1.0-r0", self.PAYLOAD).build(KEY)
+        target = _tool("1.0-r1", self.PAYLOAD[:5000] + b"edit"
+                       + self.PAYLOAD[5000:]).build(KEY)
+        envelope = build_package_delta(blob_manifest(base), target)
+        assert envelope is not None
+        return base, target, envelope
+
+    def test_warm_hit_returns_the_cold_bytes(self):
+        base, target, envelope = self._pair()
+        memo.clear_all()
+        cold = apply_package_delta(base, envelope, sha256_hex(base))
+        hits, misses, entries = _traffic(APPLY)
+        warm = apply_package_delta(base, envelope, sha256_hex(base))
+        assert warm is cold and cold == target
+        assert _traffic(APPLY) == (hits + 1, misses, entries)
+
+    @pytest.mark.parametrize("spoil", [
+        _flip_first_literal, lambda envelope: envelope[:-8], _inflating,
+    ], ids=["tampered", "truncated", "over-inflating"])
+    def test_a_failing_envelope_raises_every_call_and_stores_nothing(
+            self, spoil):
+        """The over-inflating envelope is 64 KB that inflate to 64 MiB,
+        for a 25 KB target: being no shorter than its target, it is
+        refused before it inflates."""
+        base, target, envelope = self._pair()
+        spoiled = spoil(envelope)
+        hits, misses, entries = _traffic(APPLY)
+
+        def apply():
+            with pytest.raises(DeltaError):
+                apply_package_delta(base, spoiled, sha256_hex(base))
+
+        assert _peak_bytes(apply) < 4 << 20
+        apply()
+        assert _traffic(APPLY) == (hits, misses + 2, entries)
+        assert apply_package_delta(base, envelope, sha256_hex(base)) == target
+
+    @pytest.mark.parametrize("declared", [None, 1 << 30],
+                             ids=["signed-size", "other-size"])
+    def test_manager_refuses_a_bomb_and_pulls_in_full(self, declared):
+        """Declaring the signed size, the bomb is no shorter than its
+        target; declaring a larger one, it is not the signed package.
+        Either way the manager inflates nothing, counts a rejected delta
+        and installs the signed bytes through one full pull."""
+        repo = _Repository(KEY)
+        repo.publish(_tool("1.0-r0", self.PAYLOAD))
+        manager = _node("victim", repo, delta_updates=True)
+        manager.install("tool")
+        repo.publish(_tool("1.0-r1", self.PAYLOAD + b"fix"))
+        manager.update()
+        repo.corrupt = lambda envelope: _inflating(envelope, declared)
+        assert _peak_bytes(manager.upgrade_all) < 4 << 20
+        assert manager.delta_stats.package_rejected == 1
+        assert manager.delta_stats.package_full == {"no-base": 1,
+                                                    "rejected": 1}
+        entry = manager.index.get("tool")
+        assert manager._node.pkgdb.get("tool").content_hash == entry.sha256
 
 
 class TestClientMemoDifferential:

@@ -27,6 +27,7 @@ from repro.core.delta import (
     build_index_delta,
     index_body_sha256,
     index_unchanged_envelope,
+    package_delta_target,
     parse_index_delta_envelope,
     parse_package_delta_envelope,
 )
@@ -35,6 +36,8 @@ from repro.core.replica import ReplicaTSR, check_replica_freshness
 from repro.crypto.hashes import sha256_hex
 from repro.osim import pkgmgr as pkgmgr_module
 from repro.osim.pkgdb import DB_PATH, PackageDatabase
+from repro.osim.pkgmgr import PackageManager
+from repro.util import memo
 from repro.util.errors import NetworkError, ReproError, RollbackError
 from repro.workload.generator import (
     Trace,
@@ -668,6 +671,64 @@ class TestBookkeepingWorkCounts:
         assert node.pkgdb.get(name).version == "0.0.1-r0"
         assert node.pkgdb.installed_names() == {name}
         assert len(parses) == 1
+
+
+class TestPackageApplyMemoOnAFleet:
+    """Returning clients share one rebuild per (verified base, envelope):
+    each gets back the target its envelope declares, and the fleet ends
+    exactly where a run that rebuilds every delta from empty memos
+    ends."""
+
+    @staticmethod
+    def _run(cold: bool):
+        managers, serials, declared = [], [], []
+        real_init = PackageManager.__init__
+        real_update = PackageManager.update
+        real_apply = pkgmgr_module.apply_package_delta
+
+        def init(self, *args, **kwargs):
+            managers.append(self)
+            real_init(self, *args, **kwargs)
+
+        def update(self):
+            index = real_update(self)
+            serials.append((self._node.name, index.serial))
+            return index
+
+        def apply(base, payload, base_sha256):
+            if cold:
+                memo.clear_all()
+            blob = real_apply(base, payload, base_sha256)
+            header = parse_package_delta_envelope(payload)[1]
+            declared.append(package_delta_target(header)
+                            == (sha256_hex(blob), len(blob)))
+            return blob
+
+        memo.clear_all()
+        hits = memo.stats()["core.delta.package_apply"]["hits"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PackageManager, "__init__", init)
+            patch.setattr(PackageManager, "update", update)
+            patch.setattr(pkgmgr_module, "apply_package_delta", apply)
+            report = _rotating_delta_fleet()
+        hits = memo.stats()["core.delta.package_apply"]["hits"] - hits
+        assert report.failed_installs == 0 and report.failed_pulls == 0
+        assert declared and all(declared)
+        nodes = [{path: (manager._node.fs._walk_to(path).content,
+                         manager._node.fs.file_mode(path),
+                         manager._node.fs.list_xattrs(path))
+                  for path in manager._node.fs.walk_files()}
+                 for manager in managers]
+        return hits, (nodes, serials, report.delta_stats,
+                      report.pull_wire_bytes, report.installs)
+
+    def test_live_memos_leave_the_state_of_cold_rebuilds(self):
+        hits, warm = self._run(cold=False)
+        assert hits > 0  # returning clients did share rebuilds
+        assert self._run(cold=True) == (0, warm)
+        nodes, _, stats, _, _ = warm
+        assert stats["package_deltas"] > 0
+        assert all(DB_PATH in files for files in nodes)
 
 
 # -- the serve-induced re-sanitize queue and publication retention -------------
