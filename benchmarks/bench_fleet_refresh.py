@@ -1,19 +1,15 @@
 """Fleet refresh — one update round fanned out to a client fleet.
 
 The end-to-end flow the north star cares about (publish → refresh →
-fleet pull) at two scales:
+fleet pull), every client a concurrent channel on the shared transfer
+schedule, at two scales:
 
-* *serial vs scheduled* — the same small fleet driven once with clients
-  serializing on the clock (the pre-refactor behaviour, kept as
-  ``scheduled=False``) and once as concurrent channels on the shared
-  transfer schedule, to quantify what the single-engine refactor buys;
-* *fleet scale* — a >= 256-client fan-out (``REPRO_FLEET_CLIENTS``
-  overrides), feasible only on the scheduled path: all clients resolve in
-  one incremental event-driven ``solve`` (see
-  ``bench_schedule_solver.py`` for the solver's own scaling curve) and
-  their per-client timings reflect shared-uplink contention rather than
-  per-client serialization;
-* *layered NICs* — the same small fleet with low-end 64 KB/s client
+* *fleet scale* — a 16-client fleet and a >= 256-client fan-out
+  (``REPRO_FLEET_CLIENTS`` overrides): all clients resolve in one
+  incremental event-driven ``solve`` (see ``bench_schedule_solver.py``
+  for the solver's own scaling curve) and their per-client timings
+  reflect shared-uplink contention rather than per-client serialization;
+* *layered NICs* — the 16-client fleet with low-end 64 KB/s client
   downlinks (``client_downlink``), showing the per-client capacity layer
   binding below the uplink fair share.
 """
@@ -38,16 +34,13 @@ def _scenario():
 def test_fleet_refresh_scaling(benchmark, maybe_profile):
     def sweep():
         results = {}
-        results["serial-16"] = fleet_refresh(
-            _scenario(), clients=16, installs_per_client=1, scheduled=False)
         results["scheduled-16"] = fleet_refresh(
-            _scenario(), clients=16, installs_per_client=1, scheduled=True)
+            _scenario(), clients=16, installs_per_client=1)
         results["scheduled-16-nic64K"] = fleet_refresh(
-            _scenario(), clients=16, installs_per_client=1, scheduled=True,
+            _scenario(), clients=16, installs_per_client=1,
             client_downlink=64 * 1024)
         results[f"scheduled-{FLEET_CLIENTS}"] = fleet_refresh(
-            _scenario(), clients=FLEET_CLIENTS, installs_per_client=1,
-            scheduled=True)
+            _scenario(), clients=FLEET_CLIENTS, installs_per_client=1)
         return results
 
     begin = time.perf_counter()
@@ -57,7 +50,7 @@ def test_fleet_refresh_scaling(benchmark, maybe_profile):
 
     table = PaperTable(
         experiment="Fleet refresh",
-        title="Update fan-out: serial clients vs shared transfer schedule",
+        title="Update fan-out on the shared transfer schedule",
         columns=["configuration", "fan-out wall", "slowest client",
                  "mean client", "client-seconds", "installs"],
     )
@@ -74,16 +67,13 @@ def test_fleet_refresh_scaling(benchmark, maybe_profile):
     table.note("scheduled clients share the TSR uplink max-min fairly: "
                "client-seconds exceed the fan-out wall-clock (overlap), "
                "and per-client latency grows with fleet size (contention); "
-               "serial mode adds the clients' slices back to back; the "
-               "nic64K row layers 64 KB/s client downlinks under the "
+               "the nic64K row layers 64 KB/s client downlinks under the "
                "uplink fair share")
     record_table(table)
 
-    serial, scheduled = results["serial-16"], results["scheduled-16"]
+    scheduled = results["scheduled-16"]
     nic_capped = results["scheduled-16-nic64K"]
     large = results[f"scheduled-{FLEET_CLIENTS}"]
-    # The schedule overlaps the fan-out that serial mode adds up.
-    assert scheduled.fanout_elapsed < serial.fanout_elapsed
     # Low-end NICs bind below the 16-way uplink share and slow the fleet.
     assert nic_capped.fanout_elapsed > scheduled.fanout_elapsed
     # Contention, not serialization: resource-seconds exceed the makespan,

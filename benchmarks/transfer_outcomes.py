@@ -17,7 +17,7 @@ as its ``repr``:
 * the quorum reader as the Fig. 13 bench builds it (four mirror sets,
   1-10 mirrors) and as ablation A1 builds it (0-4 frozen of 5 mirrors):
   elapsed, mirrors contacted, agreeing and dissenting mirrors;
-* ``fleet_refresh`` in five configurations: per-client finishes,
+* ``fleet_refresh`` in four configurations: per-client finishes,
   fan-out and wall times.
 
 The runs share one process in a fixed order, so earlier runs warm the
@@ -131,12 +131,10 @@ def quorum_reads() -> list[str]:
 
 
 FLEETS = {
-    "serial-16": dict(clients=16, scheduled=False),
-    "scheduled-16": dict(clients=16, scheduled=True),
-    "scheduled-16-nic64K": dict(clients=16, scheduled=True,
-                                client_downlink=64 * 1024),
-    "scheduled-64": dict(clients=64, scheduled=True),
-    "mixed-nic-8": dict(clients=8, scheduled=True,
+    "scheduled-16": dict(clients=16),
+    "scheduled-16-nic64K": dict(clients=16, client_downlink=64 * 1024),
+    "scheduled-64": dict(clients=64),
+    "mixed-nic-8": dict(clients=8,
                         client_downlink=[32 * 1024, 256 * 1024, 4 * 2**20]),
 }
 

@@ -50,7 +50,7 @@ class _ScheduledClientBase:
 
     def _fetch(self, request: Request) -> bytes:
         if self._session is not None:
-            return self._session.fetch(self._src, request, channel=self._src)
+            return self._session.fetch(self._src, request)
         return self._network.call(self._src, request).payload
 
     def fetch_index(self) -> bytes:

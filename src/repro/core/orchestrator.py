@@ -201,7 +201,6 @@ class _TenantPlan:
     repo_id: str
     config: object  # RepoConfig
     ordered: list[dict]
-    fanout: list[dict]
     needed: int
     #: Quorum state — mirrors the phased widening loop exactly.
     responses: list[tuple[str, bytes]] = field(default_factory=list)
@@ -237,21 +236,16 @@ class _TenantPlan:
 class RefreshOrchestrator:
     """Plans and executes one multi-tenant refresh on a shared timeline."""
 
-    def __init__(self, service, repo_ids: list[str],
-                 max_streams: int | None = None, interleave: bool = True,
-                 origin: float = 0.0,
+    def __init__(self, service, repo_ids: list[str], origin: float = 0.0,
                  plan_state: RefreshPlanState | None = None):
         if not repo_ids:
             raise ValueError("orchestrator needs at least one repository")
         if len(set(repo_ids)) != len(repo_ids):
             raise ValueError(f"duplicate repository ids: {repo_ids}")
-        if max_streams is not None and max_streams < 1:
-            raise ValueError("max_streams must be >= 1")
         if origin < 0:
             raise ValueError(f"plan origin must be >= 0: {origin}")
         self._service = service
         self._network = service._network
-        self._interleave = interleave
         #: Plan-time offset this round's first quorum waves start at.
         self._origin = origin
         #: Standalone rounds advance the clock by their own makespan; a
@@ -261,17 +255,12 @@ class RefreshOrchestrator:
         self._plans: list[_TenantPlan] = []
         for index, repo_id in enumerate(repo_ids):
             config = service.repo_config(repo_id)
-            ordered = [dict(m) for m in config.ordered_mirrors]
-            streams = len(ordered)
-            if max_streams is not None:
-                streams = min(streams, max_streams)
             self._plans.append(_TenantPlan(
                 index=index,
                 repo_id=repo_id,
                 config=config,
-                ordered=ordered,
-                fanout=ordered[:streams],
-                needed=config.quorum_needed,
+                ordered=[dict(m) for m in config.ordered_mirrors],
+                needed=config.policy.quorum_size(),
                 frontier=origin,
             ))
         state = plan_state or RefreshPlanState()
@@ -465,8 +454,7 @@ class RefreshOrchestrator:
                 except QuorumError:
                     if plan.cursor >= len(plan.ordered):
                         raise
-                if self._interleave:
-                    self._launch_optimistic(plan, scheduler)
+                self._launch_optimistic(plan, scheduler)
                 next_waves[plan] = self._issue_index_wave(
                     plan, [plan.ordered[plan.cursor]], plan.frontier,
                     scheduler)
@@ -512,7 +500,7 @@ class RefreshOrchestrator:
             return
         batch = scheduler.add_batch(
             names, expected, mirrors=list(plan.ordered),
-            fanout=plan.fanout, not_before=plan.frontier, best_effort=True)
+            not_before=plan.frontier, best_effort=True)
         self._round_batches.append((plan, batch))
         for name in names:
             self._inflight[expected[name]["sha256"]] = _Source(
@@ -579,7 +567,7 @@ class RefreshOrchestrator:
             if to_fetch:
                 batch = scheduler.add_batch(
                     to_fetch, {n: expected[n] for n in to_fetch},
-                    mirrors=list(plan.ordered), fanout=plan.fanout,
+                    mirrors=list(plan.ordered),
                     not_before=plan.quorum_elapsed)
                 self._round_batches.append((plan, batch))
                 for name in to_fetch:
@@ -618,8 +606,7 @@ class RefreshOrchestrator:
                 expected = plan.quorum["expected"]
                 batch = scheduler.add_batch(
                     names, {n: expected[n] for n in names},
-                    mirrors=list(plan.ordered), fanout=plan.fanout,
-                    not_before=detect)
+                    mirrors=list(plan.ordered), not_before=detect)
                 self._round_batches.append((plan, batch))
                 for name in names:
                     source = _Source(batch=batch, name=name,

@@ -44,10 +44,9 @@ class DownloadBatch:
     batch_id: int
     names: list[str]
     expected: dict[str, dict]
-    #: Mirrors allowed to serve this batch, fastest-first (retry pool).
+    #: Mirrors allowed to serve this batch, fastest-first: initial
+    #: assignments spread over all of them, and retries draw from them.
     mirrors: list[dict]
-    #: The fan-out subset initial assignments spread over.
-    fanout: list[dict]
     not_before: float = 0.0
     #: Best-effort batches (speculative/optimistic fetches) record a
     #: mirror-exhaustion failure in ``failed`` instead of raising.
@@ -158,8 +157,7 @@ class MirrorDownloadScheduler:
         }
 
     def add_batch(self, names: list[str], expected: dict[str, dict],
-                  mirrors: list[dict], fanout: list[dict] | None = None,
-                  not_before: float = 0.0,
+                  mirrors: list[dict], not_before: float = 0.0,
                   best_effort: bool = False) -> DownloadBatch:
         """Assign and issue one repository's downloads.
 
@@ -175,7 +173,6 @@ class MirrorDownloadScheduler:
             names=list(names),
             expected=expected,
             mirrors=list(mirrors),
-            fanout=list(fanout if fanout is not None else mirrors),
             not_before=not_before,
             best_effort=best_effort,
         )
@@ -185,15 +182,15 @@ class MirrorDownloadScheduler:
 
         base_free = (self.channel_frees() if not_before > 0.0
                      else {h: 0.0 for h in self._hosts})
-        for mirror in batch.fanout:
+        for mirror in batch.mirrors:
             self._estimates.setdefault(mirror["hostname"], 0.0)
 
-        fanout_names = {m["hostname"] for m in batch.fanout}
-        queues: dict[str, list[str]] = {h: [] for h in fanout_names}
+        hostnames = {m["hostname"] for m in batch.mirrors}
+        queues: dict[str, list[str]] = {h: [] for h in hostnames}
         estimates = self._estimates
         for name in sorted(batch.names,
                            key=lambda n: -batch.expected[n]["size"]):
-            hostname = min(fanout_names,
+            hostname = min(hostnames,
                            key=lambda h: (estimates[h], h))
             queues[hostname].append(name)
             estimates[hostname] += (
@@ -202,7 +199,7 @@ class MirrorDownloadScheduler:
             )
 
         gap_done: set[str] = set()
-        for mirror in batch.fanout:
+        for mirror in batch.mirrors:
             hostname = mirror["hostname"]
             for name in queues[hostname]:
                 item = (batch, name)

@@ -36,6 +36,12 @@ DEFAULT_INIT_CONFIG = {
 }
 
 
+def tolerated_faults(mirror_count: int) -> int:
+    """f such that ``mirror_count`` mirrors are 2f+1 (extra mirrors are
+    spares); a quorum is f+1 matching answers."""
+    return (mirror_count - 1) // 2
+
+
 @dataclass(frozen=True)
 class MirrorPolicyEntry:
     """One mirror the policy allows TSR to read."""
@@ -76,7 +82,7 @@ class SecurityPolicy:
     @property
     def fault_tolerance(self) -> int:
         """f such that the mirror set is 2f+1 (extra mirrors are spares)."""
-        return (len(self.mirrors) - 1) // 2
+        return tolerated_faults(len(self.mirrors))
 
     def quorum_size(self) -> int:
         return self.fault_tolerance + 1

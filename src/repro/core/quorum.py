@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.archive.index import RepositoryIndex, parse_index_cached
-from repro.core.policy import MirrorPolicyEntry
+from repro.core.policy import MirrorPolicyEntry, tolerated_faults
 from repro.crypto.rsa import RsaPublicKey
 from repro.simnet.network import Network, Request
 from repro.util.errors import NetworkError, QuorumError
@@ -116,7 +116,7 @@ class QuorumReader:
 
     @property
     def fault_tolerance(self) -> int:
-        return (len(self._mirrors) - 1) // 2
+        return tolerated_faults(len(self._mirrors))
 
     def _mirrors_fastest_first(self) -> list[MirrorPolicyEntry]:
         """Order mirrors by expected RTT from the TSR host's continent."""

@@ -161,8 +161,6 @@ class RepoConfig:
     mirrors: tuple[dict, ...]
     #: The same mirrors, fastest-first from the TSR host.
     ordered_mirrors: tuple[dict, ...]
-    fault_tolerance: int
-    quorum_needed: int
 
 
 class TrustedSoftwareRepository:
@@ -299,8 +297,7 @@ class TrustedSoftwareRepository:
     # -- refresh (batch sanitization) ------------------------------------------------------
 
     def refresh(self, repo_id: str, parallel_downloads: int = 1,
-                pipelined: bool = False,
-                max_streams: int | None = None) -> RefreshReport:
+                pipelined: bool = False) -> RefreshReport:
         """Quorum-read the upstream index, sanitize changed packages,
         publish a new sanitized index, and seal state.
 
@@ -312,19 +309,17 @@ class TrustedSoftwareRepository:
         ``pipelined`` runs the overlapped refresh instead: a one-tenant
         :class:`repro.core.orchestrator.RefreshOrchestrator` round, whose
         report this returns.  Index reads and downloads share one
-        schedule, downloads fan out over every policy mirror concurrently
-        (capped by ``max_streams``), and sanitization starts while later
-        packages are still in flight.  Verdicts and sanitized bytes are
-        identical to sequential mode; only the schedule differs.
+        schedule, downloads fan out over every policy mirror concurrently,
+        and sanitization starts while later packages are still in flight.
+        Verdicts and sanitized bytes are identical to sequential mode;
+        only the schedule differs.
         """
         if parallel_downloads < 1:
             raise ValueError("parallel_downloads must be >= 1")
         if pipelined:
             from repro.core.orchestrator import RefreshOrchestrator
 
-            return RefreshOrchestrator(self, [repo_id],
-                                       max_streams=max_streams
-                                       ).run().reports[repo_id]
+            return RefreshOrchestrator(self, [repo_id]).run().reports[repo_id]
 
         policy_mirrors = self._policy_mirrors(repo_id)
         quorum_start = self._network.clock.now()
@@ -441,8 +436,6 @@ class TrustedSoftwareRepository:
                 policy=policy,
                 mirrors=tuple(mirrors),
                 ordered_mirrors=tuple(ordered),
-                fault_tolerance=policy.fault_tolerance,
-                quorum_needed=policy.fault_tolerance + 1,
             )
             self._repo_configs[repo_id] = config
         return config

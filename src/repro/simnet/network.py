@@ -319,22 +319,21 @@ class PlanFetchSession:
         self._channel_bytes.pop(channel, None)
         self._pinned.discard(channel)
 
-    def fetch(self, src_name: str, request: Request,
-              channel: object = None) -> object:
-        """Resolve one request now; account its transfer on the plan."""
-        channel = src_name if channel is None else channel
-        key = ("pull", channel, self._sequence)
+    def fetch(self, src_name: str, request: Request) -> object:
+        """Resolve one request now; account its transfer on the plan, on
+        the fetching host's channel."""
+        key = ("pull", src_name, self._sequence)
         self._sequence += 1
         try:
             nic = self._network.host(src_name).downlink_bandwidth
         except NetworkError:
             nic = None  # unknown src: let probe() report it below
         if nic is not None:
-            self._schedule.limit_channel(channel, nic)
+            self._schedule.limit_channel(src_name, nic)
         extra_wait = 0.0
-        if channel not in self._pinned:
-            self._pinned.add(channel)
-            extra_wait = self._wave_gap(channel)
+        if src_name not in self._pinned:
+            self._pinned.add(src_name)
+            extra_wait = self._wave_gap(src_name)
         # Serving-host routing: when the plan schedule declares the
         # target as a link (an edge replica's uplink), the payload
         # phase water-fills that link's pool instead of the default
@@ -346,15 +345,15 @@ class PlanFetchSession:
             probe = self._network.probe(src_name, request)
         except NetworkError:
             # The client burned the timeout waiting before giving up.
-            self._schedule.enqueue(channel, key,
+            self._schedule.enqueue(src_name, key,
                                    extra_wait + self._network.timeout, 0, 1.0)
-            self._last_keys[channel] = key
+            self._last_keys[src_name] = key
             raise
-        self._schedule.enqueue(channel, key, extra_wait + probe.setup,
+        self._schedule.enqueue(src_name, key, extra_wait + probe.setup,
                                probe.size_bytes, probe.bandwidth, link=link)
-        self._last_keys[channel] = key
-        self._channel_bytes[channel] = \
-            self._channel_bytes.get(channel, 0) + probe.size_bytes
+        self._last_keys[src_name] = key
+        self._channel_bytes[src_name] = \
+            self._channel_bytes.get(src_name, 0) + probe.size_bytes
         self._total_bytes += probe.size_bytes
         return probe.payload
 
@@ -399,12 +398,11 @@ class ScheduledFetchSession(PlanFetchSession):
         """The timeline offset this session's wave begins at."""
         return self._start_time
 
-    def fetch(self, src_name: str, request: Request,
-              channel: object = None) -> object:
+    def fetch(self, src_name: str, request: Request) -> object:
         """Resolve one request now; account its transfer at solve time."""
         if self._timings is not None:
             raise NetworkError("session already solved")
-        return super().fetch(src_name, request, channel)
+        return super().fetch(src_name, request)
 
     def solve(self) -> dict[object, TransferTiming]:
         """Run the event simulation once; repeat calls return the result."""

@@ -597,7 +597,6 @@ class ParallelTransferSchedule:
     """
 
     def __init__(self, downlink_bandwidth: float | None = None,
-                 channel_capacities: dict | None = None,
                  start_time: float = 0.0):
         if downlink_bandwidth is not None and downlink_bandwidth <= 0:
             raise ValueError("downlink bandwidth must be positive")
@@ -609,8 +608,6 @@ class ParallelTransferSchedule:
         self._version = 0
         self._solved: tuple[int, dict] | None = None
         self._stream = ScheduleStream(self, downlink_bandwidth, start_time)
-        for channel, cap in (channel_capacities or {}).items():
-            self.limit_channel(channel, cap)
 
     @property
     def stream(self) -> "ScheduleStream":

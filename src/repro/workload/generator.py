@@ -216,29 +216,14 @@ def generate_workload(scale: float = 0.04, seed: int = 2020,
 
 def generate_update_batch(workload: GeneratedWorkload, fraction: float = 0.05,
                           seed: int = 7) -> list[ApkPackage]:
-    """New releases for a random subset: bumped version, changed payload."""
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction out of range: {fraction}")
-    rng = random.Random(f"updates:{seed}")
-    chosen = rng.sample(workload.packages,
-                        max(1, int(len(workload.packages) * fraction)))
-    updated = []
-    for package in chosen:
-        files = [PackageFile(
-            path=f.path,
-            content=_mutate(f.content, rng),
-            mode=f.mode,
-        ) for f in package.files]
-        core, _, release = package.version.rpartition("-r")
-        updated.append(ApkPackage(
-            name=package.name,
-            version=f"{core}-r{int(release) + 1}",
-            description=package.description,
-            depends=list(package.depends),
-            scripts=dict(package.scripts),
-            files=files,
-        ))
-    return updated
+    """New releases for a random subset: bumped version, changed payload.
+
+    One :func:`evolve_packages` release over the workload's original
+    packages (``generate_workload`` emits them sorted by name, the order
+    ``evolve_packages`` samples in), on an RNG seeded by ``seed``.
+    """
+    return evolve_packages({p.name: p for p in workload.packages}, fraction,
+                           random.Random(f"updates:{seed}"))
 
 
 def evolve_packages(population: dict[str, ApkPackage], fraction: float,

@@ -699,12 +699,8 @@ class TraceReplay:
 
     def __init__(self, scenario: Scenario, trace: Trace, clients: int = 8,
                  mode: str = "interleaved",
-                 client_downlink=None,
-                 max_streams: int | None = None,
-                 tenants: list[str] | None = None,
                  link_bandwidth: float | None = None,
                  delta_updates: bool = False,
-                 window_seconds: float | None = None,
                  shared_tpm_seed: int | None = None,
                  replicas=None):
         if mode not in REPLAY_MODES:
@@ -716,8 +712,6 @@ class TraceReplay:
         self._scenario = scenario
         self._trace = trace
         self._mode = mode
-        self._max_streams = max_streams
-        self._tenants = list(tenants or scenario.tenants)
         #: The shared-NIC capacity every transfer of the plan contends
         #: for (half-duplex model: refresh downloads and client serving
         #: share the TSR machine's one NIC in every mode).
@@ -726,9 +720,7 @@ class TraceReplay:
             else scenario.network.host(scenario.tsr.hostname).bandwidth
         )
         self._clients = clients
-        self._client_downlink = client_downlink
         self._delta_updates = delta_updates
-        self._window_seconds = window_seconds
         #: Forwarded to :class:`ClientFleet`: one memoized attestation
         #: keypair for the whole fleet instead of a prime search per
         #: client boot.  Replay metrics never read the attestation key,
@@ -765,7 +757,7 @@ class TraceReplay:
         scenario = self._scenario
         published = scenario.tsr.publication_log
         for replica in self._replicas:
-            for repo_id in self._tenants:
+            for repo_id in scenario.tenants:
                 if published.publication_at(repo_id, as_of) is None:
                     continue  # nothing published yet: nothing to refuse
                 key = scenario.tenant_keys.get(repo_id,
@@ -785,13 +777,8 @@ class TraceReplay:
         return _Lane(self._scenario, self._capacity, self._replicas)
 
     def _stale_window_width(self) -> float:
-        """Window width for the time-resolved folds (default: the trace's
-        round interval, else the horizon split evenly over its rounds)."""
-        if self._window_seconds is not None:
-            if self._window_seconds <= 0:
-                raise ValueError(
-                    f"window_seconds must be positive: {self._window_seconds}")
-            return self._window_seconds
+        """Window width for the time-resolved folds: the trace's round
+        interval, else the horizon split evenly over its rounds."""
         interval = getattr(self._trace, "interval", None)
         if interval:
             return float(interval)
@@ -814,7 +801,7 @@ class TraceReplay:
             shared.plan.persistent_enclave_memo = True
         fleet = self._fleet = ClientFleet(
             scenario, self._clients, name_prefix=f"replay-{trace.seed}",
-            client_downlink=self._client_downlink, tenants=self._tenants,
+            tenants=scenario.tenants,
             delta_updates=self._delta_updates, lazy=streaming,
             shared_tpm_seed=self._shared_tpm_seed, replicas=self._replicas,
         )
@@ -825,7 +812,7 @@ class TraceReplay:
 
         #: Baseline: the pre-trace population is "publish zero".
         recorder.publish(0.0, scenario.origin.serial)
-        for repo_id in self._tenants:
+        for repo_id in scenario.tenants:
             try:
                 tsr.get_index_bytes(repo_id)
             except PolicyError:
@@ -899,11 +886,9 @@ class TraceReplay:
     def _refresh(self, lane: _Lane, event: TraceEvent, start: float) -> float:
         """Run one refresh round on the lane's plan; return its finish."""
         tsr = self._scenario.tsr
-        repo_ids = list(event.tenants or self._tenants)
-        report = RefreshOrchestrator(
-            tsr, repo_ids, max_streams=self._max_streams, origin=start,
-            plan_state=lane.plan,
-        ).run()
+        repo_ids = list(event.tenants or self._scenario.tenants)
+        report = RefreshOrchestrator(tsr, repo_ids, origin=start,
+                                     plan_state=lane.plan).run()
         self._recorder.round(report)
         for repo_id in repo_ids:
             tsr.record_publication(repo_id, report.finished_at)

@@ -165,11 +165,10 @@ class Scenario:
         return repo_id
 
     def refresh(self, pipelined: bool = False,
-                max_streams: int | None = None,
                 parallel_downloads: int = 1) -> RefreshReport:
         self.refresh_report = self.tsr.refresh(
             self.repo_id, parallel_downloads=parallel_downloads,
-            pipelined=pipelined, max_streams=max_streams,
+            pipelined=pipelined,
         )
         return self.refresh_report
 
@@ -320,9 +319,7 @@ def build_multi_tenant_scenario(tenants: int = 2, overlap: float = 0.5,
 
 def multi_tenant_refresh(scenario: Scenario,
                          repo_ids: list[str] | None = None,
-                         orchestrated: bool = True,
-                         max_streams: int | None = None,
-                         interleave: bool = True) -> MultiTenantRefreshReport:
+                         orchestrated: bool = True) -> MultiTenantRefreshReport:
     """Refresh several tenant repositories of one TSR.
 
     ``orchestrated`` (default) plans all refreshes as one
@@ -336,10 +333,7 @@ def multi_tenant_refresh(scenario: Scenario,
     """
     repo_ids = list(repo_ids if repo_ids is not None else scenario.tenants)
     if orchestrated:
-        return RefreshOrchestrator(
-            scenario.tsr, repo_ids, max_streams=max_streams,
-            interleave=interleave,
-        ).run()
+        return RefreshOrchestrator(scenario.tsr, repo_ids).run()
     start = scenario.clock.now()
     reports = {
         repo_id: scenario.tsr.refresh(repo_id) for repo_id in repo_ids
@@ -367,11 +361,12 @@ class ClientFleet:
     Construction boots the nodes once (names ``{prefix}-{i:03d}``), wires
     their package managers onto ``session`` (a
     :class:`~repro.simnet.network.ScheduledFetchSession` for a one-shot
-    fan-out, a :class:`~repro.simnet.network.PlanFetchSession` for
-    multi-wave replay, or ``None`` for clock-serialized clients) and
-    spreads them round-robin over ``tenants``.  ``client_downlink``
-    models per-node NICs exactly as in :func:`fleet_refresh` (scalar, or
-    a sequence cycled across the fleet).
+    fan-out; the multi-wave replay passes ``None`` and attaches its
+    :class:`~repro.simnet.network.PlanFetchSession` with
+    :meth:`use_session` before every wave) and spreads them round-robin
+    over ``tenants``.  ``client_downlink`` models per-node NICs exactly as
+    in :func:`fleet_refresh` (scalar, or a sequence cycled across the
+    fleet).
 
     ``lazy=True`` defers every boot: a node comes up the first time
     :meth:`client` asks for its index (same name, tenant, and NIC it
@@ -567,8 +562,6 @@ class FleetWaveOutcome:
     index_keys: dict[str, object] = field(default_factory=dict)
     #: client name -> the wave's last schedule key (plan sessions only).
     last_keys: dict[str, object] = field(default_factory=dict)
-    #: client name -> clock-measured elapsed (unscheduled clients only).
-    client_elapsed: dict[str, float] = field(default_factory=dict)
     #: Clients whose index pull failed (no publication visible yet).
     failed_pulls: int = 0
     #: Install attempts that failed at the transfer layer (tolerant waves
@@ -580,7 +573,6 @@ class FleetWaveOutcome:
 def run_pull_wave(clients: list[FleetClient], rng: random.Random,
                   installs_per_client: int,
                   installable: list[str] | None = None,
-                  measure_clock=None,
                   plan_session=None,
                   tolerate_failures: bool = False) -> FleetWaveOutcome:
     """Drive one pull wave: every client updates its index and installs.
@@ -592,20 +584,17 @@ def run_pull_wave(clients: list[FleetClient], rng: random.Random,
     replays in one process cannot couple their randomness.
 
     ``installable`` restricts choices to packages known servable (empty /
-    ``None`` falls back to each client's own index).  ``measure_clock``
-    (a :class:`SimClock`) records per-client elapsed for clock-serialized
-    clients; ``plan_session`` records each client's index and last
-    schedule keys so the replay can read the wave's completion offsets
-    as its stream settles them.  ``tolerate_failures`` turns an
-    unanswerable index pull into a counted failure instead of an
-    exception (a replay client pulling before the first publication
-    exists simply stays stale).
+    ``None`` falls back to each client's own index).  ``plan_session``
+    records each client's index and last schedule keys so the replay can
+    read the wave's completion offsets as its stream settles them.
+    ``tolerate_failures`` turns an unanswerable index pull into a counted
+    failure instead of an exception (a replay client pulling before the
+    first publication exists simply stays stale).
     """
     from repro.util.errors import NetworkError
 
     outcome = FleetWaveOutcome()
     for client in clients:
-        start = measure_clock.now() if measure_clock is not None else None
         try:
             index = client.manager.update()
         except NetworkError:
@@ -644,9 +633,6 @@ def run_pull_wave(clients: list[FleetClient], rng: random.Random,
                 continue
             done += 1
             outcome.installs += 1
-        if measure_clock is not None:
-            outcome.client_elapsed[client.name] = \
-                measure_clock.now() - start
         if plan_session is not None:
             key = plan_session.last_key(client.name)
             if key is not None:
@@ -667,10 +653,8 @@ class FleetRefreshReport:
     wall_elapsed: float
     #: Per-client simulated install durations (same order as the nodes).
     client_elapsed: list[float] = field(default_factory=list)
-    #: Whether the fan-out ran on the shared transfer schedule.
-    scheduled: bool = False
-    #: Simulated seconds the whole client fan-out took (schedule makespan
-    #: in scheduled mode, sum of per-client slices in serial mode).
+    #: Simulated seconds the whole client fan-out took (the schedule's
+    #: makespan).
     fanout_elapsed: float = 0.0
 
     @property
@@ -680,46 +664,41 @@ class FleetRefreshReport:
 
 def fleet_refresh(scenario: Scenario, clients: int = 8,
                   installs_per_client: int = 2,
-                  update_fraction: float = 0.05,
-                  pipelined: bool = True,
                   seed: int = 11,
-                  scheduled: bool = True,
-                  client_downlink=None,
-                  rng: random.Random | None = None) -> FleetRefreshReport:
+                  client_downlink=None) -> FleetRefreshReport:
     """Publish an update batch, refresh TSR, and drive a client fleet.
 
-    The flow the north star cares about: upstream releases land, a
-    refresh (overlapped unless ``pipelined=False``) re-sanitizes them,
-    and ``clients`` nodes update their indexes and install from the
+    The flow the north star cares about: upstream releases land (a
+    :func:`~repro.workload.generator.generate_update_batch` of the
+    workload, 5 % of its packages), an overlapped refresh re-sanitizes
+    them, and ``clients`` nodes update their indexes and install from the
     refreshed repository.  The report separates refresh latency from
-    fan-out latency so benches can show where overlap moves the needle.  The fleet machinery itself
-    — node construction (:class:`ClientFleet`) and the pull wave
-    (:func:`run_pull_wave`) — is shared with the multi-round trace
-    replay (:mod:`repro.workload.replay`), which composes many such
-    waves onto one plan-wide schedule; this function runs exactly one.
+    fan-out latency so benches can show where overlap moves the needle.
+    The fleet machinery itself — node construction (:class:`ClientFleet`)
+    and the pull wave (:func:`run_pull_wave`) — is shared with the
+    multi-round trace replay (:mod:`repro.workload.replay`), which
+    composes many such waves onto one plan-wide schedule; this function
+    runs exactly one.
 
-    With ``scheduled`` (the default) every client's fetches run as one
-    channel on a shared :class:`ScheduledFetchSession` whose capacity is
-    the TSR host's uplink: tens of thousands of nodes resolve in a single
-    incremental event-driven ``solve`` and their per-client timings
-    reflect shared-link contention.  ``scheduled=False`` keeps the old
-    behaviour — clients advance the clock one after another — for
-    comparison benches.
+    Every client's fetches run as one channel on a shared
+    :class:`ScheduledFetchSession` whose capacity is the TSR host's
+    uplink: tens of thousands of nodes resolve in a single incremental
+    event-driven ``solve`` and their per-client timings reflect
+    shared-link contention.
 
     ``client_downlink`` models the clients' NIC downlinks: a single
     bandwidth (bytes/s) applied to every client, or a sequence cycled
     across the fleet (heterogeneous NICs).  Each client host carries its
-    value as ``downlink_bandwidth`` and, in scheduled mode, its session
-    channel is capped at it — the layered-capacity rate model
-    ``min(TSR bandwidth, client NIC, fair uplink share)``.
+    value as ``downlink_bandwidth`` and its session channel is capped at
+    it — the layered-capacity rate model ``min(TSR bandwidth, client
+    NIC, fair uplink share)``.
 
     The fleet's own randomness (install choices) flows through one
-    *explicit* ``random.Random`` — ``rng``, defaulting to
-    ``random.Random(seed)`` — never through module-level RNG state, so
-    concurrent scenarios in one process stay independently reproducible;
-    ``generate_update_batch`` seeds its internal RNG from the same
-    ``seed``.  Repeated calls with equal arguments on identically built
-    scenarios are therefore reproducible.
+    *explicit* ``random.Random(seed)``, never through module-level RNG
+    state, so concurrent scenarios in one process stay independently
+    reproducible; ``generate_update_batch`` seeds its internal RNG from
+    the same ``seed``.  Repeated calls with equal arguments on
+    identically built scenarios are therefore reproducible.
     """
     from repro.workload.generator import generate_update_batch
 
@@ -729,12 +708,10 @@ def fleet_refresh(scenario: Scenario, clients: int = 8,
             and not isinstance(client_downlink, (int, float))
             and not len(client_downlink)):
         raise ValueError("client_downlink sequence must be non-empty")
-    rng = rng if rng is not None else random.Random(seed)
     workload = getattr(scenario, "workload", None)
     updated: list[str] = []
     if workload is not None:
-        batch = generate_update_batch(workload, fraction=update_fraction,
-                                      seed=seed)
+        batch = generate_update_batch(workload, seed=seed)
         scenario.origin.publish_many([(package, None) for package in batch])
         for package in batch:
             scenario.population[package.name] = package
@@ -742,41 +719,27 @@ def fleet_refresh(scenario: Scenario, clients: int = 8,
         scenario.sync_mirrors()
 
     start = scenario.clock.now()
-    report = scenario.refresh(pipelined=pipelined)
+    report = scenario.refresh(pipelined=True)
 
     installable = [
         name for name in report.changed_packages
         if scenario.tsr.cache.has_sanitized(scenario.repo_id, name)
     ]
-    session = None
-    if scheduled:
-        uplink = scenario.network.host(scenario.tsr.hostname).bandwidth
-        session = ScheduledFetchSession(scenario.network,
-                                        shared_bandwidth=uplink)
-    fanout_start = scenario.clock.now()
+    uplink = scenario.network.host(scenario.tsr.hostname).bandwidth
+    session = ScheduledFetchSession(scenario.network, shared_bandwidth=uplink)
     fleet = ClientFleet(scenario, clients, name_prefix=f"fleet-{seed}",
                         session=session, client_downlink=client_downlink)
-    wave = run_pull_wave(
-        fleet.clients, rng, installs_per_client, installable=installable,
-        measure_clock=None if scheduled else scenario.clock,
-    )
-    if scheduled:
-        session.solve()
-        client_elapsed = [session.channel_finish(client.name)
-                          for client in fleet.clients]
-        fanout_elapsed = session.makespan
-        scenario.clock.advance(fanout_elapsed)
-    else:
-        client_elapsed = [wave.client_elapsed[client.name]
-                          for client in fleet.clients]
-        fanout_elapsed = scenario.clock.now() - fanout_start
+    wave = run_pull_wave(fleet.clients, random.Random(seed),
+                         installs_per_client, installable=installable)
+    fanout_elapsed = session.makespan
+    scenario.clock.advance(fanout_elapsed)
     return FleetRefreshReport(
         refresh=report,
         clients=clients,
         installs=wave.installs,
         updated_packages=updated,
         wall_elapsed=scenario.clock.now() - start,
-        client_elapsed=client_elapsed,
-        scheduled=scheduled,
+        client_elapsed=[session.channel_finish(client.name)
+                        for client in fleet.clients],
         fanout_elapsed=fanout_elapsed,
     )

@@ -310,12 +310,6 @@ class TestPipelineSchedule:
                                                   "badpkg"}
         assert len(set(report.mirror_assignments.values())) > 1
 
-    def test_max_streams_caps_fanout(self):
-        _, pipelined = _two_scenarios()
-        report = pipelined.tsr.refresh(pipelined.repo_id, pipelined=True,
-                                       max_streams=1)
-        assert len(set(report.mirror_assignments.values())) == 1
-
     def test_wall_clock_advances_by_wall_elapsed(self):
         _, pipelined = _two_scenarios()
         before = pipelined.clock.now()
@@ -433,13 +427,11 @@ class TestFleetRefresh:
         workload = generate_workload(scale=0.004, seed=5, with_content=True)
         scenario = build_scenario(workload=workload, key_bits=1024,
                                   with_monitor=False)
-        fleet = fleet_refresh(scenario, clients=3, installs_per_client=1,
-                              pipelined=True)
+        fleet = fleet_refresh(scenario, clients=3, installs_per_client=1)
         assert fleet.clients == 3
         assert fleet.installs >= 1
         assert len(fleet.client_elapsed) == 3
         assert fleet.refresh.pipelined
-        assert fleet.scheduled
         assert fleet.wall_elapsed >= fleet.slowest_client
         assert fleet.updated_packages  # an update batch was published
 
@@ -451,24 +443,13 @@ class TestFleetRefresh:
             fleet_refresh(scenario, clients=0)
 
     def test_scheduled_fleet_overlaps_clients(self):
-        """Same fleet, serial vs scheduled: the shared schedule must beat
-        per-client serialization on fan-out wall-clock while showing
-        contention (resource-seconds exceed the makespan)."""
+        """Clients contend for the TSR uplink on the shared schedule:
+        summed per-client durations exceed its makespan, and no client
+        finishes after it."""
         workload = generate_workload(scale=0.004, seed=5, with_content=True)
-        a = build_scenario(workload=workload, key_bits=1024,
-                           with_monitor=False)
-        serial = fleet_refresh(a, clients=4, installs_per_client=1,
-                               scheduled=False)
-        b = build_scenario(workload=workload, key_bits=1024,
-                           with_monitor=False)
-        sched = fleet_refresh(b, clients=4, installs_per_client=1,
-                              scheduled=True)
-        assert serial.installs == sched.installs
-        assert not serial.scheduled and sched.scheduled
-        # Fan-out no longer serializes per client...
-        assert sched.fanout_elapsed < serial.fanout_elapsed
-        # ...but clients do contend for the TSR uplink: summed per-client
-        # durations exceed the shared-schedule makespan.
+        scenario = build_scenario(workload=workload, key_bits=1024,
+                                  with_monitor=False)
+        sched = fleet_refresh(scenario, clients=4, installs_per_client=1)
         assert sum(sched.client_elapsed) > sched.fanout_elapsed
         assert sched.slowest_client <= sched.fanout_elapsed + 1e-9
 

@@ -271,7 +271,7 @@ class TestDirtySetRebalance:
         with pytest.raises(ValueError):
             schedule.limit_channel("a", 0.0)
         with pytest.raises(ValueError):
-            ParallelTransferSchedule(channel_capacities={"a": -1.0})
+            schedule.limit_channel("a", -1.0)
 
     def test_late_channel_cap_raises(self):
         # A cap is frozen into items as they queue, so a first cap on a

@@ -403,8 +403,7 @@ class TestPlanFetchSession:
         node, _ = scenario.new_node("puller", session=None)
         session.begin_wave(5.0)
         session.fetch("puller", Request(scenario.tsr.hostname, "get_index",
-                                        payload=scenario.repo_id),
-                      channel="puller")
+                                        payload=scenario.repo_id))
         timings = schedule.solve()
         key = session.last_key("puller")
         # The wave gap rides in the setup phase: the transfer cannot
@@ -431,14 +430,14 @@ class TestPlanFetchSession:
         request = Request(scenario.tsr.hostname, "get_index",
                           payload=scenario.repo_id)
         session.begin_wave(0.0)
-        session.fetch("puller", request, channel="puller")
+        session.fetch("puller", request)
         first_end = schedule.solve()[session.last_key("puller")].finish
         # Wave 2 nominally starts *before* wave 1's transfer drains: the
         # channel serializes, so it starts at the channel's free instant.
         second_at = min(first_end / 2, first_end - 1e-6)
         stream.advance_to(second_at)
         session.begin_wave(second_at)
-        session.fetch("puller", request, channel="puller")
+        session.fetch("puller", request)
         timings = schedule.solve()
         assert timings[session.last_key("puller")].start >= \
             first_end - 1e-9
@@ -453,8 +452,7 @@ class TestPlanFetchSession:
         with pytest.raises(NetworkError):
             session.fetch("puller",
                           Request(scenario.tsr.hostname, "get_index",
-                                  payload=scenario.repo_id),
-                          channel="puller")
+                                  payload=scenario.repo_id))
         timings = schedule.solve()
         key = session.last_key("puller")
         assert timings[key].finish == pytest.approx(

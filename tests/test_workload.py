@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generator."""
 
+import hashlib
+
 import pytest
 
 from repro.scripts.classify import OperationType, classify_package_scripts
@@ -128,3 +130,27 @@ class TestUpdateBatches:
     def test_rejects_bad_fraction(self, workload):
         with pytest.raises(ValueError):
             generate_update_batch(workload, fraction=0)
+
+    @pytest.mark.parametrize("workload_seed, batch_seed, fraction, digest", [
+        (5, 11, 0.05, "0ef5001d599cbd2a"),   # fleet_refresh's own inputs
+        (4, 3, 0.05, "b3f221b642ab0527"),
+        (4, 7, 0.05, "09fa42fd879aa4b9"),
+        (2020, 7, 0.05, "d172c2c4e84329b2"),
+        (2020, 3, 0.3, "9c6a453433f9cf0c"),
+        (5, 11, 1.0, "40f4f86ac3b9fced"),
+    ])
+    def test_batch_releases_pinned(self, workload_seed, batch_seed, fraction,
+                                   digest):
+        """Names, versions, metadata and file bytes of a batch, in order,
+        are pinned, so refactoring the release loop keeps every byte that
+        ``fleet_refresh`` publishes."""
+        workload = generate_workload(scale=0.004, seed=workload_seed)
+        batch = generate_update_batch(workload, fraction=fraction,
+                                      seed=batch_seed)
+        h = hashlib.sha256()
+        for p in batch:
+            h.update(repr((p.name, p.version, p.description, p.depends,
+                           sorted(p.scripts.items()),
+                           [(f.path, f.mode, f.content) for f in p.files])
+                          ).encode())
+        assert h.hexdigest()[:16] == digest
