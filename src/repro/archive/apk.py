@@ -19,8 +19,13 @@ paper describes under Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
-from repro.archive.gz import gzip_compress_cached_with_cost, split_gzip_streams
+from repro.archive.gz import (
+    gzip_compress_cached_with_cost,
+    iter_gzip_members,
+    split_gzip_streams,
+)
 from repro.archive.tar import TarEntry, read_tar, write_tar
 from repro.crypto.hashes import sha256_hex
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
@@ -175,9 +180,73 @@ class ApkPackage:
 
     @classmethod
     def parse(cls, blob: bytes) -> "ParsedApk":
-        """Split an apk into its segments and decode metadata."""
-        (_, signature_tar), (control_gz, control_tar), (data_gz, data_tar) = \
+        """Split an apk into its segments and decode metadata.
+
+        Every member is inflated and checked (exactly three, each with
+        its CRC32/ISIZE trailer); the signature and control members are
+        decoded as :meth:`ApkControl.read` decodes them, and the data
+        member's files join the control's package."""
+        signature_member, control_member, (data_gz, data_tar) = \
             split_gzip_streams(blob, expected=3)
+        control = ApkControl.decode(signature_member, control_member)
+        files = []
+        for entry in read_tar(data_tar):
+            if not entry.is_file:
+                continue
+            files.append(PackageFile(
+                path="/" + entry.name.lstrip("/"),
+                content=entry.data,
+                mode=entry.mode,
+                ima_signature=entry.xattrs().get("security.ima"),
+            ))
+        package = control.package
+        package.files = files
+        return ParsedApk(
+            package=package,
+            signature=control.signature,
+            signer_name=control.signer_name,
+            control_gz=control.control_gz,
+            data_gz=data_gz,
+            datahash=control.datahash,
+        )
+
+
+@dataclass
+class ApkControl:
+    """The signature and control members of an apk, decoded.
+
+    :attr:`package` carries the control segment's metadata, scripts and
+    config signatures, and no files: the data member is not part of it.
+    """
+
+    package: ApkPackage
+    signature: bytes
+    signer_name: str | None
+    control_gz: bytes
+    datahash: str
+
+    @classmethod
+    def read(cls, blob: bytes) -> "ApkControl":
+        """Decode only the first two gzip members of an apk.
+
+        The data member is neither inflated nor checked, so a blob whose
+        data member is corrupt or missing reads here and fails in
+        :meth:`ApkPackage.parse`; callers that act on a package must
+        parse it fully first.
+        """
+        head = list(islice(iter_gzip_members(blob), 2))
+        if len(head) != 2:
+            raise PackagingError(
+                f"expected 3 concatenated gzip streams, found {len(head)}")
+        return cls.decode(*head)
+
+    @classmethod
+    def decode(cls, signature_member: tuple[bytes, bytes],
+               control_member: tuple[bytes, bytes]) -> "ApkControl":
+        """Decode the ``(compressed, inflated)`` signature and control
+        members."""
+        signature_tar = signature_member[1]
+        control_gz, control_tar = control_member
         signature_entries = read_tar(signature_tar)
         control_entries = read_tar(control_tar)
         signature = None
@@ -201,33 +270,20 @@ class ApkPackage:
         if pkginfo is None:
             raise PackagingError("apk control segment missing .PKGINFO")
         meta = _parse_pkginfo(pkginfo)
-        data_entries = read_tar(data_tar)
-        files = []
-        for entry in data_entries:
-            if not entry.is_file:
-                continue
-            files.append(PackageFile(
-                path="/" + entry.name.lstrip("/"),
-                content=entry.data,
-                mode=entry.mode,
-                ima_signature=entry.xattrs().get("security.ima"),
-            ))
-        package = cls(
+        package = ApkPackage(
             name=meta["pkgname"],
             version=meta["pkgver"],
             arch=meta.get("arch", "x86_64"),
             description=meta.get("pkgdesc", ""),
             depends=meta.get("depends", []),
             scripts=scripts,
-            files=files,
             config_signatures=config_signatures,
         )
-        return ParsedApk(
+        return cls(
             package=package,
             signature=signature,
             signer_name=signer_name,
             control_gz=control_gz,
-            data_gz=data_gz,
             datahash=meta["datahash"],
         )
 
@@ -327,6 +383,7 @@ def package_content_hash(blob: bytes) -> str:
 
 
 __all__ = [
+    "ApkControl",
     "ApkPackage",
     "PackageFile",
     "ParsedApk",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
+from collections.abc import Iterator
 
 from repro.util.errors import PackagingError
 from repro.util.memo import Memo
@@ -74,21 +75,21 @@ def gzip_decompress(data: bytes) -> bytes:
     return out
 
 
-def split_gzip_streams(data: bytes, expected: int | None = None,
-                       ) -> list[tuple[bytes, bytes]]:
-    """Split concatenated gzip streams, inflating each member once.
+def iter_gzip_members(data: bytes) -> Iterator[tuple[bytes, bytes]]:
+    """Concatenated gzip streams, one ``(compressed, inflated)`` pair per
+    member, each inflated only when the caller asks for it.
 
-    Returns one ``(compressed, inflated)`` pair per member: the raw
-    compressed byte range (the apk signature is issued over the compressed
-    control segment, so byte ranges matter) and the member's payload.
-    Finding where a member ends means inflating it anyway, so callers take
-    the payload from here instead of running :func:`gzip_decompress`
-    again; zlib checks each member's CRC32 and ISIZE trailer as it goes.
+    ``compressed`` is the member's raw byte range (the apk signature is
+    issued over the compressed control segment, so byte ranges matter)
+    and ``inflated`` its payload.  Finding where a member ends means
+    inflating it anyway, so callers take the payload from here instead of
+    running :func:`gzip_decompress` again; zlib checks each member's
+    CRC32 and ISIZE trailer as it goes.  A caller that stops early never
+    inflates, or checks, the members after the last one it took.
     """
     if not data.startswith(_GZIP_MAGIC):
         raise PackagingError("payload does not start with a gzip stream")
     view = memoryview(data)
-    streams: list[tuple[bytes, bytes]] = []
     offset = 0
     while offset < len(data):
         if data[offset:offset + 2] != _GZIP_MAGIC:
@@ -102,8 +103,15 @@ def split_gzip_streams(data: bytes, expected: int | None = None,
         if not decompressor.eof:
             raise PackagingError(f"truncated gzip stream at offset {offset}")
         consumed = len(data) - offset - len(decompressor.unused_data)
-        streams.append((data[offset:offset + consumed], inflated))
+        yield data[offset:offset + consumed], inflated
         offset += consumed
+
+
+def split_gzip_streams(data: bytes, expected: int | None = None,
+                       ) -> list[tuple[bytes, bytes]]:
+    """Every member of :func:`iter_gzip_members`, inflated; with
+    ``expected``, exactly that many."""
+    streams = list(iter_gzip_members(data))
     if expected is not None and len(streams) != expected:
         raise PackagingError(
             f"expected {expected} concatenated gzip streams, found {len(streams)}"

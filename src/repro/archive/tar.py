@@ -15,6 +15,8 @@ length-prefixed so parsing stays unambiguous.
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import dataclass, field
 
 from repro.util.errors import PackagingError
@@ -205,46 +207,62 @@ def _utf8(raw: bytes, what: str) -> str:
         ) from exc
 
 
-def _parse_string(raw: bytes) -> str:
-    return raw.rstrip(b"\x00").decode("utf-8")
+#: The ustar header fields a reader uses, in block order: name, mode,
+#: uid, gid, size, mtime, checksum, typeflag, linkname, magic and
+#: version, uname, gname (devmajor, devminor and prefix are not read).
+_HEADER = struct.Struct("100s8s8s8s12s12s8sc100s8s32s32s")
+_END_BLOCK = b"\x00" * BLOCK_SIZE
+_HALF_BLOCK = BLOCK_SIZE // 2
 
 
 def read_tar(data: bytes) -> list[TarEntry]:
-    """Parse a tar stream produced by :func:`write_tar` (or compatible)."""
+    """Parse a tar stream produced by :func:`write_tar` (or compatible).
+
+    Each header unpacks in one :data:`_HEADER` call.  Its checksum is the
+    sum of its 512 bytes with the checksum field read as eight spaces;
+    each 256-byte half sums to at most 65,280, below Adler-32's modulus
+    of 65,521, so the low half of ``zlib.adler32(half, 0)`` is that
+    half's exact byte sum.
+    """
     entries: list[TarEntry] = []
     pending_pax: dict[str, bytes] = {}
+    unpack = _HEADER.unpack_from
     offset = 0
     while offset + BLOCK_SIZE <= len(data):
-        header = data[offset:offset + BLOCK_SIZE]
-        if header == b"\x00" * BLOCK_SIZE:
-            break  # end-of-archive
-        if header[257:265] != _USTAR_MAGIC:
+        (name, mode, uid, gid, size, mtime, checksum, typeflag, linkname,
+         magic, uname, gname) = unpack(data, offset)
+        if magic != _USTAR_MAGIC:
+            if data[offset:offset + BLOCK_SIZE] == _END_BLOCK:
+                break  # end-of-archive
             raise PackagingError(f"bad ustar magic at offset {offset}")
-        stored_checksum = _parse_octal(header[148:156], "checksum")
-        actual_checksum = sum(header) - sum(header[148:156]) + 8 * ord(" ")
-        if stored_checksum != actual_checksum:
+        middle = offset + _HALF_BLOCK
+        actual_checksum = ((zlib.adler32(data[offset:middle], 0) & 0xFFFF)
+                           + (zlib.adler32(data[middle:offset + BLOCK_SIZE],
+                                           0) & 0xFFFF)
+                           - sum(checksum) + 8 * ord(" "))
+        if _parse_octal(checksum, "checksum") != actual_checksum:
             raise PackagingError(f"tar header checksum mismatch at offset {offset}")
-        size = _parse_octal(header[124:136], "size")
-        typeflag = header[156:157]
-        body = data[offset + BLOCK_SIZE:offset + BLOCK_SIZE + size]
+        size = _parse_octal(size, "size")
+        start = offset + BLOCK_SIZE
+        body = data[start:start + size]
         if len(body) != size:
             raise PackagingError("truncated tar entry body")
-        offset += BLOCK_SIZE + (size + BLOCK_SIZE - 1) // BLOCK_SIZE * BLOCK_SIZE
+        offset = start + (size + BLOCK_SIZE - 1) // BLOCK_SIZE * BLOCK_SIZE
         if typeflag == TYPE_PAX_HEADER:
             pending_pax = _decode_pax_records(body)
             continue
         try:
             entry = TarEntry(
-                name=_parse_string(header[0:100]),
+                name=name.rstrip(b"\x00").decode("utf-8"),
                 data=body if typeflag == TYPE_REGULAR else b"",
-                mode=_parse_octal(header[100:108], "mode"),
-                uid=_parse_octal(header[108:116], "uid"),
-                gid=_parse_octal(header[116:124], "gid"),
-                mtime=_parse_octal(header[136:148], "mtime"),
+                mode=_parse_octal(mode, "mode"),
+                uid=_parse_octal(uid, "uid"),
+                gid=_parse_octal(gid, "gid"),
+                mtime=_parse_octal(mtime, "mtime"),
                 typeflag=typeflag,
-                linkname=_parse_string(header[157:257]),
-                uname=_parse_string(header[265:297]),
-                gname=_parse_string(header[297:329]),
+                linkname=linkname.rstrip(b"\x00").decode("utf-8"),
+                uname=uname.rstrip(b"\x00").decode("utf-8"),
+                gname=gname.rstrip(b"\x00").decode("utf-8"),
                 pax_headers=pending_pax,
             )
         except UnicodeDecodeError as exc:

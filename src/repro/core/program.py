@@ -35,6 +35,9 @@ class _RepositoryState:
         self.policy = policy
         self.signing_key = signing_key
         self.upstream_index: RepositoryIndex | None = None
+        #: (sha256, size) -> the first entry of :attr:`upstream_index`
+        #: that pins a blob with that digest and length.
+        self.upstream_blobs: dict[tuple[str, int], IndexEntry] = {}
         self.sanitized_index = RepositoryIndex(serial=0)
         self.catalog = RepositoryCatalog()
         self.sanitizer: Sanitizer | None = None
@@ -42,6 +45,13 @@ class _RepositoryState:
         #: the catalog is frozen, but only on packages whose rewrite does
         #: not read the catalog (no account-creation commands).
         self.early_sanitizer: Sanitizer | None = None
+
+    def accept_upstream(self, index: RepositoryIndex):
+        """Adopt a quorum-validated upstream index and its blob lookup."""
+        self.upstream_index = index
+        self.upstream_blobs = {}
+        for entry in index.entries.values():
+            self.upstream_blobs.setdefault((entry.sha256, entry.size), entry)
 
     def build_sanitizer(self) -> Sanitizer:
         sanitizer = Sanitizer(
@@ -211,7 +221,7 @@ class TsrProgram:
                 )
             changed = [e.name for e in accepted.diff_updated(state.upstream_index)]
         changed = [name for name in changed if state.policy.allows_package(name)]
-        state.upstream_index = accepted
+        state.accept_upstream(accepted)
         return {
             "serial": accepted.serial,
             "changed": changed,
@@ -264,16 +274,19 @@ class TsrProgram:
             self._shared = None
         return stats
 
-    def _scan_record(self, blob: bytes) -> tuple[dict, bool]:
-        """(scan record, memo hit?) for one blob; memoized when shared."""
-        from repro.archive.apk import ApkPackage
+    def _scan_record(self, blob: bytes, digest: str) -> tuple[dict, bool]:
+        """(scan record, memo hit?) for one blob whose SHA-256 the calling
+        ecall computed; memoized under it when shared.
+
+        Only the signature and control members are decoded: the scan
+        reads the scripts, and the sanitize ecall's full parse checks
+        the data member."""
+        from repro.archive.apk import ApkControl
         from repro.scripts.classify import OperationType, classify_package_scripts
         from repro.util.errors import ScriptError
 
         shared = self._shared
-        digest = None
         if shared is not None:
-            digest = sha256_hex(bytes(blob))
             cached = shared.scan_memo.get(digest)
             if cached is not None:
                 generation, record = cached
@@ -286,7 +299,7 @@ class TsrProgram:
                 shared.scan_misses += 1
                 shared.scan_replays += 1
                 return record, False
-        package = ApkPackage.parse(bytes(blob)).package
+        package = ApkControl.read(blob).package
         delta = extract_scan_delta(package)
         try:
             profile = classify_package_scripts(package.scripts)
@@ -325,10 +338,10 @@ class TsrProgram:
         state = self._repo(repo_id)
         blob = bytes(blob)
         shared = self._shared
-        record, scan_hit = self._scan_record(blob)
-        del record  # memoized for later scan_package calls; not applied
+        digest = sha256_hex(blob)
+        self._scan_record(blob, digest)  # memoized for scan_package; not applied
         key = (
-            sha256_hex(blob),
+            digest,
             tuple(k.fingerprint() for k in state.policy.signers_keys),
         )
         cached = shared.analysis_memo.get(key)
@@ -359,8 +372,9 @@ class TsrProgram:
     def scan_for_accounts(self, repo_id: str, blob: bytes):
         """Feed one upstream package through the account scanner."""
         state = self._repo(repo_id)
-        self._check_upstream_blob(state, blob)
-        record, _ = self._scan_record(blob)
+        blob = bytes(blob)
+        entry = self._check_upstream_blob(state, blob)
+        record, _ = self._scan_record(blob, entry.sha256)
         state.catalog.apply_delta(record["delta"])
 
     def scan_package(self, repo_id: str, blob: bytes) -> dict:
@@ -378,8 +392,9 @@ class TsrProgram:
         this repository's catalog always runs.
         """
         state = self._repo(repo_id)
+        blob = bytes(blob)
         entry = self._check_upstream_blob(state, blob)
-        record, deduped = self._scan_record(blob)
+        record, deduped = self._scan_record(blob, entry.sha256)
         state.catalog.apply_delta(record["delta"])
         return {"name": entry.name,
                 "needs_catalog": record["needs_catalog"],
@@ -426,22 +441,23 @@ class TsrProgram:
 
     def _sanitize_with(self, state: _RepositoryState, sanitizer: Sanitizer,
                        blob: bytes, forbid=None) -> SanitizationResult:
+        blob = bytes(blob)
         entry = self._check_upstream_blob(state, blob)
         shared = self._shared
         if shared is None:
-            result = sanitizer.sanitize_blob(bytes(blob))
+            result = sanitizer.sanitize_blob(blob)
         else:
             # Shared refresh: the content-determined analysis (parse,
             # verify, classify, filter — including a recorded rejection)
             # is memoized per (blob, trusted signer set); the repository-
             # determined half (prelude, signatures, repack) always runs.
             key = (
-                sha256_hex(bytes(blob)),
+                entry.sha256,
                 tuple(k.fingerprint() for k in state.policy.signers_keys),
             )
             cached = shared.analysis_memo.get(key)
             if cached is None:
-                analysis = sanitizer.analyze_blob(bytes(blob))
+                analysis = sanitizer.analyze_blob(blob)
                 uncompressed = sum(
                     len(f.content) for f in analysis.package.files)
                 info = {
@@ -510,12 +526,13 @@ class TsrProgram:
 
     def _check_upstream_blob(self, state: _RepositoryState,
                              blob: bytes) -> IndexEntry:
+        """The upstream entry pinning ``blob``; its ``sha256`` is the
+        blob's digest, so the calling ecall need not hash it again."""
         if state.upstream_index is None:
             raise PolicyError("no upstream index accepted yet")
-        digest = sha256_hex(bytes(blob))
-        for entry in state.upstream_index.entries.values():
-            if entry.sha256 == digest and entry.size == len(blob):
-                return entry
+        entry = state.upstream_blobs.get((sha256_hex(blob), len(blob)))
+        if entry is not None:
+            return entry
         raise IntegrityError(
             "upstream blob does not match any entry of the quorum-validated "
             "index (corrupt mirror download)"
@@ -566,9 +583,9 @@ class TsrProgram:
             signing_key = generate_keypair(self._key_bits, seed=seed)
             state = _RepositoryState(repo_id, policy, signing_key)
             if raw.get("upstream_index"):
-                state.upstream_index = RepositoryIndex.from_bytes(
+                state.accept_upstream(RepositoryIndex.from_bytes(
                     bytes.fromhex(raw["upstream_index"])
-                )
+                ))
             if raw.get("sanitized_index"):
                 state.sanitized_index = RepositoryIndex.from_bytes(
                     bytes.fromhex(raw["sanitized_index"])

@@ -64,36 +64,55 @@ class Publication:
     #: package name -> sanitized blob (entries absent when the blob was
     #: already evicted at capture time — those fail closed when served).
     blobs: dict[str, bytes]
-    #: package name -> the ``(blob, size, sha256)`` that
-    #: :meth:`captured_blob` last found matching, so a repeat serve
-    #: re-checks the pair without re-hashing the blob.
+    #: package name -> the ``(blob, size, sha256)`` that :meth:`pins`
+    #: last found matching, so a repeat serve re-checks the pair without
+    #: re-hashing the blob.
     _checked: dict[str, tuple[bytes, int, str]] = field(
         default_factory=dict, repr=False, compare=False)
 
-    def captured_blob(self, name: str) -> bytes:
-        """The captured copy of ``name``, checked against its signed pin.
+    def pins(self, name: str, blob: bytes) -> bool:
+        """Whether ``blob`` is the copy of ``name`` the signed index pins.
 
         The blob is hashed again whenever it is not the exact ``bytes``
-        object last checked or its pin changed; a mutable blob is hashed
-        on every serve.
+        object last found matching or its pin changed; a mutable blob is
+        hashed on every call.
         """
+        size, sha = self.entries[name]
+        checked = self._checked.get(name)
+        if checked is not None and checked[0] is blob \
+                and checked[1] == size and checked[2] == sha:
+            return True
+        if len(blob) != size or sha256_hex(blob) != sha:
+            return False
+        if type(blob) is bytes:
+            self._checked[name] = (blob, size, sha)
+        return True
+
+    def keep(self, previous: "Publication", name: str) -> bool:
+        """Share ``previous``'s captured copy of ``name`` when both pin the
+        same (size, sha256), with the record of its last matching check.
+        """
+        kept = previous.blobs.get(name)
+        if kept is None or previous.entries.get(name) != self.entries[name]:
+            return False
+        self.blobs[name] = kept
+        checked = previous._checked.get(name)
+        if checked is not None and checked[0] is kept:
+            self._checked[name] = checked
+        return True
+
+    def captured_blob(self, name: str) -> bytes:
+        """The captured copy of ``name``, checked by :meth:`pins`."""
         blob = self.blobs.get(name)
         if blob is None:
             raise NetworkError(
                 f"package {name!r} not available from the t="
                 f"{self.available_at:.3f} publication"
             )
-        size, sha = self.entries[name]
-        checked = self._checked.get(name)
-        if checked is not None and checked[0] is blob \
-                and checked[1] == size and checked[2] == sha:
-            return blob
-        if len(blob) != size or sha256_hex(blob) != sha:
+        if not self.pins(name, blob):
             raise NetworkError(
                 f"published package {name!r} does not match its signed index"
             )
-        if type(blob) is bytes:
-            self._checked[name] = (blob, size, sha)
         return blob
 
 

@@ -595,10 +595,11 @@ class TrustedSoftwareRepository:
         """Freeze the repository's current served state at a plan instant.
 
         Captures the signed sanitized index plus the sanitized blobs it
-        pins (sharing unchanged blob objects with the previous
-        publication; reads bypass recency so snapshotting does not skew
-        eviction) and appends it to :attr:`publication_log`, which serves
-        it to clients and which edge replicas copy on sync.
+        pins (sharing unchanged blob objects, and their pin checks, with
+        the previous publication; reads bypass recency so snapshotting
+        does not skew eviction) and appends it to
+        :attr:`publication_log`, which serves it to clients and which
+        edge replicas copy on sync.
         ``available_at`` is clamped monotonic: a round that finished out
         of order can never publish *before* its predecessor.  No chunk
         manifest is built here: :meth:`chunk_manifest` builds a base's
@@ -619,18 +620,6 @@ class TrustedSoftwareRepository:
         index_bytes = self._enclave.ecall("sanitized_index_bytes", repo_id)
         index = parse_index_cached(index_bytes)
         previous = log.newest(repo_id)
-        blobs: dict[str, bytes] = {}
-        for name, entry in index.entries.items():
-            if previous is not None:
-                kept = previous.blobs.get(name)
-                if kept is not None and previous.entries.get(name) == \
-                        (entry.size, entry.sha256):
-                    blobs[name] = kept
-                    continue
-            blob = self.cache.peek_sanitized(repo_id, name)
-            if blob is not None and len(blob) == entry.size \
-                    and sha256_hex(blob) == entry.sha256:
-                blobs[name] = blob
         if previous is not None:
             available_at = max(available_at, previous.available_at)
         publication = Publication(
@@ -639,8 +628,14 @@ class TrustedSoftwareRepository:
             index_bytes=index_bytes,
             entries={name: (e.size, e.sha256)
                      for name, e in index.entries.items()},
-            blobs=blobs,
+            blobs={},
         )
+        for name in publication.entries:
+            if previous is not None and publication.keep(previous, name):
+                continue
+            blob = self.cache.peek_sanitized(repo_id, name)
+            if blob is not None and publication.pins(name, blob):
+                publication.blobs[name] = blob
         retention = self.publication_retention
         if retention is None:
             retention = self.delta_log_depth + 1
@@ -699,14 +694,15 @@ class TrustedSoftwareRepository:
         queues a re-sanitize job stamped with the serve instant ``at``
         (the clock for live serves) that the next refresh round pays for
         on the enclave channel (``serve_fallbacks`` counts these).  Both
-        paths are checked against the signed index, so the bytes never
-        depend on cache state.  No clock advance: the replay plan
-        accounts the transfer on its schedule.
+        paths are checked against the signed index by
+        :meth:`Publication.pins`, which hashes a blob again only when it
+        is not the ``bytes`` object last found matching, so the bytes
+        never depend on cache state and a tampered cache write (always a
+        new object) is hashed and refused.  No clock advance: the replay
+        plan accounts the transfer on its schedule.
         """
-        size, sha = publication.entries[name]
         cached = self.cache.get_sanitized(repo_id, name)
-        if cached is not None and len(cached) == size \
-                and sha256_hex(cached) == sha:
+        if cached is not None and publication.pins(name, cached):
             self.serve_cache_hits += 1
             return cached
         blob = publication.captured_blob(name)

@@ -164,12 +164,9 @@ class Scenario:
             deployed["public_key_pem"])
         return repo_id
 
-    def refresh(self, pipelined: bool = False,
-                parallel_downloads: int = 1) -> RefreshReport:
-        self.refresh_report = self.tsr.refresh(
-            self.repo_id, parallel_downloads=parallel_downloads,
-            pipelined=pipelined,
-        )
+    def refresh(self, pipelined: bool = False) -> RefreshReport:
+        self.refresh_report = self.tsr.refresh(self.repo_id,
+                                               pipelined=pipelined)
         return self.refresh_report
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic RSA keys are expensive, so generate once."""
 
 import pytest
+from hypothesis import settings
 
 from repro.crypto.rsa import generate_keypair
 from repro.util import memo
@@ -8,6 +9,11 @@ from repro.util import memo
 # 1024-bit keys keep unit tests fast; the bench suite uses 2048-bit keys so
 # signatures are the paper's 256 bytes.
 TEST_KEY_BITS = 1024
+
+#: ``pytest --hypothesis-profile=deep`` runs every property test that does
+#: not pin its own budget with 20x hypothesis's default example count and
+#: no deadline (CI fuzzes the archive codec this way).
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 def pytest_configure(config):

@@ -1,13 +1,17 @@
-"""The field-by-field tar writer and the ``GzipFile`` gzip writer: the
-oracles the archive byte-identity tests use.
+"""The field-by-field tar writer and reader and the ``GzipFile`` gzip
+writer: the oracles the archive tests use.
 
 :func:`reference_write_tar` is the writer :mod:`repro.archive.tar` once
 ran: every header appends its sixteen fields to a ``bytearray``, sums
 all 512 bytes with an eight-space checksum placeholder and splices the
-checksum in.  :func:`reference_gzip_compress` is the
-``gzip.GzipFile(mtime=0)`` body :func:`repro.archive.gz.gzip_compress`
-once had.  They are kept only so tests can check the library's one-pass
-writers against them byte for byte (and error text for error text).
+checksum in.  :func:`reference_read_tar` is the reader it once ran, PAX record
+decoder included: each header is sliced field by field and its checksum
+is a per-byte ``sum``.
+:func:`reference_gzip_compress` is the ``gzip.GzipFile(mtime=0)`` body
+:func:`repro.archive.gz.gzip_compress` once had.  They are kept only so
+tests can check the library's one-pass writers against them byte for
+byte (and error text for error text), and its reader entry for entry
+and verdict for verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 from repro.archive.tar import (
     BLOCK_SIZE,
     TYPE_PAX_HEADER,
+    TYPE_REGULAR,
     TarEntry,
     _encode_pax_records,
 )
@@ -104,3 +109,97 @@ def reference_gzip_compress(data: bytes, level: int = 6) -> bytes:
     with gzip.GzipFile(fileobj=buffer, mode="wb", compresslevel=level, mtime=0) as gz:
         gz.write(data)
     return buffer.getvalue()
+
+
+def _parse_octal(raw: bytes, what: str) -> int:
+    text = raw.rstrip(b"\x00 ").lstrip()
+    if not text:
+        return 0
+    try:
+        return int(text, 8)
+    except ValueError:
+        raise PackagingError(f"bad octal in tar {what}: {raw!r}") from None
+
+
+def _parse_string(raw: bytes) -> str:
+    return raw.rstrip(b"\x00").decode("utf-8")
+
+
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PackagingError(
+            f"{what} is not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
+def _decode_pax_records(data: bytes) -> dict[str, bytes]:
+    records: dict[str, bytes] = {}
+    offset = 0
+    while offset < len(data):
+        space = data.find(b" ", offset)
+        if space < 0:
+            raise PackagingError("PAX record missing its length field")
+        length_field = data[offset:space]
+        if not length_field.isdigit():
+            raise PackagingError(f"malformed PAX record length {length_field!r}")
+        length = int(length_field)
+        if offset + length > len(data):
+            raise PackagingError("PAX record length exceeds the header")
+        record = data[space + 1:offset + length]
+        if not record.endswith(b"\n"):
+            raise PackagingError("PAX record missing trailing newline")
+        key_bytes, _, value = record[:-1].partition(b"=")
+        records[_utf8(key_bytes, "PAX record key")] = value
+        offset += length
+    return records
+
+
+def reference_read_tar(data: bytes) -> list[TarEntry]:
+    """Parse a tar stream produced by ``write_tar`` (or compatible)."""
+    entries: list[TarEntry] = []
+    pending_pax: dict[str, bytes] = {}
+    offset = 0
+    while offset + BLOCK_SIZE <= len(data):
+        header = data[offset:offset + BLOCK_SIZE]
+        if header == b"\x00" * BLOCK_SIZE:
+            break  # end-of-archive
+        if header[257:265] != _USTAR_MAGIC:
+            raise PackagingError(f"bad ustar magic at offset {offset}")
+        stored_checksum = _parse_octal(header[148:156], "checksum")
+        actual_checksum = sum(header) - sum(header[148:156]) + 8 * ord(" ")
+        if stored_checksum != actual_checksum:
+            raise PackagingError(f"tar header checksum mismatch at offset {offset}")
+        size = _parse_octal(header[124:136], "size")
+        typeflag = header[156:157]
+        body = data[offset + BLOCK_SIZE:offset + BLOCK_SIZE + size]
+        if len(body) != size:
+            raise PackagingError("truncated tar entry body")
+        offset += BLOCK_SIZE + (size + BLOCK_SIZE - 1) // BLOCK_SIZE * BLOCK_SIZE
+        if typeflag == TYPE_PAX_HEADER:
+            pending_pax = _decode_pax_records(body)
+            continue
+        try:
+            entry = TarEntry(
+                name=_parse_string(header[0:100]),
+                data=body if typeflag == TYPE_REGULAR else b"",
+                mode=_parse_octal(header[100:108], "mode"),
+                uid=_parse_octal(header[108:116], "uid"),
+                gid=_parse_octal(header[116:124], "gid"),
+                mtime=_parse_octal(header[136:148], "mtime"),
+                typeflag=typeflag,
+                linkname=_parse_string(header[157:257]),
+                uname=_parse_string(header[265:297]),
+                gname=_parse_string(header[297:329]),
+                pax_headers=pending_pax,
+            )
+        except UnicodeDecodeError as exc:
+            raise PackagingError(
+                f"tar header string is not valid UTF-8 ({exc.reason})"
+            ) from exc
+        pending_pax = {}
+        entries.append(entry)
+    else:
+        raise PackagingError("tar stream missing end-of-archive marker")
+    return entries

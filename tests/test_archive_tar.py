@@ -4,7 +4,7 @@ import io
 import tarfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.archive.tar import (
@@ -54,7 +54,6 @@ class TestRoundTrip:
         assert [e.name for e in restored] == [f"f{i}" for i in range(50)]
 
     @given(st.binary(max_size=2000), st.integers(0, 0o777))
-    @settings(max_examples=30)
     def test_any_content_roundtrips(self, content, mode):
         entry = TarEntry(name="blob.bin", data=content, mode=mode)
         restored = read_tar(write_tar([entry]))[0]
@@ -101,7 +100,6 @@ class TestPaxHeaders:
         st.binary(max_size=300),
         max_size=5,
     ))
-    @settings(max_examples=30)
     def test_any_records_roundtrip(self, records):
         entry = TarEntry(name="f", data=b"", pax_headers=dict(records))
         restored = read_tar(write_tar([entry]))[0]

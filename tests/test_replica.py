@@ -581,14 +581,15 @@ class TestBookkeepingWorkCounts:
             parses.append(raw)
             return real_parse(raw)
 
-        real_captured = Publication.captured_blob
+        real_pins = Publication.pins
 
-        def captured(self, name):
-            blob = real_captured(self, name)
+        def pins(self, name, blob):
+            matched = real_pins(self, name, blob)
             size, sha = self.entries[name]
             serves.append(name)
-            served[(id(self), name, id(blob), size, sha)] = (self, blob)
-            return blob
+            if matched:
+                served[(name, id(blob), size, sha)] = blob
+            return matched
 
         def hashed_by(log, real=sha256_hex):
             def counting(data):
@@ -606,7 +607,7 @@ class TestBookkeepingWorkCounts:
 
         monkeypatch.setattr(PackageDatabase, "__init__", init)
         monkeypatch.setattr(PackageDatabase, "_parse", staticmethod(parse))
-        monkeypatch.setattr(Publication, "captured_blob", captured)
+        monkeypatch.setattr(Publication, "pins", pins)
         monkeypatch.setattr(publications_module, "sha256_hex",
                             hashed_by(served_hashes))
         monkeypatch.setattr(pkgmgr_module, "sha256_hex",
@@ -624,8 +625,10 @@ class TestBookkeepingWorkCounts:
         # is of bytes the database wrote itself.
         assert len(databases) == report.streaming.clients_booted
         assert len(parses) == len(databases)
-        # Every serve checks its pin; each distinct pair is hashed once,
-        # and the fleet does repeat some.
+        # Every capture and serve checks its pin through
+        # ``Publication.pins``; each distinct matching (blob, pin) pair is
+        # hashed once, in whichever publication checks it first, and the
+        # fleet does repeat some.
         assert len(served_hashes) == len(served) < len(serves)
         # Clients hash full pulls only: never a blob a delta rebuilt.
         assert len(client_hashes) == sum(stats["package_full"].values())

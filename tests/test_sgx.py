@@ -245,7 +245,7 @@ class TestMeasurementSpan:
     #: ``measure_program(TsrProgram)``: tenant keys derive from it, so any
     #: drift in the text it hashes fails here first.
     TSR_MRENCLAVE = (
-        "9f857daf7c28c6197f1ef3f9c15dd53b1f1f44a2f5bfa6e0f32c9b551e78e3e4")
+        "e7ea9739707b507455100fffcd4e2b0d4bd0441d6bc2f20c0b70ab753bd2d467")
 
     def test_tsr_program_measurement_is_pinned(self):
         assert measure_program(TsrProgram).hex() == self.TSR_MRENCLAVE
